@@ -9,8 +9,8 @@ from .model import (ANY_NODE, DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
                     FORK, FOUND, LEAF, LEAVES_ONLY, LEFT, RIGHT,
                     TARGET_LARGER, TARGET_SMALLER, UNARY,
                     InconsistentOracleError, InfeasibleInstanceError,
-                    InstrumentedOracle, OracleModeError, TreeError,
-                    TreeInstance, Walker, WalkerError, dump_tree,
+                    InstrumentedOracle, NodeIdError, OracleModeError,
+                    TreeError, TreeInstance, Walker, WalkerError, dump_tree,
                     inorder_compare)
 from .algorithms import (ALGORITHMS, ExploredTree, RoundStats, SearchParams,
                          SearchResult, baseline_full, baseline_rounds,

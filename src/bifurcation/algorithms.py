@@ -30,10 +30,12 @@ class ExploredTree:
 
     Mirrors instance ids. A stub is a node proven not to hold the target in
     its subtree; stubs stay in place as markers but their explored subtrees
-    are deleted, and they are excluded from node and leaf counts.
+    are deleted. ``node_count`` and ``leaf_count`` (non-stub nodes with no
+    explored children) exclude stubs and are kept current as the tree changes.
     """
 
-    __slots__ = ("root", "kind", "parent", "left", "right", "depth", "stubs")
+    __slots__ = ("root", "kind", "parent", "left", "right", "depth", "stubs",
+                 "leaf_count")
 
     def __init__(self, root: int, root_kind: str):
         self.root = root
@@ -43,6 +45,7 @@ class ExploredTree:
         self.right = {}
         self.depth = {root: 0}
         self.stubs = set()
+        self.leaf_count = 1
 
     @property
     def node_count(self) -> int:
@@ -50,6 +53,9 @@ class ExploredTree:
         return len(self.kind) - len(self.stubs)
 
     def add_child(self, parent: int, side: str, child: int, kind: str):
+        # the child is a new leaf; a childless parent stops being one
+        if parent in self.left or parent in self.right:
+            self.leaf_count += 1
         self.kind[child] = kind
         self.parent[child] = parent
         self.depth[child] = self.depth[parent] + 1
@@ -68,8 +74,9 @@ class ExploredTree:
                 return path
             path.append(p)
 
-    def inorder_below(self, top: int):
-        """Non-stub ids of top's explored subtree, in inorder."""
+    def _inorder(self, top: int):
+        # Both public rescans call this, never each other, so a profiler
+        # that wraps both counts every rescanned id once.
         nodes = []
         left = self.left
         right = self.right
@@ -86,44 +93,33 @@ class ExploredTree:
             cur = right.get(cur)
         return nodes
 
-    def inorder_nodes(self):
-        return self.inorder_below(self.root)
+    def inorder_below(self, top: int):
+        """Non-stub ids of top's explored subtree, in inorder."""
+        return self._inorder(top)
 
     def inorder_nodes_and_leaves(self):
         """Non-stub ids in inorder, plus the subset with no explored children."""
-        nodes = []
-        leaves = []
+        nodes = self._inorder(self.root)
         left = self.left
         right = self.right
-        stubs = self.stubs
-        stack = []
-        cur = self.root
-        while stack or cur is not None:
-            while cur is not None:
-                stack.append(cur)
-                cur = left.get(cur)
-            cur = stack.pop()
-            if cur not in stubs:
-                nodes.append(cur)
-                if cur not in left and cur not in right:
-                    leaves.append(cur)
-            cur = right.get(cur)
-        return nodes, leaves
+        return nodes, [v for v in nodes if v not in left and v not in right]
 
     def mark_stub(self, v: int):
-        """Stub v and delete its explored subtree."""
-        self.stubs.add(v)
-        stack = [c for c in (self.left.pop(v, None), self.right.pop(v, None))
-                 if c is not None]
+        """Stub v and delete its explored subtree; a stub stays as it is."""
+        stack = [v]
         while stack:
             w = stack.pop()
-            for c in (self.left.pop(w, None), self.right.pop(w, None)):
-                if c is not None:
-                    stack.append(c)
-            del self.kind[w]
-            del self.parent[w]
-            del self.depth[w]
-            self.stubs.discard(w)
+            children = [c for c in (self.left.pop(w, None),
+                                    self.right.pop(w, None)) if c is not None]
+            if not children and w not in self.stubs:
+                self.leaf_count -= 1
+            stack.extend(children)
+            if w != v:
+                del self.kind[w]
+                del self.parent[w]
+                del self.depth[w]
+                self.stubs.discard(w)
+        self.stubs.add(v)
 
 
 def trim(explored: ExploredTree, u: int, answer: str):
@@ -159,7 +155,7 @@ def median_node(explored: ExploredTree) -> int:
     The count difference is at most one whenever achievable; ties break
     toward the inorder-smaller candidate.
     """
-    nodes = explored.inorder_nodes()
+    nodes = explored.inorder_below(explored.root)
     if not nodes:
         raise TreeError("empty explored tree")
     return nodes[(len(nodes) - 1) // 2]
@@ -173,14 +169,14 @@ def median_leaf(explored: ExploredTree) -> int:
     return leaves[(len(leaves) - 1) // 2]
 
 
-def halve(explored: ExploredTree, oracle, mode: str = "nodes"):
-    """Query the inorder median (of nodes or of leaves) and trim.
+def halve(explored: ExploredTree, oracle, median=median_node):
+    """Query the node picked by ``median_node`` or ``median_leaf``; trim.
 
     Returns (answer, queried node, new stubs). Triggered at a node count of
     alpha*n the survivor count is at most 1 + (alpha/2 + 1)*n: the kept half
     plus the preserved query path.
     """
-    u = median_node(explored) if mode == "nodes" else median_leaf(explored)
+    u = median(explored)
     answer = oracle.query(u)
     if answer == FOUND:
         return answer, u, []
@@ -296,24 +292,36 @@ class SearchResult:
     params: SearchParams | None = None
 
 
-def final_binary_search(explored: ExploredTree, oracle) -> int:
-    """Bisect the non-stub inorder sequence with the oracle until found.
-
-    Uses at most ceil(log2(candidates)) + 1 calls.
-    """
-    seq = explored.inorder_nodes()
+def _bisect(seq, oracle):
+    """Bisect inorder ids: returns (found id or None, insertion index)."""
     lo = 0
     hi = len(seq) - 1
     while lo <= hi:
         mid = (lo + hi) // 2
         answer = oracle.query(seq[mid])
         if answer == FOUND:
-            return seq[mid]
+            return seq[mid], mid
         if answer == TARGET_SMALLER:
             hi = mid - 1
         else:
             lo = mid + 1
-    raise InconsistentOracleError("binary search exhausted its candidates")
+    return None, lo
+
+
+def final_binary_search(explored: ExploredTree, oracle) -> int:
+    """Bisect the non-stub inorder sequence with the oracle until found.
+
+    Uses at most ceil(log2(candidates)) + 1 calls.
+    """
+    found, _ = _bisect(explored.inorder_below(explored.root), oracle)
+    if found is None:
+        raise InconsistentOracleError("binary search exhausted its candidates")
+    return found
+
+
+def _require_any_node(oracle):
+    if getattr(oracle, "mode", ANY_NODE) != ANY_NODE:
+        raise OracleModeError("this search queries internal nodes")
 
 
 def bifurcation_search(tree, oracle, params=None, walker=None,
@@ -329,8 +337,7 @@ def bifurcation_search(tree, oracle, params=None, walker=None,
     ``trim_observer``, when given, is called as observer(explored, new_stubs)
     after every trimming halve; it exists for soundness auditing.
     """
-    if getattr(oracle, "mode", ANY_NODE) != ANY_NODE:
-        raise OracleModeError("this search queries internal nodes")
+    _require_any_node(oracle)
     if params is None:
         params = SearchParams.for_instance(tree)
     if walker is None:
@@ -351,25 +358,22 @@ def bifurcation_search(tree, oracle, params=None, walker=None,
         calls_before = oracle.calls
         _, new_forks = _explore(explored, walker, depth_limit, tree.root)
         found = None
-        prev_sig = None
         while True:
-            nodes, leaves = explored.inorder_nodes_and_leaves()
-            sig = (len(nodes), len(leaves), len(explored.stubs))
-            if sig == prev_sig:
-                break  # decimation stalled at its structural floor
-            prev_sig = sig
-            if len(leaves) > leaf_cap:
-                mode = "leaves"
-            elif len(nodes) > node_cap:
-                mode = "nodes"
+            if explored.leaf_count > leaf_cap:
+                median = median_leaf
+            elif explored.node_count > node_cap:
+                median = median_node
             else:
                 break
-            answer, u, new_stubs = halve(explored, oracle, mode)
-            if trim_observer is not None and new_stubs:
-                trim_observer(explored, new_stubs)
+            answer, u, new_stubs = halve(explored, oracle, median)
             if answer == FOUND:
                 found = u
                 break
+            # a trim that stubs nothing leaves the tree as it was
+            if not new_stubs:
+                break
+            if trim_observer is not None:
+                trim_observer(explored, new_stubs)
         rounds.append(RoundStats(i, new_forks, oracle.calls - calls_before,
                                  walker.steps - steps_before, depth_limit))
         if found is not None:
@@ -388,6 +392,7 @@ def baseline_full(tree, oracle, walker=None) -> SearchResult:
 
     Steps come to exactly twice the edge count.
     """
+    _require_any_node(oracle)
     if walker is None:
         walker = Walker(tree)
     explored = ExploredTree(tree.root, walker.kind_of(tree.root))
@@ -407,6 +412,7 @@ def baseline_rounds(tree, oracle, walker=None) -> SearchResult:
     isolate the inorder gap holding the target, and descends to the frontier
     node guarding that gap for the next round.
     """
+    _require_any_node(oracle)
     if walker is None:
         walker = Walker(tree)
     explored = ExploredTree(tree.root, walker.kind_of(tree.root))
@@ -423,26 +429,14 @@ def baseline_rounds(tree, oracle, walker=None) -> SearchResult:
         calls_before = oracle.calls
         _, new_forks = _explore(explored, walker, depth_limit, frontier)
         cand = explored.inorder_below(frontier)
-        lo = 0
-        hi = len(cand) - 1
-        found = None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            answer = oracle.query(cand[mid])
-            if answer == FOUND:
-                found = cand[mid]
-                break
-            if answer == TARGET_SMALLER:
-                hi = mid - 1
-            else:
-                lo = mid + 1
+        found, gap = _bisect(cand, oracle)
         rounds.append(RoundStats(i, new_forks, oracle.calls - calls_before,
                                  walker.steps - steps_before, depth_limit))
         if found is not None:
             return SearchResult(found, walker.steps - base_steps,
                                 oracle.calls - base_calls, tuple(rounds))
-        before = cand[hi] if hi >= 0 else None
-        after = cand[lo] if lo < len(cand) else None
+        before = cand[gap - 1] if gap > 0 else None
+        after = cand[gap] if gap < len(cand) else None
         nxt = _pick_frontier(explored, before, after)
         _descend(walker, explored, frontier, nxt)
         frontier = nxt

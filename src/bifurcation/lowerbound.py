@@ -311,9 +311,6 @@ class _RankSet:
                 out.append((hi + 1, b))
         self.spans = out
 
-    def first(self):
-        return self.spans[0][0]
-
 
 def _subtree_rank_spans(tree):
     """Inorder interval [lo, hi] covered by each node's subtree."""

@@ -39,6 +39,10 @@ class WalkerError(TreeError):
     """The requested neighbor does not exist."""
 
 
+class NodeIdError(TreeError):
+    """A node id outside the instance."""
+
+
 class OracleModeError(TreeError):
     """A query was rejected by the oracle's mode restriction."""
 
@@ -230,8 +234,8 @@ class Walker:
 class InstrumentedOracle:
     """Counts comparison queries against the instance target.
 
-    In leaves_only mode a query on an internal node is rejected before the
-    counter moves.
+    A node id outside the instance, and in leaves_only mode a query on an
+    internal node, are rejected before the counter moves.
     """
 
     __slots__ = ("tree", "calls", "mode", "_ranks", "_target_rank")
@@ -247,6 +251,8 @@ class InstrumentedOracle:
         self._target_rank = ranks[tree.target]
 
     def query(self, q: int) -> str:
+        if not 0 <= q < len(self._ranks):
+            raise NodeIdError("node id %d is outside the instance" % q)
         if self.mode == LEAVES_ONLY and not self.tree.is_leaf(q):
             raise OracleModeError("non-leaf query %d in leaves_only mode" % q)
         self.calls += 1

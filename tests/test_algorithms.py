@@ -6,8 +6,8 @@ import pytest
 from bifurcation.algorithms import (ALGORITHMS, ExploredTree, SearchParams,
                                     baseline_full, baseline_rounds,
                                     bifurcation_search, dfs_extend,
-                                    final_binary_search, halve, median_node,
-                                    trim)
+                                    final_binary_search, halve, median_leaf,
+                                    median_node, trim)
 from bifurcation.generators import (gen_complete_path, gen_random,
                                     place_target)
 from bifurcation.model import (FOUND, LEAVES_ONLY, TARGET_LARGER,
@@ -33,6 +33,58 @@ def explored_from_prefix(tree, count):
         p = tree.parent[v]
         explored.add_child(p, tree.child_side(v), v, tree.kind(v))
     return explored
+
+
+# ------------------------------------------------------- maintained counts
+
+
+def _assert_counts_match_rescan(explored):
+    nodes, leaves = explored.inorder_nodes_and_leaves()
+    assert explored.node_count == len(nodes)
+    assert explored.leaf_count == len(leaves)
+
+
+def test_maintained_counts_match_rescan():
+    rng = random.Random(21)
+    for i in range(150):
+        tree = gen_random(4 + rng.randrange(60), rng.randrange(12), seed=i)
+        tree.target = place_target(tree, "random_node", seed=i)
+        # children added in any order, right before left included
+        grown = ExploredTree(tree.root, tree.kind(tree.root))
+        _assert_counts_match_rescan(grown)
+        for _ in range(40):
+            kids = [c for v in grown.kind
+                    for c in (tree.left[v], tree.right[v])
+                    if c >= 0 and c not in grown.kind]
+            if not kids:
+                break
+            c = rng.choice(kids)
+            grown.add_child(tree.parent[c], tree.child_side(c), c,
+                            tree.kind(c))
+            _assert_counts_match_rescan(grown)
+        # staged exploration, trims and direct stubs
+        walker = Walker(tree)
+        explored = ExploredTree(tree.root, walker.kind_of(tree.root))
+        oracle = InstrumentedOracle(tree)
+        step = 1 + rng.randrange(tree.n)
+        for limit in range(step, tree.n + step, step):
+            dfs_extend(explored, walker, limit)
+            _assert_counts_match_rescan(explored)
+            u = rng.choice(explored.inorder_below(explored.root))
+            answer = oracle.query(u)
+            if answer != FOUND:
+                trim(explored, u, answer)
+                _assert_counts_match_rescan(explored)
+            # a direct stub, possibly over stubs, then the same stub again
+            v = rng.choice(sorted(explored.kind))
+            if v == explored.root:
+                continue
+            explored.mark_stub(v)
+            _assert_counts_match_rescan(explored)
+            counts = (explored.node_count, explored.leaf_count)
+            explored.mark_stub(v)
+            assert (explored.node_count, explored.leaf_count) == counts
+            _assert_counts_match_rescan(explored)
 
 
 # ---------------------------------------------------------------- trim
@@ -190,7 +242,7 @@ def test_halve_leaf_mode_halves_leaves():
     explored, _ = explore_fully(tree)
     oracle = InstrumentedOracle(tree)
     leaves_before = len(explored.inorder_nodes_and_leaves()[1])
-    answer, u, _ = halve(explored, oracle, mode="leaves")
+    answer, u, _ = halve(explored, oracle, median_leaf)
     assert tree.is_leaf(u)
     if answer != FOUND:
         leaves_after = len(explored.inorder_nodes_and_leaves()[1])
@@ -316,6 +368,17 @@ def test_bifurcation_rejects_leaf_mode_oracle():
         bifurcation_search(tree, oracle)
 
 
+def test_every_algorithm_rejects_leaf_mode_oracle_before_walking():
+    tree = gen_random(64, 4, seed=3)
+    tree.target = place_target(tree, "random_leaf", seed=3)
+    for name, fn in ALGORITHMS.items():
+        walker = Walker(tree)
+        oracle = InstrumentedOracle(tree, mode=LEAVES_ONLY)
+        with pytest.raises(OracleModeError):
+            fn(tree, oracle, walker=walker)
+        assert (walker.steps, oracle.calls) == (0, 0), name
+
+
 def test_bifurcation_round_budgets_hold():
     rng = random.Random(6)
     for i in range(40):
@@ -338,12 +401,12 @@ def test_bifurcation_round_budgets_hold():
             for _ in range(200):
                 nodes, leaves = explored.inorder_nodes_and_leaves()
                 if len(leaves) > params.leaf_budget:
-                    mode = "leaves"
+                    median = median_leaf
                 elif len(nodes) > node_cap:
-                    mode = "nodes"
+                    median = median_node
                 else:
                     break
-                answer, _, _ = halve(explored, oracle2, mode)
+                answer, _, _ = halve(explored, oracle2, median)
                 if answer == FOUND:
                     found_early = True
                     break

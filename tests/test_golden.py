@@ -20,8 +20,8 @@ def _instance(family, params, strategy):
     if family == "complete_path":
         tree = gen_complete_path(*params)
     else:
-        n, t, seed = params
-        tree = (gen_random if family == "random" else gen_comb)(n, t, seed=seed)
+        gen = gen_random if family == "random" else gen_comb
+        tree = gen(*params[:2], seed=params[2])
     tree.target = place_target(tree, strategy, seed=7)
     return tree
 

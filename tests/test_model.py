@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
-                               FORK, FOUND, LEAF, LEAVES_ONLY, TARGET_LARGER,
-                               TARGET_SMALLER, UNARY, InstrumentedOracle,
+from bifurcation.model import (ANY_NODE, DIR_LEFT, DIR_ONLY, DIR_PARENT,
+                               DIR_RIGHT, FORK, FOUND, LEAF, LEAVES_ONLY,
+                               TARGET_LARGER, TARGET_SMALLER, UNARY,
+                               InstrumentedOracle, NodeIdError,
                                OracleModeError, Walker, WalkerError,
                                dump_tree, inorder_compare)
 from bifurcation.generators import gen_complete_path, gen_random, place_target
@@ -192,6 +193,17 @@ def test_oracle_leaves_only_mode():
     leaf = next(v for v in range(tree.size) if tree.is_leaf(v))
     oracle.query(leaf)
     assert oracle.calls == 1
+
+
+def test_oracle_rejects_out_of_range_ids():
+    tree = gen_random(10, 2, seed=6)
+    tree.target = place_target(tree, "random_node", 3)
+    for mode in (ANY_NODE, LEAVES_ONLY):
+        oracle = InstrumentedOracle(tree, mode=mode)
+        for q in (-1, -tree.size, tree.size, tree.size + 5):
+            with pytest.raises(NodeIdError):
+                oracle.query(q)
+        assert oracle.calls == 0
 
 
 def test_dump_format_golden():
