@@ -71,12 +71,16 @@ def load_records(path):
         header = fh.readline().strip()
         if header and header != CSV_HEADER:
             raise TreeError("unexpected header in %s" % path)
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
+            fields = line.split(",")
+            if len(fields) != len(FIELDS):
+                raise TreeError("malformed row at line %d of %s"
+                                % (lineno, path))
             (family, n, t, psi, algo, seed, steps, calls, found, rank,
-             cost) = line.split(",")
+             cost) = fields
             records.append(ExperimentRecord(
                 family=family, n=int(n), t=int(t), psi=int(psi), algo=algo,
                 seed=int(seed), steps=int(steps), oracle_calls=int(calls),
@@ -85,16 +89,28 @@ def load_records(path):
     return records
 
 
+def _drop_torn_tail(path) -> int:
+    """Cut off a last line with no newline, as a kill part-way through
+    writing a row leaves it, and return the length of what is left."""
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if data.endswith(b"\n"):
+            return len(data)
+        return fh.truncate(data.rfind(b"\n") + 1)
+
+
 def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
           base_seed: int = 0, target_strategy: str = "random_node") -> int:
     """Run the Cartesian grid, appending one CSV row per record.
 
     Every record's seed is derived from (base_seed, cell, trial), so the
     (family, algo, seed) triple identifies a row and an interrupted sweep
-    resumes without duplicating completed work. Returns rows written.
+    resumes without duplicating completed work. Each row is flushed as it is
+    written; on resume a torn last row is dropped and run again, while a
+    malformed row anywhere else raises. Returns rows written.
     """
     done = set()
-    if os.path.exists(out_path) and os.path.getsize(out_path) > 0:
+    if os.path.exists(out_path) and _drop_torn_tail(out_path) > 0:
         for rec in load_records(out_path):
             done.add((rec.family, rec.algo, rec.seed))
         fh = open(out_path, "a", encoding="utf-8")
@@ -118,6 +134,7 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
                                     continue
                                 rec = run_experiment(spec, algo, psi)
                                 fh.write(rec.csv_row() + "\n")
+                                fh.flush()
                                 written += 1
     finally:
         fh.close()

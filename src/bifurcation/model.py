@@ -55,6 +55,12 @@ class InfeasibleInstanceError(TreeError):
     """Generator parameters admit no valid instance."""
 
 
+def check_node_id(v: int, size: int) -> None:
+    """Reject an id outside [0, size) before it can index from the end."""
+    if not 0 <= v < size:
+        raise NodeIdError("node id %d is outside the instance" % v)
+
+
 class TreeInstance:
     """A concrete rooted tree with depth bound ``n`` and exactly ``t`` forks.
 
@@ -170,10 +176,12 @@ class Walker:
             on_reveal(tree.root, tree.kind(tree.root))
 
     def is_revealed(self, v: int) -> bool:
+        check_node_id(v, len(self.revealed))
         return bool(self.revealed[v])
 
     def kind_of(self, v: int) -> str:
         """Kind of an already revealed node."""
+        check_node_id(v, len(self.revealed))
         if not self.revealed[v]:
             raise WalkerError("node %d has not been revealed" % v)
         return self.tree.kind(v)
@@ -251,8 +259,7 @@ class InstrumentedOracle:
         self._target_rank = ranks[tree.target]
 
     def query(self, q: int) -> str:
-        if not 0 <= q < len(self._ranks):
-            raise NodeIdError("node id %d is outside the instance" % q)
+        check_node_id(q, len(self._ranks))
         if self.mode == LEAVES_ONLY and not self.tree.is_leaf(q):
             raise OracleModeError("non-leaf query %d in leaves_only mode" % q)
         self.calls += 1

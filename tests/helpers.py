@@ -3,6 +3,8 @@
 import sys
 from array import array
 
+import numpy as np
+
 from bifurcation.model import TreeInstance
 
 
@@ -136,3 +138,73 @@ def brute_minimax(h):
         return best
 
     return solve(0, 0, size - 1)
+
+
+def _rank_vec(a, b):
+    v = np.bitwise_xor(a, b)
+    return np.frexp(v.astype(np.float64))[1].astype(np.int64)
+
+
+_BIG = np.int64(1) << 40
+
+
+def reference_minimax(h):
+    """The leaf-game value by the broadcast dynamic program over active
+    ranges: one int64 table per range length, the children stacked per
+    length and the prices taken from float exponents. Slow but plain."""
+    size = 1 << h
+    if size == 2:
+        return h
+    value = {1: np.zeros(size, dtype=np.int64)}
+    for length in range(2, size):
+        count = size - length + 1
+        xs = np.arange(count, dtype=np.int64)
+        left_flank = xs - 1
+        right_flank = xs + length
+        if length == 2:
+            offs = np.array([0, 1], dtype=np.int64)
+            children = np.zeros((2, count), dtype=np.int64)
+        else:
+            offs = np.arange(1, length - 1, dtype=np.int64)
+            children = np.stack([
+                value[d][:count] if d > length - 1 - d
+                else value[length - 1 - d][d + 1:d + 1 + count]
+                for d in range(1, length - 1)])
+        q = offs[:, None] + xs[None, :]
+        price = np.minimum(
+            np.where(left_flank >= 0,
+                     _rank_vec(q, np.maximum(left_flank, 0)[None, :]), _BIG),
+            np.where(right_flank < size,
+                     _rank_vec(q, np.minimum(right_flank, size - 1)[None, :]),
+                     _BIG))
+        value[length] = (price + children).min(axis=0)
+    best_total = None
+    for d in range(1, size - 1):
+        a_size = d
+        b_size = size - 1 - d
+        if a_size > b_size:
+            child = int(value[a_size][0])
+        else:
+            child = int(value[b_size][d + 1])
+        total = h + child
+        if best_total is None or total < best_total:
+            best_total = total
+    return best_total
+
+
+def reference_subtree_spans(tree):
+    """Inorder interval [lo, hi] of each subtree, by folding every node into
+    its parent, deepest nodes first."""
+    ranks = tree.inorder_ranks()
+    lo = array("i", ranks)
+    hi = array("i", ranks)
+    parent = tree.parent
+    for v in sorted(range(tree.size), key=lambda u: tree.depth[u],
+                    reverse=True):
+        p = parent[v]
+        if p >= 0:
+            if lo[v] < lo[p]:
+                lo[p] = lo[v]
+            if hi[v] > hi[p]:
+                hi[p] = hi[v]
+    return lo, hi

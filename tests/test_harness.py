@@ -5,6 +5,7 @@ import pytest
 
 from bifurcation.cli import main
 from bifurcation.generators import FamilySpec
+from bifurcation.model import TreeError
 from bifurcation.harness import (CSV_HEADER, ExperimentRecord,
                                  InsufficientGridError, fit_scaling,
                                  load_records, run_experiment, sweep)
@@ -54,6 +55,32 @@ def test_sweep_resume_no_duplicates(tmp_path):
     recs = load_records(out)
     keys = [(r.family, r.algo, r.seed) for r in recs]
     assert len(keys) == len(set(keys)) == 4
+
+
+def test_sweep_resume_after_torn_last_row(tmp_path):
+    grid = (["random"], [16, 32], [2], ["full", "rounds"])
+    whole = tmp_path / "whole.csv"
+    sweep(whole, *grid, trials=2)
+    expected = whole.read_text()
+    cut = tmp_path / "cut.csv"
+    sweep(cut, *grid, trials=2)
+    text = cut.read_text()
+    # a kill part-way through writing the third data row
+    row2_end = text.index("\n", text.index("\n", text.index("\n") + 1) + 1)
+    cut.write_text(text[:row2_end + 9])
+    added = sweep(cut, *grid, trials=2)
+    assert added == len(expected.splitlines()) - 3
+    assert cut.read_text() == expected
+
+
+def test_sweep_resume_rejects_malformed_middle_row(tmp_path):
+    out = tmp_path / "grid.csv"
+    sweep(out, ["random"], [16, 32], [2], ["full"], trials=2)
+    lines = out.read_text().splitlines()
+    lines[2] = lines[2][:9]
+    out.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TreeError):
+        sweep(out, ["random"], [16, 32], [2], ["full"], trials=2)
 
 
 def _synthetic(records_fn):

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifurcation.lowerbound import (GameRuleError, GameState, STRATEGIES,
+from bifurcation.generators import gen_comb, gen_complete_path, gen_random
+from bifurcation.lowerbound import (_MINIMAX_CAP, AdaptiveOracle,
+                                    GameRuleError, GameState, STRATEGIES,
+                                    _subtree_rank_spans,
                                     adaptive_fork_adversary, adversary_answer,
                                     lca_rank, minimax_price, play_game,
                                     query_price)
-from bifurcation.model import TARGET_LARGER
+from bifurcation.model import TARGET_LARGER, NodeIdError
 
-from helpers import brute_minimax, edge_union, root_path_edges
+from helpers import (brute_minimax, edge_union, reference_minimax,
+                     reference_subtree_spans, root_path_edges)
 
 
 # ---------------------------------------------------------------- lca_rank
@@ -179,6 +183,39 @@ def test_minimax_monotone():
 def test_minimax_height_cap():
     with pytest.raises(GameRuleError):
         minimax_price(50)
+    with pytest.raises(GameRuleError):
+        minimax_price(_MINIMAX_CAP + 1)
+
+
+def test_minimax_matches_reference_dp():
+    for h in range(1, 10):
+        assert minimax_price(h) == reference_minimax(h)
+
+
+def test_minimax_pinned_values():
+    assert [minimax_price(h) for h in range(1, 12)] == [
+        1, 4, 7, 11, 16, 22, 29, 37, 46, 56, 67]
+
+
+# ----------------------------------------------------------- subtree spans
+
+
+def _unary_sides(tree):
+    sides = set()
+    for v in range(tree.size):
+        l, r = tree.left[v], tree.right[v]
+        if (l >= 0) != (r >= 0):
+            sides.add("left" if l >= 0 else "right")
+    return sides
+
+
+def test_subtree_spans_match_reference():
+    trees = [gen_complete_path(1, 1), gen_complete_path(3, 5),
+             gen_comb(64, 8, seed=2)]
+    trees += [gen_random(96, t, seed=s) for t in (0, 7, 30) for s in range(3)]
+    assert any(_unary_sides(t) == {"left", "right"} for t in trees[3:])
+    for tree in trees:
+        assert _subtree_rank_spans(tree) == reference_subtree_spans(tree)
 
 
 # ------------------------------------------------------- adaptive adversary
@@ -213,6 +250,16 @@ def test_adaptive_freeze_demotes_unrevealed_forks():
         stack.extend(c for c in (l, r) if c >= 0)
     assert live_forks <= rep.revealed_forks
     assert rep.replay_consistent()
+
+
+def test_adaptive_oracle_rejects_out_of_range_ids():
+    tree = gen_complete_path(2, 3)
+    oracle = AdaptiveOracle(tree, 4)
+    for q in (-1, -tree.size, tree.size):
+        with pytest.raises(NodeIdError):
+            oracle.query(q)
+    assert oracle.calls == 0
+    assert oracle.transcript == []
 
 
 def test_adaptive_rejects_bad_player():

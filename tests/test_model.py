@@ -206,6 +206,19 @@ def test_oracle_rejects_out_of_range_ids():
         assert oracle.calls == 0
 
 
+def test_walker_rejects_out_of_range_ids():
+    tree = make_path("LR")
+    w = Walker(tree)
+    w.move(DIR_ONLY)
+    w.move(DIR_ONLY)  # the last node is revealed, so -1 would read it
+    for v in (-1, -tree.size, tree.size):
+        with pytest.raises(NodeIdError):
+            w.kind_of(v)
+        with pytest.raises(NodeIdError):
+            w.is_revealed(v)
+    assert (w.current, w.steps) == (2, 2)
+
+
 def test_dump_format_golden():
     tree = make_path("LR")
     assert dump_tree(tree) == "0 unary - -\n1 unary 0 L\n2 leaf 1 R"
