@@ -1,11 +1,14 @@
 """Shared test oracles, implemented independently of the package internals."""
 
+import math
+import random
 import sys
 from array import array
 
 import numpy as np
 
-from bifurcation.model import TreeInstance
+from bifurcation.generators import mix_seed
+from bifurcation.model import LEFT, RIGHT, InfeasibleInstanceError, TreeInstance
 
 
 def make_path(sides):
@@ -208,3 +211,141 @@ def reference_subtree_spans(tree):
             if hi[v] > hi[p]:
                 hi[p] = hi[v]
     return lo, hi
+
+
+# Per-node reference generators: one new_node call per node. The package
+# builds the same instances path by path and must match them byte for byte.
+
+
+class _ReferenceBuilder:
+    def __init__(self):
+        self.parent = array("i")
+        self.left = array("i")
+        self.right = array("i")
+        self.depth = array("i")
+
+    def new_node(self, parent, side):
+        v = len(self.parent)
+        self.parent.append(-1 if parent is None else parent)
+        self.left.append(-1)
+        self.right.append(-1)
+        if parent is None:
+            self.depth.append(0)
+        else:
+            self.depth.append(self.depth[parent] + 1)
+            if side == LEFT:
+                self.left[parent] = v
+            else:
+                self.right[parent] = v
+        return v
+
+    def finish(self, n, t, family):
+        return TreeInstance(self.parent, self.left, self.right, self.depth,
+                            n=n, t=t, family=family)
+
+
+def reference_gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
+    """Random instance: a depth-n spine plus t fork branches.
+
+    Forks are attached to unary nodes picked at random; each new branch is a
+    path whose length is exponential with mean about 2n/sqrt(t), truncated to
+    the depth budget, so richer fork counts carry proportionally more
+    exploration mass. Exactly t forks, deterministic per seed.
+    """
+    if n < 1:
+        raise InfeasibleInstanceError("need n >= 1")
+    if t < 0:
+        raise InfeasibleInstanceError("need t >= 0")
+    rng = random.Random(mix_seed(seed, 17))
+    b = _ReferenceBuilder()
+    b.new_node(None, None)
+    cur = 0
+    for _ in range(n):
+        cur = b.new_node(cur, LEFT if rng.random() < 0.5 else RIGHT)
+    hosts = list(range(n))  # spine minus its tip: unary, depth <= n - 1
+    lam = max(2.0, 2.0 * n / max(1.0, math.sqrt(t))) if t else 1.0
+    placed = 0
+    while placed < t:
+        if not hosts:
+            raise InfeasibleInstanceError(
+                "cannot place %d forks within depth %d" % (t, n))
+        # a length-1 branch consumes a host without replacing it; grow the
+        # pool from the shallowest host when it would otherwise starve
+        need_growth = (t - placed) > len(hosts)
+        if need_growth:
+            idx = min(range(len(hosts)),
+                      key=lambda i: (b.depth[hosts[i]], hosts[i]))
+            host = hosts[idx]
+            room = n - b.depth[host]
+            if room < 2:
+                raise InfeasibleInstanceError(
+                    "cannot place %d forks within depth %d" % (t, n))
+            length = room
+        else:
+            idx = rng.randrange(len(hosts))
+            host = hosts[idx]
+            room = n - b.depth[host]
+            length = 1 + min(int(rng.expovariate(1.0 / lam)), room - 1)
+        hosts[idx] = hosts[-1]
+        hosts.pop()
+        free = RIGHT if b.left[host] >= 0 else LEFT
+        cur = host
+        for k in range(length):
+            side = free if k == 0 else (LEFT if rng.random() < 0.5 else RIGHT)
+            cur = b.new_node(cur, side)
+            if k < length - 1:
+                hosts.append(cur)
+        placed += 1
+    return b.finish(n, t, "random")
+
+
+def reference_gen_complete_path(h: int, delta: int) -> TreeInstance:
+    """Complete binary tree of height h with every edge stretched into a path
+    of delta edges: depth bound h*delta, 2**h - 1 forks, 2**h leaves."""
+    if h < 1 or delta < 1:
+        raise InfeasibleInstanceError("need h >= 1 and delta >= 1")
+    if h > 20:
+        raise InfeasibleInstanceError("2**%d leaves is past desk scale" % h)
+    total = (2 ** (h + 1) - 1) + (2 ** (h + 1) - 2) * (delta - 1)
+    if total > 8_000_000:
+        raise InfeasibleInstanceError("instance would have %d nodes" % total)
+    b = _ReferenceBuilder()
+    root = b.new_node(None, None)
+    stack = [(root, 0)]
+    while stack:
+        node, level = stack.pop()
+        if level == h:
+            continue
+        for side in (LEFT, RIGHT):
+            cur = node
+            for _ in range(delta):
+                cur = b.new_node(cur, side)
+            stack.append((cur, level + 1))
+    return b.finish(h * delta, 2 ** h - 1, "complete_path")
+
+
+def reference_gen_comb(n: int, t: int, seed: int = 0) -> TreeInstance:
+    """Spine of length n with t evenly spaced forks, each sprouting a path
+    that reaches depth n."""
+    if n < 1 or t < 0:
+        raise InfeasibleInstanceError("need n >= 1 and t >= 0")
+    spacing = n // (t + 1) if t else n
+    if t and spacing < 1:
+        raise InfeasibleInstanceError(
+            "no room for %d forks on a spine of length %d" % (t, n))
+    rng = random.Random(mix_seed(seed, 23))
+    b = _ReferenceBuilder()
+    b.new_node(None, None)
+    spine = [0]
+    cur = 0
+    for _ in range(n):
+        cur = b.new_node(cur, LEFT if rng.random() < 0.5 else RIGHT)
+        spine.append(cur)
+    for j in range(t):
+        host = spine[(j + 1) * spacing]
+        free = RIGHT if b.left[host] >= 0 else LEFT
+        cur = host
+        for k in range(n - b.depth[host]):
+            side = free if k == 0 else (LEFT if rng.random() < 0.5 else RIGHT)
+            cur = b.new_node(cur, side)
+    return b.finish(n, t, "comb")
