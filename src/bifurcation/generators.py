@@ -7,6 +7,9 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
+from itertools import repeat, starmap
+
+import numpy as np
 
 from .model import LEFT, RIGHT, InfeasibleInstanceError, TreeInstance
 
@@ -37,30 +40,72 @@ class FamilySpec:
     target_strategy: str = "random_node"
 
 
-class _Builder:
-    def __init__(self):
-        self.parent = array("i")
-        self.left = array("i")
-        self.right = array("i")
-        self.depth = array("i")
+MAX_NODES = 8_000_000
 
-    def new_node(self, parent, side):
-        v = len(self.parent)
-        self.parent.append(-1 if parent is None else parent)
-        self.left.append(-1)
-        self.right.append(-1)
-        if parent is None:
-            self.depth.append(0)
-        else:
-            self.depth.append(self.depth[parent] + 1)
-            if side == LEFT:
-                self.left[parent] = v
-            else:
-                self.right[parent] = v
-        return v
+
+def _check_size(total: int) -> None:
+    """Refuse an instance past MAX_NODES nodes before allocating it."""
+    if total > MAX_NODES:
+        raise InfeasibleInstanceError(
+            "instance would have %d nodes, past the cap of %d"
+            % (total, MAX_NODES))
+
+
+def _draw_left(rng, k):
+    """k side flags, True for left, from k rng.random() draws in order."""
+    return np.fromiter(starmap(rng.random, repeat((), k)), float, k) < 0.5
+
+
+class _Builder:
+    """An instance under construction, as a root plus a list of paths.
+
+    A path is a chain of new nodes with contiguous ids, each the only child
+    of the one before; its first node hangs below a host created earlier.
+    The builder keeps one side flag and the depth of every node, so a
+    host's depth and the side of its child are O(1) reads.
+    """
+
+    def __init__(self):
+        self.hosts = array("i")
+        self.starts = array("i")
+        self.is_left = bytearray(1)  # per node; the root's flag is unused
+        self.depth = array("i", [0])
+
+    def add_path(self, host, length, side, rng=None):
+        """Hang a chain of ``length`` new nodes below ``host`` and return the
+        id of its last node. The first node goes on ``side``; every later
+        one goes on a side drawn from ``rng``, or on ``side`` without one."""
+        start = len(self.depth)
+        _check_size(start + length)
+        left = np.full(length, side == LEFT)
+        if rng is not None:
+            left[1:] = _draw_left(rng, length - 1)
+        self.hosts.append(host)
+        self.starts.append(start)
+        self.is_left += left.tobytes()
+        head = self.depth[host] + 1
+        self.depth.frombytes(
+            np.arange(head, head + length, dtype=np.intc).tobytes())
+        return start + length - 1
+
+    def free_side(self, host):
+        """The empty side of a unary host, whose only child is host + 1."""
+        return RIGHT if self.is_left[host + 1] else LEFT
 
     def finish(self, n, t, family):
-        return TreeInstance(self.parent, self.left, self.right, self.depth,
+        """The instance: inside a path a node's parent is the node before
+        it, and a path's first node hangs below its host."""
+        size = len(self.depth)
+        parent, left, right = (array("i", [-1]) * size for _ in range(3))
+        p, l, r = (np.frombuffer(a, np.intc) for a in (parent, left, right))
+        ids = np.arange(1, size, dtype=np.intc)
+        p[1:] = ids - 1
+        p[np.frombuffer(self.starts, np.intc)] = np.frombuffer(
+            self.hosts, np.intc)
+        is_left = np.frombuffer(self.is_left, bool)[1:]
+        l[p[1:][is_left]] = ids[is_left]
+        r[p[1:][~is_left]] = ids[~is_left]
+        return TreeInstance(parent, left, right, self.depth,
                             n=n, t=t, family=family)
 
 
@@ -78,10 +123,7 @@ def gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
         raise InfeasibleInstanceError("need t >= 0")
     rng = random.Random(mix_seed(seed, 17))
     b = _Builder()
-    b.new_node(None, None)
-    cur = 0
-    for _ in range(n):
-        cur = b.new_node(cur, LEFT if rng.random() < 0.5 else RIGHT)
+    b.add_path(0, n, LEFT if rng.random() < 0.5 else RIGHT, rng)
     hosts = list(range(n))  # spine minus its tip: unary, depth <= n - 1
     lam = max(2.0, 2.0 * n / max(1.0, math.sqrt(t))) if t else 1.0
     placed = 0
@@ -108,13 +150,8 @@ def gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
             length = 1 + min(int(rng.expovariate(1.0 / lam)), room - 1)
         hosts[idx] = hosts[-1]
         hosts.pop()
-        free = RIGHT if b.left[host] >= 0 else LEFT
-        cur = host
-        for k in range(length):
-            side = free if k == 0 else (LEFT if rng.random() < 0.5 else RIGHT)
-            cur = b.new_node(cur, side)
-            if k < length - 1:
-                hosts.append(cur)
+        last = b.add_path(host, length, b.free_side(host), rng)
+        hosts.extend(range(last - length + 1, last))
         placed += 1
     return b.finish(n, t, "random")
 
@@ -126,21 +163,15 @@ def gen_complete_path(h: int, delta: int) -> TreeInstance:
         raise InfeasibleInstanceError("need h >= 1 and delta >= 1")
     if h > 20:
         raise InfeasibleInstanceError("2**%d leaves is past desk scale" % h)
-    total = (2 ** (h + 1) - 1) + (2 ** (h + 1) - 2) * (delta - 1)
-    if total > 8_000_000:
-        raise InfeasibleInstanceError("instance would have %d nodes" % total)
+    _check_size((2 ** (h + 1) - 1) + (2 ** (h + 1) - 2) * (delta - 1))
     b = _Builder()
-    root = b.new_node(None, None)
-    stack = [(root, 0)]
+    stack = [(0, 0)]
     while stack:
         node, level = stack.pop()
         if level == h:
             continue
         for side in (LEFT, RIGHT):
-            cur = node
-            for _ in range(delta):
-                cur = b.new_node(cur, side)
-            stack.append((cur, level + 1))
+            stack.append((b.add_path(node, delta, side), level + 1))
     return b.finish(h * delta, 2 ** h - 1, "complete_path")
 
 
@@ -153,21 +184,15 @@ def gen_comb(n: int, t: int, seed: int = 0) -> TreeInstance:
     if t and spacing < 1:
         raise InfeasibleInstanceError(
             "no room for %d forks on a spine of length %d" % (t, n))
+    # the root, the spine, and below the fork at depth j * spacing a branch
+    # of n - j * spacing nodes for j = 1..t
+    _check_size(1 + n + t * n - spacing * t * (t + 1) // 2)
     rng = random.Random(mix_seed(seed, 23))
     b = _Builder()
-    b.new_node(None, None)
-    spine = [0]
-    cur = 0
-    for _ in range(n):
-        cur = b.new_node(cur, LEFT if rng.random() < 0.5 else RIGHT)
-        spine.append(cur)
-    for j in range(t):
-        host = spine[(j + 1) * spacing]
-        free = RIGHT if b.left[host] >= 0 else LEFT
-        cur = host
-        for k in range(n - b.depth[host]):
-            side = free if k == 0 else (LEFT if rng.random() < 0.5 else RIGHT)
-            cur = b.new_node(cur, side)
+    b.add_path(0, n, LEFT if rng.random() < 0.5 else RIGHT, rng)
+    for j in range(1, t + 1):
+        host = j * spacing  # spine node ids equal their depths
+        b.add_path(host, n - host, b.free_side(host), rng)
     return b.finish(n, t, "comb")
 
 

@@ -49,7 +49,12 @@ def run_experiment(spec: FamilySpec, algo: str, psi=None,
     """One instrumented run; bit-for-bit deterministic in (spec, algo, psi)."""
     if algo not in ALGORITHMS:
         raise TreeError("unknown algorithm %r" % (algo,))
-    tree = build_instance(spec)
+    return _run_on(build_instance(spec), spec, algo, psi, oracle_mode)
+
+
+def _run_on(tree, spec, algo, psi, oracle_mode=ANY_NODE) -> ExperimentRecord:
+    """Run one algorithm on the instance built from spec. Each run gets its
+    own oracle and walker, so one instance serves every algorithm."""
     oracle = InstrumentedOracle(tree, mode=oracle_mode)
     params = SearchParams.for_instance(tree, psi)
     fn = ALGORITHMS[algo]
@@ -99,16 +104,31 @@ def _drop_torn_tail(path) -> int:
         return fh.truncate(data.rfind(b"\n") + 1)
 
 
+def _cell_seed(base_seed: int, family: str, n: int, t: int, psi,
+               trial: int) -> int:
+    """The seed of one (cell, trial) of a sweep, from its content alone."""
+    seed = base_seed
+    for part in (int.from_bytes(family.encode(), "little"), n, t,
+                 psi is None, psi or 0, trial):
+        seed = mix_seed(seed, part)
+    return seed
+
+
 def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
           base_seed: int = 0, target_strategy: str = "random_node") -> int:
     """Run the Cartesian grid, appending one CSV row per record.
 
-    Every record's seed is derived from (base_seed, cell, trial), so the
-    (family, algo, seed) triple identifies a row and an interrupted sweep
-    resumes without duplicating completed work. Each row is flushed as it is
-    written; on resume a torn last row is dropped and run again, while a
-    malformed row anywhere else raises. Returns rows written.
+    Every record's seed is mixed from (base_seed, family, n, t, psi,
+    trial), so a row's (family, algo, seed) names its full cell wherever the
+    cell sits in the grid: a resumed sweep skips exactly the completed
+    cells, even after the grid is reordered or extended. Each (cell, trial)
+    instance is built once and shared by every algorithm. Each row is
+    flushed as it is written; on resume a torn last row is dropped and run
+    again, while a malformed row anywhere else raises. Returns rows written.
     """
+    for algo in algos:
+        if algo not in ALGORITHMS:
+            raise TreeError("unknown algorithm %r" % (algo,))
     done = set()
     if os.path.exists(out_path) and _drop_torn_tail(out_path) > 0:
         for rec in load_records(out_path):
@@ -119,20 +139,22 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
         fh.write(CSV_HEADER + "\n")
     written = 0
     try:
-        cell = 0
         for family in families:
             for n in ns:
                 for t in ts:
                     for psi in psis:
-                        cell += 1
                         for trial in range(trials):
-                            seed = mix_seed(base_seed, cell * 1_000_003 + trial)
+                            seed = _cell_seed(base_seed, family, n, t, psi,
+                                              trial)
+                            todo = [algo for algo in algos
+                                    if (family, algo, seed) not in done]
+                            if not todo:
+                                continue
                             spec = FamilySpec(family, n, t, seed,
                                               target_strategy)
-                            for algo in algos:
-                                if (family, algo, seed) in done:
-                                    continue
-                                rec = run_experiment(spec, algo, psi)
+                            tree = build_instance(spec)
+                            for algo in todo:
+                                rec = _run_on(tree, spec, algo, psi)
                                 fh.write(rec.csv_row() + "\n")
                                 fh.flush()
                                 written += 1

@@ -2,12 +2,13 @@ import collections
 
 import pytest
 
+from bifurcation import generators
 from bifurcation.generators import (FamilySpec, build_instance, gen_comb,
                                     gen_complete_path, gen_random,
                                     place_target, validate_instance)
 from bifurcation.model import InfeasibleInstanceError
 
-from helpers import slow_inorder
+from helpers import reference_gen_random, slow_inorder
 
 
 def test_random_zero_forks_is_a_path():
@@ -75,6 +76,24 @@ def test_complete_path_h3_d4():
 def test_complete_path_size_guard():
     with pytest.raises(InfeasibleInstanceError):
         gen_complete_path(21, 1)
+
+
+def test_random_and_comb_refuse_instances_past_the_node_cap():
+    # each is one node past the 8M cap, refused before the tree is built
+    with pytest.raises(InfeasibleInstanceError):
+        gen_random(8_000_000, 0, seed=0)
+    with pytest.raises(InfeasibleInstanceError):
+        gen_comb(5_333_333, 1, seed=0)  # 1 + n + (n - n // 2) nodes
+    assert generators.MAX_NODES == 8_000_000
+
+
+def test_node_cap_stops_a_branch_that_would_cross_it(monkeypatch):
+    size = reference_gen_random(300, 12, seed=4).size
+    monkeypatch.setattr(generators, "MAX_NODES", size - 1)
+    with pytest.raises(InfeasibleInstanceError):
+        gen_random(300, 12, seed=4)
+    monkeypatch.setattr(generators, "MAX_NODES", size)
+    assert gen_random(300, 12, seed=4).size == size
 
 
 def test_comb_single_fork_mid_spine():

@@ -7,8 +7,9 @@ from bifurcation.cli import main
 from bifurcation.generators import FamilySpec
 from bifurcation.model import TreeError
 from bifurcation.harness import (CSV_HEADER, ExperimentRecord,
-                                 InsufficientGridError, fit_scaling,
-                                 load_records, run_experiment, sweep)
+                                 InsufficientGridError, _cell_seed,
+                                 fit_scaling, load_records, run_experiment,
+                                 sweep)
 
 
 def test_run_experiment_path_full():
@@ -81,6 +82,56 @@ def test_sweep_resume_rejects_malformed_middle_row(tmp_path):
     out.write_text("\n".join(lines) + "\n")
     with pytest.raises(TreeError):
         sweep(out, ["random"], [16, 32], [2], ["full"], trials=2)
+
+
+def _rows(path):
+    return sorted(path.read_text().splitlines()[1:])
+
+
+def test_sweep_resume_after_reordering_the_grid(tmp_path):
+    out = tmp_path / "grid.csv"
+    sweep(out, ["random"], [64, 128], [4], ["full"], trials=2)
+    added = sweep(out, ["random"], [256, 64, 128], [4], ["full"], trials=2)
+    assert added == 2
+    fresh = tmp_path / "fresh.csv"
+    sweep(fresh, ["random"], [256, 64, 128], [4], ["full"], trials=2)
+    assert _rows(out) == _rows(fresh)
+    assert sorted(r.n for r in load_records(out)) == [64, 64, 128, 128,
+                                                      256, 256]
+
+
+def test_sweep_resume_after_extending_the_grid(tmp_path):
+    out = tmp_path / "grid.csv"
+    sweep(out, ["random", "comb"], [32, 64], [2], ["full", "rounds"],
+          trials=2)
+    added = sweep(out, ["random", "comb"], [32, 64], [2, 5],
+                  ["full", "rounds"], trials=2)
+    assert added == 2 * 2 * 1 * 2 * 2
+    fresh = tmp_path / "fresh.csv"
+    sweep(fresh, ["random", "comb"], [32, 64], [2, 5], ["full", "rounds"],
+          trials=2)
+    assert _rows(out) == _rows(fresh)
+
+
+def test_sweep_rows_equal_run_experiment_records(tmp_path):
+    out = tmp_path / "grid.csv"
+    grid = (["random", "complete_path"], [64], [4, 16],
+            ["bifurcation", "full", "rounds"])
+    sweep(out, *grid, trials=2, psis=(None, 3))
+    expected = [
+        run_experiment(FamilySpec(family, n, t,
+                                  _cell_seed(0, family, n, t, psi, trial)),
+                       algo, psi).csv_row()
+        for family in grid[0] for n in grid[1] for t in grid[2]
+        for psi in (None, 3) for trial in range(2) for algo in grid[3]]
+    assert out.read_text().splitlines()[1:] == expected
+
+
+def test_sweep_rejects_unknown_algorithm_before_writing(tmp_path):
+    out = tmp_path / "grid.csv"
+    with pytest.raises(TreeError):
+        sweep(out, ["random"], [16], [2], ["full", "nope"], trials=1)
+    assert not out.exists()
 
 
 def _synthetic(records_fn):
