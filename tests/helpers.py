@@ -8,7 +8,9 @@ from array import array
 import numpy as np
 
 from bifurcation.generators import mix_seed
-from bifurcation.model import LEFT, RIGHT, InfeasibleInstanceError, TreeInstance
+from bifurcation.model import (FORK, FOUND, LEFT, RIGHT, TARGET_LARGER,
+                              TARGET_SMALLER, InconsistentOracleError,
+                              InfeasibleInstanceError, TreeInstance)
 
 
 def make_path(sides):
@@ -211,6 +213,94 @@ def reference_subtree_spans(tree):
             if hi[v] > hi[p]:
                 hi[p] = hi[v]
     return lo, hi
+
+
+class ReferenceAdaptiveOracle:
+    """Brute-force twin of ``lowerbound.AdaptiveOracle``.
+
+    Candidates are a Python set of inorder ranks, subtrees are found by
+    walking the child arrays, and a fork counts as attached when its
+    parent chain still reaches the root.
+    """
+
+    def __init__(self, tree, fork_budget):
+        self.tree = tree
+        self.fork_budget = fork_budget
+        self.calls = 0
+        self.transcript = []
+        self.revealed_forks = 0
+        self.froze = False
+        self.committed = None
+        self.ranks = {v: r for r, v in enumerate(slow_inorder(tree))}
+        self.cands = set(range(tree.size))
+        self.revealed = set()
+
+    def on_reveal(self, node, kind):
+        if kind != FORK or self.froze:
+            return
+        self.revealed.add(node)
+        self.revealed_forks += 1
+        if self.revealed_forks >= self.fork_budget:
+            self._freeze()
+
+    def query(self, q):
+        self.calls += 1
+        r = self.ranks[q]
+        if not self.cands:
+            raise InconsistentOracleError("no candidates left")
+        if self.cands == {r}:
+            self.committed = q
+            self.transcript.append((q, FOUND))
+            return FOUND
+        below = {x for x in self.cands if x < r}
+        above = {x for x in self.cands if x > r}
+        if len(below) > len(above):
+            self.cands = below
+            answer = TARGET_SMALLER
+        else:
+            self.cands = above
+            answer = TARGET_LARGER
+        self.transcript.append((q, answer))
+        return answer
+
+    def _subtree_ranks(self, v):
+        tree = self.tree
+        out = set()
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            out.add(self.ranks[u])
+            stack.extend(c for c in (tree.left[u], tree.right[u]) if c >= 0)
+        return out
+
+    def _attached(self, v):
+        tree = self.tree
+        while v != tree.root:
+            v = tree.parent[v]
+            if v < 0:
+                return False
+        return True
+
+    def _freeze(self):
+        self.froze = True
+        tree = self.tree
+        forks = sorted((v for v in range(tree.size)
+                        if tree.left[v] >= 0 and tree.right[v] >= 0),
+                       key=lambda v: tree.depth[v])
+        for f in forks:
+            if f in self.revealed or not self._attached(f):
+                continue
+            lc, rc = tree.left[f], tree.right[f]
+            left_ranks = self._subtree_ranks(lc)
+            right_ranks = self._subtree_ranks(rc)
+            if len(self.cands & left_ranks) >= len(self.cands & right_ranks):
+                tree.right[f] = -1
+                tree.parent[rc] = -1
+                self.cands -= right_ranks
+            else:
+                tree.left[f] = -1
+                tree.parent[lc] = -1
+                self.cands -= left_ranks
 
 
 # Per-node reference generators: one new_node call per node. The package
