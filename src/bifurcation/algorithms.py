@@ -245,22 +245,24 @@ def _explore(explored, walker, depth_limit, anchor):
     return new_ids, new_forks
 
 
+# Scales the staged search's node cap against the depth bound.
+TRIGGER_FACTOR = 4
+
+
 @dataclass(frozen=True)
 class SearchParams:
     """Knobs for the staged search.
 
     ``psi`` is roughly the oracle-call budget. Each round deepens the
     exploration limit by ``depth_step``; after exploring, the tree is
-    decimated until it fits ``node_budget`` nodes and ``leaf_budget`` leaves.
-    ``trigger_factor`` scales the decimation threshold against the depth
-    bound.
+    decimated until it fits ``node_budget`` nodes (but no fewer than
+    ``TRIGGER_FACTOR * n + 2``) and ``leaf_budget`` leaves.
     """
 
     psi: int
     leaf_budget: int
     depth_step: int
     node_budget: int
-    trigger_factor: int = 4
 
     @classmethod
     def for_instance(cls, tree, psi=None) -> "SearchParams":
@@ -345,7 +347,7 @@ def bifurcation_search(tree, oracle, params=None, walker=None,
     explored = ExploredTree(tree.root, walker.kind_of(tree.root))
     # A bare root-to-depth path is incompressible, so the node target keeps
     # slack above the depth bound; decimation below that floor cannot help.
-    node_cap = max(params.node_budget, params.trigger_factor * tree.n + 2)
+    node_cap = max(params.node_budget, TRIGGER_FACTOR * tree.n + 2)
     leaf_cap = params.leaf_budget
     base_steps = walker.steps
     base_calls = oracle.calls

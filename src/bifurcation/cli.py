@@ -7,6 +7,7 @@ import argparse
 import os
 import sys
 
+from .algorithms import ALGORITHMS
 from .generators import FamilySpec
 from .harness import (CSV_HEADER, fit_scaling, run_experiment, sweep)
 from .lowerbound import adaptive_fork_adversary, minimax_price, play_game
@@ -32,16 +33,15 @@ def build_parser():
     s.add_argument("--n", type=int, default=256)
     s.add_argument("--t", type=int, default=16)
     s.add_argument("--psi", type=int, default=None)
-    s.add_argument("--algo", default="bifurcation",
-                   choices=("bifurcation", "full", "rounds"))
+    s.add_argument("--algo", default="bifurcation", choices=tuple(ALGORITHMS))
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--target", default="random_node")
     s.add_argument("--mode", default="any_node",
                    choices=("any_node", "leaves_only"))
     s.add_argument("--h", type=int, default=None,
-                   help="complete_path height (with --delta, overrides --n/--t)")
+                   help="complete_path height (needs --delta; overrides --n/--t)")
     s.add_argument("--delta", type=int, default=None,
-                   help="complete_path edge stretch")
+                   help="complete_path edge stretch (needs --h)")
     s.add_argument("--out", default=None, help="append the record to a CSV")
 
     w = sub.add_parser("sweep", help="Cartesian grid of runs into a CSV")
@@ -68,8 +68,7 @@ def build_parser():
     a = sub.add_parser("adversary", help="run a player against the adaptive oracle")
     a.add_argument("--n", type=int, default=256)
     a.add_argument("--t", type=int, default=16)
-    a.add_argument("--algo", default="bifurcation",
-                   choices=("bifurcation", "full", "rounds"))
+    a.add_argument("--algo", default="bifurcation", choices=tuple(ALGORITHMS))
 
     f = sub.add_parser("fit", help="log-log scaling exponents from a sweep CSV")
     f.add_argument("csv")
@@ -77,7 +76,9 @@ def build_parser():
 
 
 def _cmd_search(args):
-    if args.h is not None and args.delta is not None:
+    if (args.h is None) != (args.delta is None):
+        raise ValueError("--h and --delta must be given together")
+    if args.h is not None:
         spec = FamilySpec("complete_path", args.h * args.delta, args.h ** 2,
                           args.seed, args.target)
     else:

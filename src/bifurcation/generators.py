@@ -229,6 +229,18 @@ def place_target(tree: TreeInstance, strategy: str, seed: int = 0) -> int:
     raise ValueError("unknown target strategy %r" % (strategy,))
 
 
+def check_names(family: str, target_strategy: str) -> None:
+    """Raise the ValueError build_instance would for an unknown family or
+    target strategy, without building anything."""
+    if family not in FAMILIES:
+        raise ValueError("unknown family %r" % (family,))
+    if target_strategy.startswith("fixed:"):
+        int(target_strategy.split(":", 1)[1])
+    elif target_strategy not in ("random_node", "random_leaf",
+                                 "adversarial_deep"):
+        raise ValueError("unknown target strategy %r" % (target_strategy,))
+
+
 def build_instance(spec: FamilySpec) -> TreeInstance:
     """Generate the family instance and assign its target."""
     fam = spec.family

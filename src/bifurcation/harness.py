@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import ALGORITHMS, SearchParams
-from .generators import FamilySpec, build_instance, mix_seed
+from .generators import FamilySpec, build_instance, check_names, mix_seed
 from .model import ANY_NODE, InstrumentedOracle, TreeError
 
 CSV_HEADER = ("family,n,t,psi,algo,seed,steps,oracle_calls,found,"
@@ -124,11 +124,15 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
     cells, even after the grid is reordered or extended. Each (cell, trial)
     instance is built once and shared by every algorithm. Each row is
     flushed as it is written; on resume a torn last row is dropped and run
-    again, while a malformed row anywhere else raises. Returns rows written.
+    again, while a malformed row anywhere else raises. An unknown
+    algorithm, family or target strategy raises before the file is touched.
+    Returns rows written.
     """
     for algo in algos:
         if algo not in ALGORITHMS:
             raise TreeError("unknown algorithm %r" % (algo,))
+    for family in families:
+        check_names(family, target_strategy)
     done = set()
     if os.path.exists(out_path) and _drop_torn_tail(out_path) > 0:
         for rec in load_records(out_path):

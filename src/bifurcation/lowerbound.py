@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .algorithms import ALGORITHMS, _ceil_div, _ceil_sqrt
 from .generators import gen_complete_path
-from .model import (ANY_NODE, FORK, FOUND, TARGET_LARGER, TARGET_SMALLER,
+from .model import (FORK, FOUND, TARGET_LARGER, TARGET_SMALLER,
                     InconsistentOracleError, TreeError, Walker, check_node_id)
 
 STRATEGIES = ("balanced_bisect", "greedy_cheapest", "random")
@@ -256,81 +256,6 @@ def minimax_price(h: int) -> int:
     return h + int(child)
 
 
-class _RankSet:
-    """Sorted disjoint closed intervals of inorder ranks."""
-
-    __slots__ = ("spans",)
-
-    def __init__(self, lo, hi):
-        self.spans = [(lo, hi)] if lo <= hi else []
-
-    def count(self):
-        return sum(b - a + 1 for a, b in self.spans)
-
-    def contains(self, r):
-        return any(a <= r <= b for a, b in self.spans)
-
-    def count_below(self, r):
-        total = 0
-        for a, b in self.spans:
-            if b < r:
-                total += b - a + 1
-            elif a < r:
-                total += r - a
-        return total
-
-    def count_in(self, lo, hi):
-        total = 0
-        for a, b in self.spans:
-            s = max(a, lo)
-            e = min(b, hi)
-            if s <= e:
-                total += e - s + 1
-        return total
-
-    def remove_point(self, r):
-        out = []
-        for a, b in self.spans:
-            if a <= r <= b:
-                if a <= r - 1:
-                    out.append((a, r - 1))
-                if r + 1 <= b:
-                    out.append((r + 1, b))
-            else:
-                out.append((a, b))
-        self.spans = out
-
-    def keep_below(self, r):
-        out = []
-        for a, b in self.spans:
-            if b < r:
-                out.append((a, b))
-            elif a < r:
-                out.append((a, r - 1))
-        self.spans = out
-
-    def keep_above(self, r):
-        out = []
-        for a, b in self.spans:
-            if a > r:
-                out.append((a, b))
-            elif b > r:
-                out.append((r + 1, b))
-        self.spans = out
-
-    def delete_range(self, lo, hi):
-        out = []
-        for a, b in self.spans:
-            if b < lo or a > hi:
-                out.append((a, b))
-                continue
-            if a < lo:
-                out.append((a, lo - 1))
-            if b > hi:
-                out.append((hi + 1, b))
-        self.spans = out
-
-
 def _subtree_rank_spans(tree):
     """Inorder interval [lo, hi] covered by each node's subtree.
 
@@ -356,13 +281,12 @@ def _subtree_rank_spans(tree):
 class AdaptiveOracle:
     """Answers each query so the larger candidate side stays alive.
 
-    Once the player has revealed its fork budget, every still-undiscovered
-    fork is demoted to a unary node by deleting the child subtree holding
-    fewer surviving candidates. The target is committed as the last surviving
-    candidate, so every answer ever given stays consistent with it.
+    Candidates are one bool mask over inorder ranks. Once the player has
+    revealed its fork budget, every still-undiscovered fork is demoted to a
+    unary node by deleting the child subtree holding fewer surviving
+    candidates. The target is committed as the last surviving candidate, so
+    every answer ever given stays consistent with it.
     """
-
-    mode = ANY_NODE
 
     def __init__(self, tree, fork_budget):
         self.tree = tree
@@ -372,83 +296,71 @@ class AdaptiveOracle:
         self.revealed_forks = 0
         self.froze = False
         self.committed = None
-        self.walker = None
-        self._pending_freeze = False
         self._ranks = tree.inorder_ranks()
-        self._cands = _RankSet(0, tree.size - 1)
+        self._cands = np.ones(tree.size, dtype=bool)
+        self._revealed = set()
         self._sub_lo, self._sub_hi = _subtree_rank_spans(tree)
-
-    def attach_walker(self, walker):
-        self.walker = walker
-        if self._pending_freeze:
-            self._pending_freeze = False
-            self._freeze()
 
     def on_reveal(self, node, kind):
         if kind != FORK or self.froze:
             return
+        self._revealed.add(node)
         self.revealed_forks += 1
         if self.revealed_forks >= self.fork_budget:
-            if self.walker is None:
-                self._pending_freeze = True
-            else:
-                self._freeze()
+            self._freeze()
 
     def query(self, q):
         check_node_id(q, len(self._ranks))
         self.calls += 1
         r = self._ranks[q]
         cands = self._cands
-        total = cands.count()
-        if total <= 0:
-            raise InconsistentOracleError("the adversary has no candidates left")
-        if total == 1 and cands.contains(r):
+        below = np.count_nonzero(cands[:r])
+        above = np.count_nonzero(cands[r + 1:])
+        if not below and not above:
+            if not cands[r]:
+                raise InconsistentOracleError(
+                    "the adversary has no candidates left")
             self.committed = q
             self.transcript.append((q, FOUND))
             return FOUND
-        cands.remove_point(r)
-        below = cands.count_below(r)
-        above = cands.count() - below
         if below > above:
-            cands.keep_below(r)
+            cands[r:] = False
             answer = TARGET_SMALLER
         else:
-            cands.keep_above(r)
+            cands[:r + 1] = False
             answer = TARGET_LARGER
         self.transcript.append((q, answer))
         return answer
 
     def _freeze(self):
+        """Demote every unrevealed fork still attached to the root, shallow
+        forks first. A fork is detached exactly when its rank lies in the
+        span of a subtree dropped before it."""
         self.froze = True
         tree = self.tree
-        revealed = self.walker.revealed
-        forks = [v for v in range(tree.size)
-                 if tree.left[v] >= 0 and tree.right[v] >= 0]
-        forks.sort(key=lambda v: tree.depth[v])
+        left = np.frombuffer(tree.left, dtype=np.intc)
+        right = np.frombuffer(tree.right, dtype=np.intc)
+        depth = np.frombuffer(tree.depth, dtype=np.intc)
+        forks = np.flatnonzero((left >= 0) & (right >= 0))
+        forks = forks[np.argsort(depth[forks], kind="stable")].tolist()
+        cands = self._cands
+        lo, hi = self._sub_lo, self._sub_hi
+        dropped = np.zeros(tree.size, dtype=bool)
         for f in forks:
-            if revealed[f] or not self._attached(f):
+            if f in self._revealed or dropped[self._ranks[f]]:
                 continue
             lc = tree.left[f]
             rc = tree.right[f]
-            keep_left = (self._cands.count_in(self._sub_lo[lc], self._sub_hi[lc])
-                         >= self._cands.count_in(self._sub_lo[rc], self._sub_hi[rc]))
-            drop = rc if keep_left else lc
-            if keep_left:
+            if (np.count_nonzero(cands[lo[lc]:hi[lc] + 1])
+                    >= np.count_nonzero(cands[lo[rc]:hi[rc] + 1])):
                 tree.right[f] = -1
+                drop = rc
             else:
                 tree.left[f] = -1
+                drop = lc
             tree.parent[drop] = -1
-            self._cands.delete_range(self._sub_lo[drop], self._sub_hi[drop])
-
-    def _attached(self, v):
-        parent = self.tree.parent
-        root = self.tree.root
-        while v != root:
-            p = parent[v]
-            if p < 0:
-                return False
-            v = p
-        return True
+            cands[lo[drop]:hi[drop] + 1] = False
+            dropped[lo[drop]:hi[drop] + 1] = True
 
 
 @dataclass
@@ -503,7 +415,6 @@ def adaptive_fork_adversary(n: int, t: int,
     tree = gen_complete_path(h, step_len)
     oracle = AdaptiveOracle(tree, t)
     walker = Walker(tree, on_reveal=oracle.on_reveal)
-    oracle.attach_walker(walker)
     result = ALGORITHMS[player](tree, oracle, walker=walker)
     if oracle.committed is None or result.found != oracle.committed:
         raise InconsistentOracleError(

@@ -25,8 +25,6 @@ def _arena(n, t):
 def _play(oracle_cls, tree, budget, player):
     oracle = oracle_cls(tree, budget)
     walker = Walker(tree, on_reveal=oracle.on_reveal)
-    if hasattr(oracle, "attach_walker"):
-        oracle.attach_walker(walker)
     try:
         result = ALGORITHMS[player](tree, oracle, walker=walker)
         outcome = (result.found, result.steps, result.oracle_calls)

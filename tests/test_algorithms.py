@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from bifurcation.algorithms import (ALGORITHMS, ExploredTree, SearchParams,
-                                    baseline_full, baseline_rounds,
-                                    bifurcation_search, dfs_extend,
-                                    final_binary_search, halve, median_leaf,
-                                    median_node, trim)
+from bifurcation.algorithms import (ALGORITHMS, TRIGGER_FACTOR, ExploredTree,
+                                    SearchParams, baseline_full,
+                                    baseline_rounds, bifurcation_search,
+                                    dfs_extend, final_binary_search, halve,
+                                    median_leaf, median_node, trim)
 from bifurcation.generators import (gen_complete_path, gen_random,
                                     place_target)
 from bifurcation.model import (FOUND, LEAVES_ONLY, TARGET_LARGER,
@@ -390,7 +390,7 @@ def test_bifurcation_round_budgets_hold():
         params = SearchParams.for_instance(tree)
         result = bifurcation_search(tree, oracle, params=params)
         assert result.found == tree.target
-        node_cap = max(params.node_budget, params.trigger_factor * tree.n + 2)
+        node_cap = max(params.node_budget, TRIGGER_FACTOR * tree.n + 2)
         # drive the round machinery in slow motion and check the budgets
         walker = Walker(tree)
         explored = ExploredTree(tree.root, walker.kind_of(tree.root))

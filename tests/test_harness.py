@@ -2,6 +2,8 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifurcation.cli import main
 from bifurcation.generators import FamilySpec
@@ -74,6 +76,28 @@ def test_sweep_resume_after_torn_last_row(tmp_path):
     assert cut.read_text() == expected
 
 
+_RESUME_GRID = (["random", "comb"], [16, 32], [2, 5], ["full", "rounds"])
+
+
+@pytest.fixture(scope="module")
+def finished_sweep(tmp_path_factory):
+    path = tmp_path_factory.mktemp("whole") / "grid.csv"
+    sweep(path, *_RESUME_GRID, trials=2)
+    return path.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sweep_resume_from_any_byte_offset(finished_sweep, tmp_path_factory,
+                                           data):
+    # a kill can land anywhere, the header included
+    offset = data.draw(st.integers(0, len(finished_sweep)))
+    cut = tmp_path_factory.mktemp("cut") / "grid.csv"
+    cut.write_bytes(finished_sweep[:offset])
+    sweep(cut, *_RESUME_GRID, trials=2)
+    assert cut.read_bytes() == finished_sweep
+
+
 def test_sweep_resume_rejects_malformed_middle_row(tmp_path):
     out = tmp_path / "grid.csv"
     sweep(out, ["random"], [16, 32], [2], ["full"], trials=2)
@@ -132,6 +156,14 @@ def test_sweep_rejects_unknown_algorithm_before_writing(tmp_path):
     with pytest.raises(TreeError):
         sweep(out, ["random"], [16], [2], ["full", "nope"], trials=1)
     assert not out.exists()
+    with pytest.raises(ValueError, match="family"):
+        sweep(out, ["random", "bogus"], [16], [2], ["full"], trials=1)
+    assert not out.exists()
+    for target in ("nowhere", "fixed:first"):
+        with pytest.raises(ValueError):
+            sweep(out, ["random"], [16], [2], ["full"], trials=1,
+                  target_strategy=target)
+        assert not out.exists()
 
 
 def _synthetic(records_fn):
@@ -186,6 +218,23 @@ def test_cli_search_complete_path_by_height(capsys):
     assert row[0] == "complete_path"
     assert row[1] == "12"  # n = h * delta
     assert row[2] == "7"   # 2**h - 1 forks
+
+
+def test_cli_search_needs_h_and_delta_together(capsys):
+    for extra in (["--h", "4"], ["--delta", "3"]):
+        assert main(["search", "--algo", "full"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--h and --delta" in captured.err
+
+
+def test_cli_sweep_rejects_bad_names_before_writing(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    for extra in (["--family", "bogus"], ["--target", "nowhere"]):
+        assert main(["sweep", "--n", "64", "--t", "4", "--trials", "1",
+                     "--out", str(out)] + extra) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_search_leaf_mode_fails_loudly(capsys):
