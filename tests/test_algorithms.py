@@ -4,11 +4,12 @@ import random
 import pytest
 
 from bifurcation.algorithms import (ALGORITHMS, TRIGGER_FACTOR, ExploredTree,
-                                    SearchParams, baseline_full,
-                                    baseline_rounds, bifurcation_search,
-                                    dfs_extend, final_binary_search, halve,
-                                    median_leaf, median_node, trim)
-from bifurcation.generators import (gen_complete_path, gen_random,
+                                    SearchParams, _pick_frontier,
+                                    baseline_full, baseline_rounds,
+                                    bifurcation_search, dfs_extend,
+                                    final_binary_search, halve, median_leaf,
+                                    median_node, trim)
+from bifurcation.generators import (gen_comb, gen_complete_path, gen_random,
                                     place_target)
 from bifurcation.model import (FOUND, LEAVES_ONLY, TARGET_LARGER,
                                TARGET_SMALLER, InstrumentedOracle,
@@ -469,6 +470,28 @@ def test_rounds_single_fork_two_rounds():
     result = baseline_rounds(tree, oracle)
     assert result.found == tree.target
     assert len(result.rounds) <= 2
+
+
+def test_pick_frontier_returns_the_deeper_neighbour():
+    # inorder neighbours are ancestor-related; the gap hangs under the deeper
+    trees = [gen_random(48, 6, seed=s) for s in range(4)]
+    trees += [gen_comb(40, 5, seed=s) for s in range(2)]
+    trees += [gen_complete_path(3, 3), gen_complete_path(4, 2)]
+    checked = 0
+    for tree in trees:
+        for depth_limit in (tree.n // 3, tree.n):
+            walker = Walker(tree)
+            explored = ExploredTree(tree.root, walker.kind_of(tree.root))
+            dfs_extend(explored, walker, depth_limit)
+            for v in list(explored.kind)[::5]:
+                cand = explored.inorder_below(v)
+                assert _pick_frontier(explored, None, cand[0]) == cand[0]
+                assert _pick_frontier(explored, cand[-1], None) == cand[-1]
+                for before, after in zip(cand, cand[1:]):
+                    deeper = max(before, after, key=lambda u: tree.depth[u])
+                    assert _pick_frontier(explored, before, after) == deeper
+                    checked += 1
+    assert checked > 1000
 
 
 def test_all_algorithms_find_random_targets():
