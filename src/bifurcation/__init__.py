@@ -5,13 +5,11 @@ decimation, two baselines, ground-truth instance generators, adversarial
 lower-bound labs, and an experiment harness.
 """
 
-from .model import (ANY_NODE, DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
-                    FORK, FOUND, LEAF, LEAVES_ONLY, LEFT, RIGHT,
-                    TARGET_LARGER, TARGET_SMALLER, UNARY,
+from .model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT, FORK, FOUND,
+                    LEAF, LEFT, RIGHT, TARGET_LARGER, TARGET_SMALLER, UNARY,
                     InconsistentOracleError, InfeasibleInstanceError,
-                    InstrumentedOracle, NodeIdError, OracleModeError,
-                    TreeError, TreeInstance, Walker, WalkerError, dump_tree,
-                    inorder_compare)
+                    InstrumentedOracle, NodeIdError, TreeError, TreeInstance,
+                    Walker, WalkerError, dump_tree, inorder_compare)
 from .algorithms import (ALGORITHMS, ExploredTree, RoundStats, SearchParams,
                          SearchResult, baseline_full, baseline_rounds,
                          bifurcation_search, dfs_extend, final_binary_search,

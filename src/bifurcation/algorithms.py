@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (ANY_NODE, DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
-                    FORK, FOUND, LEAF, LEFT, TARGET_LARGER, TARGET_SMALLER,
-                    InconsistentOracleError, OracleModeError, TreeError,
-                    Walker)
+from .model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT, FORK, FOUND,
+                    LEAF, LEFT, TARGET_LARGER, TARGET_SMALLER,
+                    InconsistentOracleError, TreeError, Walker)
 
 
 def _ceil_sqrt(x: int) -> int:
@@ -34,7 +33,7 @@ class ExploredTree:
     explored children) exclude stubs and are kept current as the tree changes.
     """
 
-    __slots__ = ("root", "kind", "parent", "left", "right", "depth", "stubs",
+    __slots__ = ("root", "kind", "parent", "left", "right", "stubs",
                  "leaf_count")
 
     def __init__(self, root: int, root_kind: str):
@@ -43,7 +42,6 @@ class ExploredTree:
         self.parent = {root: -1}
         self.left = {}
         self.right = {}
-        self.depth = {root: 0}
         self.stubs = set()
         self.leaf_count = 1
 
@@ -58,7 +56,6 @@ class ExploredTree:
             self.leaf_count += 1
         self.kind[child] = kind
         self.parent[child] = parent
-        self.depth[child] = self.depth[parent] + 1
         if side == LEFT:
             self.left[parent] = child
         else:
@@ -117,7 +114,6 @@ class ExploredTree:
             if w != v:
                 del self.kind[w]
                 del self.parent[w]
-                del self.depth[w]
                 self.stubs.discard(w)
         self.stubs.add(v)
 
@@ -204,7 +200,7 @@ def _explore(explored, walker, depth_limit, anchor):
     new_ids = []
     new_forks = 0
     # frame: [node, depth, next phase]
-    stack = [[anchor, explored.depth[anchor], 0]]
+    stack = [[anchor, len(explored.path_to_root(anchor)) - 1, 0]]
     while stack:
         frame = stack[-1]
         node = frame[0]
@@ -321,11 +317,6 @@ def final_binary_search(explored: ExploredTree, oracle) -> int:
     return found
 
 
-def _require_any_node(oracle):
-    if getattr(oracle, "mode", ANY_NODE) != ANY_NODE:
-        raise OracleModeError("this search queries internal nodes")
-
-
 def bifurcation_search(tree, oracle, params=None, walker=None,
                        trim_observer=None) -> SearchResult:
     """Staged search interleaving bounded-depth exploration with decimation.
@@ -339,7 +330,6 @@ def bifurcation_search(tree, oracle, params=None, walker=None,
     ``trim_observer``, when given, is called as observer(explored, new_stubs)
     after every trimming halve; it exists for soundness auditing.
     """
-    _require_any_node(oracle)
     if params is None:
         params = SearchParams.for_instance(tree)
     if walker is None:
@@ -394,7 +384,6 @@ def baseline_full(tree, oracle, walker=None) -> SearchResult:
 
     Steps come to exactly twice the edge count.
     """
-    _require_any_node(oracle)
     if walker is None:
         walker = Walker(tree)
     explored = ExploredTree(tree.root, walker.kind_of(tree.root))
@@ -414,7 +403,6 @@ def baseline_rounds(tree, oracle, walker=None) -> SearchResult:
     isolate the inorder gap holding the target, and descends to the frontier
     node guarding that gap for the next round.
     """
-    _require_any_node(oracle)
     if walker is None:
         walker = Walker(tree)
     explored = ExploredTree(tree.root, walker.kind_of(tree.root))
@@ -449,8 +437,10 @@ def baseline_rounds(tree, oracle, walker=None) -> SearchResult:
 def _pick_frontier(explored, before, after):
     """Choose which gap endpoint owns the unexplored region.
 
-    Consecutive explored nodes are ancestor-related; the gap between them
-    hangs under the descendant.
+    The gap hangs under the deeper endpoint. ``after`` is ``before``'s
+    inorder successor, and this baseline never stubs, so ``after`` lies in
+    ``before``'s right subtree when ``before`` has a right child, and is
+    otherwise an ancestor of ``before``.
     """
     if before is None and after is None:
         raise InconsistentOracleError("no candidates remain")
@@ -458,23 +448,7 @@ def _pick_frontier(explored, before, after):
         return after
     if after is None:
         return before
-    if _is_ancestor(explored, before, after):
-        return after
-    if _is_ancestor(explored, after, before):
-        return before
-    raise InconsistentOracleError("gap between unrelated explored nodes")
-
-
-def _is_ancestor(explored, anc, v):
-    depth = explored.depth
-    parent = explored.parent
-    d = depth[v] - depth[anc]
-    if d < 0:
-        return False
-    while d > 0:
-        v = parent[v]
-        d -= 1
-    return v == anc
+    return after if before in explored.right else before
 
 
 def _descend(walker, explored, src, dst):

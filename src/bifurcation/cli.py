@@ -36,8 +36,6 @@ def build_parser():
     s.add_argument("--algo", default="bifurcation", choices=tuple(ALGORITHMS))
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--target", default="random_node")
-    s.add_argument("--mode", default="any_node",
-                   choices=("any_node", "leaves_only"))
     s.add_argument("--h", type=int, default=None,
                    help="complete_path height (needs --delta; overrides --n/--t)")
     s.add_argument("--delta", type=int, default=None,
@@ -83,7 +81,7 @@ def _cmd_search(args):
                           args.seed, args.target)
     else:
         spec = FamilySpec(args.family, args.n, args.t, args.seed, args.target)
-    rec = run_experiment(spec, args.algo, args.psi, oracle_mode=args.mode)
+    rec = run_experiment(spec, args.algo, args.psi)
     if args.out:
         new = not (os.path.exists(args.out) and os.path.getsize(args.out) > 0)
         with open(args.out, "a", encoding="utf-8") as fh:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .model import LEFT, RIGHT, InfeasibleInstanceError, TreeInstance
 
-FAMILIES = ("random", "path", "comb", "complete_path")
+FAMILIES = ("random", "comb", "complete_path")
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -246,8 +246,6 @@ def build_instance(spec: FamilySpec) -> TreeInstance:
     fam = spec.family
     if fam == "random":
         tree = gen_random(spec.n, spec.t, mix_seed(spec.seed, 1))
-    elif fam == "path":
-        tree = gen_random(spec.n, 0, mix_seed(spec.seed, 1))
     elif fam == "comb":
         tree = gen_comb(spec.n, spec.t, mix_seed(spec.seed, 1))
     elif fam == "complete_path":

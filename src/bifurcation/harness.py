@@ -10,7 +10,7 @@ import numpy as np
 
 from .algorithms import ALGORITHMS, SearchParams
 from .generators import FamilySpec, build_instance, check_names, mix_seed
-from .model import ANY_NODE, InstrumentedOracle, TreeError
+from .model import InstrumentedOracle, TreeError
 
 CSV_HEADER = ("family,n,t,psi,algo,seed,steps,oracle_calls,found,"
               "target_inorder_rank,cost_linear_decider")
@@ -44,18 +44,17 @@ class ExperimentRecord:
         return ",".join(str(v) for v in vals)
 
 
-def run_experiment(spec: FamilySpec, algo: str, psi=None,
-                   oracle_mode: str = ANY_NODE) -> ExperimentRecord:
+def run_experiment(spec: FamilySpec, algo: str, psi=None) -> ExperimentRecord:
     """One instrumented run; bit-for-bit deterministic in (spec, algo, psi)."""
     if algo not in ALGORITHMS:
         raise TreeError("unknown algorithm %r" % (algo,))
-    return _run_on(build_instance(spec), spec, algo, psi, oracle_mode)
+    return _run_on(build_instance(spec), spec, algo, psi)
 
 
-def _run_on(tree, spec, algo, psi, oracle_mode=ANY_NODE) -> ExperimentRecord:
+def _run_on(tree, spec, algo, psi) -> ExperimentRecord:
     """Run one algorithm on the instance built from spec. Each run gets its
     own oracle and walker, so one instance serves every algorithm."""
-    oracle = InstrumentedOracle(tree, mode=oracle_mode)
+    oracle = InstrumentedOracle(tree)
     params = SearchParams.for_instance(tree, psi)
     fn = ALGORITHMS[algo]
     if algo == "bifurcation":
@@ -125,8 +124,8 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
     instance is built once and shared by every algorithm. Each row is
     flushed as it is written; on resume a torn last row is dropped and run
     again, while a malformed row anywhere else raises. An unknown
-    algorithm, family or target strategy raises before the file is touched.
-    Returns rows written.
+    algorithm, family or target strategy raises before the file is touched;
+    a new file gets its header along with its first row. Returns rows written.
     """
     for algo in algos:
         if algo not in ALGORITHMS:
@@ -134,13 +133,12 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
     for family in families:
         check_names(family, target_strategy)
     done = set()
+    header = CSV_HEADER + "\n"
     if os.path.exists(out_path) and _drop_torn_tail(out_path) > 0:
+        header = ""
         for rec in load_records(out_path):
             done.add((rec.family, rec.algo, rec.seed))
-        fh = open(out_path, "a", encoding="utf-8")
-    else:
-        fh = open(out_path, "w", encoding="utf-8")
-        fh.write(CSV_HEADER + "\n")
+    fh = None
     written = 0
     try:
         for family in families:
@@ -159,11 +157,15 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
                             tree = build_instance(spec)
                             for algo in todo:
                                 rec = _run_on(tree, spec, algo, psi)
+                                if fh is None:
+                                    fh = open(out_path, "a", encoding="utf-8")
+                                    fh.write(header)
                                 fh.write(rec.csv_row() + "\n")
                                 fh.flush()
                                 written += 1
     finally:
-        fh.close()
+        if fh is not None:
+            fh.close()
     return written
 
 

@@ -22,9 +22,6 @@ FOUND = "found"
 TARGET_SMALLER = "target_smaller"
 TARGET_LARGER = "target_larger"
 
-ANY_NODE = "any_node"
-LEAVES_ONLY = "leaves_only"
-
 DIR_PARENT = "parent"
 DIR_LEFT = "left_child"
 DIR_RIGHT = "right_child"
@@ -41,10 +38,6 @@ class WalkerError(TreeError):
 
 class NodeIdError(TreeError):
     """A node id outside the instance."""
-
-
-class OracleModeError(TreeError):
-    """A query was rejected by the oracle's mode restriction."""
 
 
 class InconsistentOracleError(TreeError):
@@ -242,17 +235,14 @@ class Walker:
 class InstrumentedOracle:
     """Counts comparison queries against the instance target.
 
-    A node id outside the instance, and in leaves_only mode a query on an
-    internal node, are rejected before the counter moves.
+    Any node may be queried, since the target need not be a leaf; a node id
+    outside the instance is rejected before the counter moves.
     """
 
-    __slots__ = ("tree", "calls", "mode", "_ranks", "_target_rank")
+    __slots__ = ("tree", "calls", "_ranks", "_target_rank")
 
-    def __init__(self, tree: TreeInstance, mode: str = ANY_NODE):
-        if mode not in (ANY_NODE, LEAVES_ONLY):
-            raise ValueError("unknown oracle mode %r" % (mode,))
+    def __init__(self, tree: TreeInstance):
         self.tree = tree
-        self.mode = mode
         self.calls = 0
         ranks = tree.inorder_ranks()
         self._ranks = ranks
@@ -260,8 +250,6 @@ class InstrumentedOracle:
 
     def query(self, q: int) -> str:
         check_node_id(q, len(self._ranks))
-        if self.mode == LEAVES_ONLY and not self.tree.is_leaf(q):
-            raise OracleModeError("non-leaf query %d in leaves_only mode" % q)
         self.calls += 1
         rq = self._ranks[q]
         rt = self._target_rank

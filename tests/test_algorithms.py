@@ -11,9 +11,8 @@ from bifurcation.algorithms import (ALGORITHMS, TRIGGER_FACTOR, ExploredTree,
                                     median_node, trim)
 from bifurcation.generators import (gen_comb, gen_complete_path, gen_random,
                                     place_target)
-from bifurcation.model import (FOUND, LEAVES_ONLY, TARGET_LARGER,
-                               TARGET_SMALLER, InstrumentedOracle,
-                               OracleModeError, TreeError, Walker)
+from bifurcation.model import (FOUND, TARGET_LARGER, TARGET_SMALLER,
+                               InstrumentedOracle, TreeError, Walker)
 
 from helpers import (forks_within_depth, make_path, nodes_within_depth,
                      preorder_prefix, slow_inorder, target_inside_stub)
@@ -360,24 +359,6 @@ def test_bifurcation_target_at_root():
     oracle = InstrumentedOracle(tree)
     result = bifurcation_search(tree, oracle)
     assert result.found == tree.root
-
-
-def test_bifurcation_rejects_leaf_mode_oracle():
-    tree = gen_random(16, 2, seed=3)
-    oracle = InstrumentedOracle(tree, mode=LEAVES_ONLY)
-    with pytest.raises(OracleModeError):
-        bifurcation_search(tree, oracle)
-
-
-def test_every_algorithm_rejects_leaf_mode_oracle_before_walking():
-    tree = gen_random(64, 4, seed=3)
-    tree.target = place_target(tree, "random_leaf", seed=3)
-    for name, fn in ALGORITHMS.items():
-        walker = Walker(tree)
-        oracle = InstrumentedOracle(tree, mode=LEAVES_ONLY)
-        with pytest.raises(OracleModeError):
-            fn(tree, oracle, walker=walker)
-        assert (walker.steps, oracle.calls) == (0, 0), name
 
 
 def test_bifurcation_round_budgets_hold():

@@ -145,15 +145,13 @@ def test_place_target_random_leaf_roughly_uniform():
 
 
 def test_build_instance_families():
-    for fam, n, t in (("random", 32, 4), ("path", 17, 0), ("comb", 30, 3),
+    for fam, n, t in (("random", 32, 4), ("random", 17, 0), ("comb", 30, 3),
                       ("complete_path", 32, 16)):
         spec = FamilySpec(fam, n, t, seed=2, target_strategy="random_node")
         tree = build_instance(spec)
         validate_instance(tree)
         if fam == "complete_path":
             assert tree.t == 2 ** 4 - 1  # h = sqrt(16)
-        elif fam == "path":
-            assert tree.t == 0
         else:
             assert tree.t == t
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bifurcation.cli import main
 from bifurcation.generators import FamilySpec
-from bifurcation.model import TreeError
+from bifurcation.model import InfeasibleInstanceError, TreeError
 from bifurcation.harness import (CSV_HEADER, ExperimentRecord,
                                  InsufficientGridError, _cell_seed,
                                  fit_scaling, load_records, run_experiment,
@@ -15,7 +15,7 @@ from bifurcation.harness import (CSV_HEADER, ExperimentRecord,
 
 
 def test_run_experiment_path_full():
-    rec = run_experiment(FamilySpec("path", 64, 0, seed=5), "full")
+    rec = run_experiment(FamilySpec("random", 64, 0, seed=5), "full")
     assert rec.steps == 128
     assert rec.found
     assert rec.cost_linear_decider == rec.steps + 64 * rec.oracle_calls
@@ -164,6 +164,11 @@ def test_sweep_rejects_unknown_algorithm_before_writing(tmp_path):
             sweep(out, ["random"], [16], [2], ["full"], trials=1,
                   target_strategy=target)
         assert not out.exists()
+    # a well-formed target past the instance fails only once it is built
+    with pytest.raises(InfeasibleInstanceError):
+        sweep(out, ["random"], [64], [4], ["full"], trials=1,
+              target_strategy="fixed:999")
+    assert not out.exists()
 
 
 def _synthetic(records_fn):
@@ -235,13 +240,6 @@ def test_cli_sweep_rejects_bad_names_before_writing(tmp_path, capsys):
                      "--out", str(out)] + extra) == 2
         assert "error" in capsys.readouterr().err
         assert not out.exists()
-
-
-def test_cli_search_leaf_mode_fails_loudly(capsys):
-    code = main(["search", "--family", "random", "--n", "32", "--t", "2",
-                 "--algo", "bifurcation", "--mode", "leaves_only"])
-    assert code == 2
-    assert "error" in capsys.readouterr().err
 
 
 def test_cli_sweep_and_fit(tmp_path, capsys):

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifurcation.model import (ANY_NODE, DIR_LEFT, DIR_ONLY, DIR_PARENT,
-                               DIR_RIGHT, FORK, FOUND, LEAF, LEAVES_ONLY,
-                               TARGET_LARGER, TARGET_SMALLER, UNARY,
-                               InstrumentedOracle, NodeIdError,
-                               OracleModeError, Walker, WalkerError,
-                               dump_tree, inorder_compare)
+from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
+                               FORK, FOUND, LEAF, TARGET_LARGER,
+                               TARGET_SMALLER, UNARY, InstrumentedOracle,
+                               NodeIdError, Walker, WalkerError, dump_tree,
+                               inorder_compare)
 from bifurcation.generators import gen_complete_path, gen_random, place_target
 
 from helpers import make_path, slow_inorder
@@ -182,28 +181,14 @@ def test_oracle_answers_are_path_consistent():
             assert inorder_compare(tree, p, q) == "smaller"
 
 
-def test_oracle_leaves_only_mode():
-    tree = gen_random(10, 2, seed=6)
-    tree.target = place_target(tree, "random_leaf", 3)
-    oracle = InstrumentedOracle(tree, mode=LEAVES_ONLY)
-    internal = next(v for v in range(tree.size) if not tree.is_leaf(v))
-    with pytest.raises(OracleModeError):
-        oracle.query(internal)
-    assert oracle.calls == 0  # rejected queries do not count
-    leaf = next(v for v in range(tree.size) if tree.is_leaf(v))
-    oracle.query(leaf)
-    assert oracle.calls == 1
-
-
 def test_oracle_rejects_out_of_range_ids():
     tree = gen_random(10, 2, seed=6)
     tree.target = place_target(tree, "random_node", 3)
-    for mode in (ANY_NODE, LEAVES_ONLY):
-        oracle = InstrumentedOracle(tree, mode=mode)
-        for q in (-1, -tree.size, tree.size, tree.size + 5):
-            with pytest.raises(NodeIdError):
-                oracle.query(q)
-        assert oracle.calls == 0
+    oracle = InstrumentedOracle(tree)
+    for q in (-1, -tree.size, tree.size, tree.size + 5):
+        with pytest.raises(NodeIdError):
+            oracle.query(q)
+    assert oracle.calls == 0
 
 
 def test_walker_rejects_out_of_range_ids():
