@@ -438,7 +438,7 @@ def _pick_frontier(explored, before, after):
     """Choose which gap endpoint owns the unexplored region.
 
     The gap hangs under the deeper endpoint. ``after`` is ``before``'s
-    inorder successor, and this baseline never stubs, so ``after`` lies in
+    inorder successor, and ``baseline_rounds`` never stubs, so it lies in
     ``before``'s right subtree when ``before`` has a right child, and is
     otherwise an ancestor of ``before``.
     """
