@@ -212,20 +212,15 @@ def place_target(tree: TreeInstance, strategy: str, seed: int = 0) -> int:
     rng = random.Random(mix_seed(seed, 31))
     if strategy == "random_node":
         return rng.randrange(tree.size)
-    if strategy == "random_leaf":
-        leaves = [v for v in range(tree.size) if tree.is_leaf(v)]
-        return rng.choice(leaves)
-    if strategy == "adversarial_deep":
-        ranks = tree.inorder_ranks()
-        best = tree.root
-        best_key = (-1, -1)
-        for v in range(tree.size):
-            if tree.is_leaf(v):
-                key = (tree.depth[v], ranks[v])
-                if key > best_key:
-                    best_key = key
-                    best = v
-        return best
+    if strategy in ("random_leaf", "adversarial_deep"):
+        leaf = ((np.frombuffer(tree.left, np.intc) < 0)
+                & (np.frombuffer(tree.right, np.intc) < 0))
+        if strategy == "random_leaf":
+            return int(rng.choice(np.flatnonzero(leaf)))
+        depth = np.frombuffer(tree.depth, np.intc)
+        deepest = np.flatnonzero(leaf & (depth == depth[leaf].max()))
+        ranks = np.frombuffer(tree.inorder_ranks(), np.intc)
+        return int(deepest[ranks[deepest].argmax()])
     raise ValueError("unknown target strategy %r" % (strategy,))
 
 
@@ -267,6 +262,10 @@ def validate_instance(tree: TreeInstance) -> None:
     roots = [v for v in range(size) if tree.parent[v] < 0]
     if roots != [tree.root]:
         raise InfeasibleInstanceError("expected a single root")
+    # the id order that inorder ranking relies on
+    if tree.root != 0 or any(tree.parent[v] >= v for v in range(1, size)):
+        raise InfeasibleInstanceError(
+            "expected root 0 and every parent id below its child's")
     forks = 0
     for v in range(size):
         l = tree.left[v]

@@ -9,7 +9,6 @@ linear-decider cost model (each call costs n steps).
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,28 +255,6 @@ def minimax_price(h: int) -> int:
     return h + int(child)
 
 
-def _subtree_rank_spans(tree):
-    """Inorder interval [lo, hi] covered by each node's subtree.
-
-    lo[v] is the rank of the node ending v's left-child chain and hi[v] that
-    of the node ending its right-child chain. Pointer jumping finds every
-    chain end at once, in about log2(depth) passes over the child arrays.
-    """
-    ranks = np.frombuffer(tree.inorder_ranks(), dtype=np.intc)
-    ids = np.arange(tree.size, dtype=np.intc)
-    spans = []
-    for child in (tree.left, tree.right):
-        child = np.frombuffer(child, dtype=np.intc)
-        end = np.where(child >= 0, child, ids)
-        while True:
-            nxt = end[end]
-            if np.array_equal(nxt, end):
-                break
-            end = nxt
-        spans.append(array("i", ranks[end].tobytes()))
-    return spans[0], spans[1]
-
-
 class AdaptiveOracle:
     """Answers each query so the larger candidate side stays alive.
 
@@ -296,10 +273,10 @@ class AdaptiveOracle:
         self.revealed_forks = 0
         self.froze = False
         self.committed = None
+        self._sub_lo, self._sub_hi = tree.subtree_spans()
         self._ranks = tree.inorder_ranks()
         self._cands = np.ones(tree.size, dtype=bool)
         self._revealed = set()
-        self._sub_lo, self._sub_hi = _subtree_rank_spans(tree)
 
     def on_reveal(self, node, kind):
         if kind != FORK or self.froze:

@@ -13,6 +13,14 @@ from bifurcation.model import (FORK, FOUND, LEFT, RIGHT, TARGET_LARGER,
                               InfeasibleInstanceError, TreeInstance)
 
 
+# The generator parity grid of (n, t) pairs: n = 1, t = 0, t > n (forks
+# hosted on branches once the spine runs out), comb spacing 1
+# (t + 1 <= n < 2 * (t + 1)), and infeasible pairs.
+GRID = ((1, 0), (1, 1), (1, 4), (2, 0), (2, 1), (2, 3), (3, 2), (4, 4),
+        (5, 4), (8, 3), (8, 20), (10, 5), (10, 9), (16, 200), (17, 1),
+        (30, 3), (31, 7), (64, 16), (64, 100), (128, 40), (0, 0), (5, -1))
+
+
 def make_path(sides):
     """A bare path instance; sides[k] in "LR" labels the edge into node k+1."""
     parent = array("i", [-1])
@@ -48,6 +56,26 @@ def slow_inorder(tree):
 
     visit(tree.root)
     return out
+
+
+def reference_inorder(tree):
+    """Inorder ranks and sequence by the iterative walk the package used
+    before it ranked trees by id runs, as two ``array("i")``."""
+    ranks = array("i", bytes(4 * len(tree.parent)))
+    order = array("i")
+    left = tree.left
+    right = tree.right
+    stack = []
+    cur = tree.root
+    while stack or cur >= 0:
+        while cur >= 0:
+            stack.append(cur)
+            cur = left[cur]
+        cur = stack.pop()
+        ranks[cur] = len(order)
+        order.append(cur)
+        cur = right[cur]
+    return ranks, order
 
 
 def root_path_edges(label, h):
@@ -439,3 +467,32 @@ def reference_gen_comb(n: int, t: int, seed: int = 0) -> TreeInstance:
             side = free if k == 0 else (LEFT if rng.random() < 0.5 else RIGHT)
             cur = b.new_node(cur, side)
     return b.finish(n, t, "comb")
+
+
+def reference_place_target(tree, strategy, seed=0):
+    """``generators.place_target`` with its per-node loops: the leaf list
+    and the inorder-last deepest leaf are found by scanning every node."""
+    if strategy.startswith("fixed:"):
+        k = int(strategy.split(":", 1)[1])
+        order = reference_inorder(tree)[1]
+        if not 0 <= k < len(order):
+            raise InfeasibleInstanceError("fixed target %d out of range" % k)
+        return order[k]
+    rng = random.Random(mix_seed(seed, 31))
+    if strategy == "random_node":
+        return rng.randrange(tree.size)
+    if strategy == "random_leaf":
+        leaves = [v for v in range(tree.size) if tree.is_leaf(v)]
+        return rng.choice(leaves)
+    if strategy == "adversarial_deep":
+        ranks = reference_inorder(tree)[0]
+        best = tree.root
+        best_key = (-1, -1)
+        for v in range(tree.size):
+            if tree.is_leaf(v):
+                key = (tree.depth[v], ranks[v])
+                if key > best_key:
+                    best_key = key
+                    best = v
+        return best
+    raise ValueError("unknown target strategy %r" % (strategy,))

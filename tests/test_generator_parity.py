@@ -4,17 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifurcation.generators import gen_comb, gen_complete_path, gen_random
+from bifurcation.generators import (gen_comb, gen_complete_path, gen_random,
+                                    place_target)
 from bifurcation.model import InfeasibleInstanceError
 
-from helpers import (reference_gen_comb, reference_gen_complete_path,
-                     reference_gen_random)
-
-# n = 1, t = 0, t > n (forks hosted on branches once the spine runs out),
-# comb spacing 1 (t + 1 <= n < 2 * (t + 1)), and infeasible pairs.
-GRID = ((1, 0), (1, 1), (1, 4), (2, 0), (2, 1), (2, 3), (3, 2), (4, 4),
-        (5, 4), (8, 3), (8, 20), (10, 5), (10, 9), (16, 200), (17, 1),
-        (30, 3), (31, 7), (64, 16), (64, 100), (128, 40), (0, 0), (5, -1))
+from helpers import (GRID, reference_gen_comb, reference_gen_complete_path,
+                     reference_gen_random, reference_place_target)
 
 
 def _outcome(gen, *args, **kwargs):
@@ -59,3 +54,30 @@ def test_seeded_families_match_reference_property(n, t, seed):
     for gen, ref in ((gen_random, reference_gen_random),
                      (gen_comb, reference_gen_comb)):
         assert _outcome(gen, n, t, seed=seed) == _outcome(ref, n, t, seed=seed)
+
+
+def _target(place, tree, strategy, seed):
+    """The placed target, or the class of the error it raised."""
+    try:
+        return place(tree, strategy, seed)
+    except InfeasibleInstanceError as exc:
+        return type(exc)
+
+
+def test_place_target_matches_reference():
+    trees = [gen_complete_path(h, delta) for h in (1, 2, 4) for delta in (1, 3)]
+    for gen in (gen_random, gen_comb):
+        for n, t in GRID:
+            try:
+                trees.append(gen(n, t, seed=n + t))
+            except InfeasibleInstanceError:
+                pass
+    for i, tree in enumerate(trees):
+        strategies = ("random_node", "random_leaf", "adversarial_deep",
+                      "fixed:%d" % (tree.size // 2), "fixed:%d" % tree.size)
+        for strategy in strategies:
+            for seed in (i, 2 ** 64 - 1 - i):
+                got = _target(place_target, tree, strategy, seed)
+                assert got == _target(reference_place_target, tree, strategy,
+                                      seed), (i, strategy, seed)
+                assert type(got) in (int, type)

@@ -1,4 +1,5 @@
 import collections
+from array import array
 
 import pytest
 
@@ -6,7 +7,7 @@ from bifurcation import generators
 from bifurcation.generators import (FamilySpec, build_instance, gen_comb,
                                     gen_complete_path, gen_random,
                                     place_target, validate_instance)
-from bifurcation.model import InfeasibleInstanceError
+from bifurcation.model import InfeasibleInstanceError, TreeInstance
 
 from helpers import reference_gen_random, slow_inorder
 
@@ -159,3 +160,17 @@ def test_build_instance_families():
 def test_build_instance_complete_path_requires_square():
     with pytest.raises(InfeasibleInstanceError):
         build_instance(FamilySpec("complete_path", 64, 12, seed=0))
+
+
+@pytest.mark.parametrize("parent, left, depth, root", [
+    ([-1, 2, 0], [2, -1, 1], [0, 2, 1], 0),  # node 1 hangs below node 2
+    ([1, -1], [-1, 0], [1, 0], 1),  # the root is node 1
+])
+def test_validator_rejects_ids_out_of_parent_order(parent, left, depth, root):
+    # each tree is a well-formed path except for its id order
+    size = len(parent)
+    tree = TreeInstance(array("i", parent), array("i", left),
+                        array("i", [-1] * size), array("i", depth),
+                        n=size - 1, t=0, root=root, target=root)
+    with pytest.raises(InfeasibleInstanceError, match="parent id"):
+        validate_instance(tree)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bifurcation.generators import gen_comb, gen_complete_path, gen_random
 from bifurcation.lowerbound import (_MINIMAX_CAP, AdaptiveOracle,
                                     GameRuleError, GameState, STRATEGIES,
-                                    _subtree_rank_spans,
                                     adaptive_fork_adversary, adversary_answer,
                                     lca_rank, minimax_price, play_game,
                                     query_price)
@@ -215,7 +214,7 @@ def test_subtree_spans_match_reference():
     trees += [gen_random(96, t, seed=s) for t in (0, 7, 30) for s in range(3)]
     assert any(_unary_sides(t) == {"left", "right"} for t in trees[3:])
     for tree in trees:
-        assert _subtree_rank_spans(tree) == reference_subtree_spans(tree)
+        assert tree.subtree_spans() == reference_subtree_spans(tree)
 
 
 # ------------------------------------------------------- adaptive adversary
