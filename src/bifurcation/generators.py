@@ -212,13 +212,13 @@ def place_target(tree: TreeInstance, strategy: str, seed: int = 0) -> int:
     rng = random.Random(mix_seed(seed, 31))
     if strategy == "random_node":
         return rng.randrange(tree.size)
-    if strategy in ("random_leaf", "adversarial_deep"):
+    if strategy == "random_leaf":
         leaf = ((np.frombuffer(tree.left, np.intc) < 0)
                 & (np.frombuffer(tree.right, np.intc) < 0))
-        if strategy == "random_leaf":
-            return int(rng.choice(np.flatnonzero(leaf)))
+        return int(rng.choice(np.flatnonzero(leaf)))
+    if strategy == "adversarial_deep":
         depth = np.frombuffer(tree.depth, np.intc)
-        deepest = np.flatnonzero(leaf & (depth == depth[leaf].max()))
+        deepest = np.flatnonzero(depth == depth.max())  # all of them leaves
         ranks = np.frombuffer(tree.inorder_ranks(), np.intc)
         return int(deepest[ranks[deepest].argmax()])
     raise ValueError("unknown target strategy %r" % (strategy,))

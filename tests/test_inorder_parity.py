@@ -19,7 +19,11 @@ def _assert_matches_walk(tree):
                       (tree.inorder_sequence(), order)):
         assert got.typecode == "i"
         assert got.tobytes() == want.tobytes()
-    assert tree.subtree_spans() == reference_subtree_spans(tree)
+    lo, hi = reference_subtree_spans(tree)
+    assert tree.subtree_spans() == (lo, hi)
+    sizes = tree._compute_inorder()
+    assert sizes[-1] == 0
+    assert sizes[:-1].tolist() == [h - l + 1 for l, h in zip(lo, hi)]
 
 
 def _grid_trees(seed):
