@@ -7,7 +7,7 @@ from array import array
 
 import numpy as np
 
-from bifurcation.generators import mix_seed
+from bifurcation.generators import gen_comb, gen_random, mix_seed
 from bifurcation.model import (FORK, FOUND, LEFT, RIGHT, TARGET_LARGER,
                               TARGET_SMALLER, InconsistentOracleError,
                               InfeasibleInstanceError, TreeInstance)
@@ -19,6 +19,16 @@ from bifurcation.model import (FORK, FOUND, LEFT, RIGHT, TARGET_LARGER,
 GRID = ((1, 0), (1, 1), (1, 4), (2, 0), (2, 1), (2, 3), (3, 2), (4, 4),
         (5, 4), (8, 3), (8, 20), (10, 5), (10, 9), (16, 200), (17, 1),
         (30, 3), (31, 7), (64, 16), (64, 100), (128, 40), (0, 0), (5, -1))
+
+
+def grid_trees(seed):
+    """The feasible ``random`` and ``comb`` instances of the parity grid."""
+    for gen in (gen_random, gen_comb):
+        for n, t in GRID:
+            try:
+                yield gen(n, t, seed=seed)
+            except InfeasibleInstanceError:
+                pass
 
 
 def make_path(sides):

@@ -8,8 +8,9 @@ from bifurcation.generators import (gen_comb, gen_complete_path, gen_random,
                                     place_target)
 from bifurcation.model import InfeasibleInstanceError
 
-from helpers import (GRID, reference_gen_comb, reference_gen_complete_path,
-                     reference_gen_random, reference_place_target)
+from helpers import (GRID, grid_trees, reference_gen_comb,
+                     reference_gen_complete_path, reference_gen_random,
+                     reference_place_target)
 
 
 def _outcome(gen, *args, **kwargs):
@@ -66,12 +67,7 @@ def _target(place, tree, strategy, seed):
 
 def test_place_target_matches_reference():
     trees = [gen_complete_path(h, delta) for h in (1, 2, 4) for delta in (1, 3)]
-    for gen in (gen_random, gen_comb):
-        for n, t in GRID:
-            try:
-                trees.append(gen(n, t, seed=n + t))
-            except InfeasibleInstanceError:
-                pass
+    trees += grid_trees(seed=5)
     for i, tree in enumerate(trees):
         strategies = ("random_node", "random_leaf", "adversarial_deep",
                       "fixed:%d" % (tree.size // 2), "fixed:%d" % tree.size)

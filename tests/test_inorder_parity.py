@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bifurcation.generators import gen_comb, gen_complete_path, gen_random
 from bifurcation.model import InfeasibleInstanceError, TreeError, TreeInstance
 
-from helpers import (GRID, make_path, reference_inorder,
+from helpers import (grid_trees, make_path, reference_inorder,
                      reference_subtree_spans)
 
 
@@ -26,18 +26,9 @@ def _assert_matches_walk(tree):
     assert sizes[:-1].tolist() == [h - l + 1 for l, h in zip(lo, hi)]
 
 
-def _grid_trees(seed):
-    for gen in (gen_random, gen_comb):
-        for n, t in GRID:
-            try:
-                yield gen(n, t, seed=seed)
-            except InfeasibleInstanceError:
-                pass
-
-
 def test_ranks_match_walk_on_generator_grid():
     for seed in range(4):
-        for tree in _grid_trees(seed):
+        for tree in grid_trees(seed):
             _assert_matches_walk(tree)
 
 
