@@ -179,25 +179,22 @@ def halve(explored: ExploredTree, oracle, median=median_node):
     return answer, u, trim(explored, u, answer)
 
 
-def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int):
-    """Grow the explored tree to the given depth by depth-first walking.
+def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
+               anchor: int) -> int:
+    """Grow anchor's explored subtree to the depth limit by walking DFS.
 
+    The walker must stand at anchor, or TreeError is raised before any step.
     Already explored edges are re-walked (each at most twice), stubs are
     never entered, the walk turns back at the depth limit, and the walker
-    ends where it started: at the root. Returns (new ids, new fork count).
+    ends where it started. Returns the count of newly explored forks.
     """
-    if walker.current != explored.root:
-        raise TreeError("walker must start at the explored root")
-    return _explore(explored, walker, depth_limit, explored.root)
-
-
-def _explore(explored, walker, depth_limit, anchor):
+    if walker.current != anchor:
+        raise TreeError("walker must start at the exploration anchor")
     kinds = explored.kind
     stubs = explored.stubs
     lefts = explored.left
     rights = explored.right
     move = walker.move
-    new_ids = []
     new_forks = 0
     # frame: [node, depth, next phase]
     stack = [[anchor, len(explored.path_to_root(anchor)) - 1, 0]]
@@ -234,11 +231,10 @@ def _explore(explored, walker, depth_limit, anchor):
             if ckind is None:
                 ckind = walker.kind_of(cid)
             explored.add_child(node, cside, cid, ckind)
-            new_ids.append(cid)
             if ckind == FORK:
                 new_forks += 1
         stack.append([cid, depth + 1, 0])
-    return new_ids, new_forks
+    return new_forks
 
 
 # Scales the staged search's node cap against the depth bound.
@@ -317,8 +313,7 @@ def final_binary_search(explored: ExploredTree, oracle) -> int:
     return found
 
 
-def bifurcation_search(tree, oracle, params=None, walker=None,
-                       trim_observer=None) -> SearchResult:
+def bifurcation_search(tree, oracle, params=None, walker=None) -> SearchResult:
     """Staged search interleaving bounded-depth exploration with decimation.
 
     Round i explores to depth i * depth_step by DFS (skipping stubs), then
@@ -326,9 +321,6 @@ def bifurcation_search(tree, oracle, params=None, walker=None,
     budgets. Rounds stop once the limit covers the whole depth range, and a
     final bisection over the survivors pins down the target. A found answer
     anywhere aborts immediately.
-
-    ``trim_observer``, when given, is called as observer(explored, new_stubs)
-    after every trimming halve; it exists for soundness auditing.
     """
     if params is None:
         params = SearchParams.for_instance(tree)
@@ -348,7 +340,7 @@ def bifurcation_search(tree, oracle, params=None, walker=None,
         depth_limit = i * params.depth_step
         steps_before = walker.steps
         calls_before = oracle.calls
-        _, new_forks = _explore(explored, walker, depth_limit, tree.root)
+        new_forks = dfs_extend(explored, walker, depth_limit, tree.root)
         found = None
         while True:
             if explored.leaf_count > leaf_cap:
@@ -364,8 +356,6 @@ def bifurcation_search(tree, oracle, params=None, walker=None,
             # a trim that stubs nothing leaves the tree as it was
             if not new_stubs:
                 break
-            if trim_observer is not None:
-                trim_observer(explored, new_stubs)
         rounds.append(RoundStats(i, new_forks, oracle.calls - calls_before,
                                  walker.steps - steps_before, depth_limit))
         if found is not None:
@@ -389,7 +379,7 @@ def baseline_full(tree, oracle, walker=None) -> SearchResult:
     explored = ExploredTree(tree.root, walker.kind_of(tree.root))
     base_steps = walker.steps
     base_calls = oracle.calls
-    _explore(explored, walker, tree.n, tree.root)
+    dfs_extend(explored, walker, tree.n, tree.root)
     target = final_binary_search(explored, oracle)
     return SearchResult(target, walker.steps - base_steps,
                         oracle.calls - base_calls, ())
@@ -417,7 +407,7 @@ def baseline_rounds(tree, oracle, walker=None) -> SearchResult:
         depth_limit = min(i * chunk, tree.n)
         steps_before = walker.steps
         calls_before = oracle.calls
-        _, new_forks = _explore(explored, walker, depth_limit, frontier)
+        new_forks = dfs_extend(explored, walker, depth_limit, frontier)
         cand = explored.inorder_below(frontier)
         found, gap = _bisect(cand, oracle)
         rounds.append(RoundStats(i, new_forks, oracle.calls - calls_before,
@@ -440,10 +430,9 @@ def _pick_frontier(explored, before, after):
     The gap hangs under the deeper endpoint. ``after`` is ``before``'s
     inorder successor, and ``baseline_rounds`` never stubs, so it lies in
     ``before``'s right subtree when ``before`` has a right child, and is
-    otherwise an ancestor of ``before``.
+    otherwise an ancestor of ``before``. The candidates always hold the
+    frontier, so at least one endpoint exists.
     """
-    if before is None and after is None:
-        raise InconsistentOracleError("no candidates remain")
     if before is None:
         return after
     if after is None:
@@ -453,14 +442,9 @@ def _pick_frontier(explored, before, after):
 
 def _descend(walker, explored, src, dst):
     """Walk the explored path from src down to its descendant dst."""
-    chain = []
+    chain = explored.path_to_root(dst)
+    del chain[chain.index(src):]
     parent = explored.parent
-    v = dst
-    while v != src:
-        chain.append(v)
-        v = parent[v]
-        if v < 0:
-            raise InconsistentOracleError("descent target is detached")
     kinds = explored.kind
     lefts = explored.left
     for node in reversed(chain):

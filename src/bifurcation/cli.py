@@ -4,13 +4,14 @@ its minimax value, the adaptive adversary, and scaling fits."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .algorithms import ALGORITHMS
 from .generators import FamilySpec
-from .harness import (CSV_HEADER, fit_scaling, run_experiment, sweep)
-from .lowerbound import adaptive_fork_adversary, minimax_price, play_game
+from .harness import (CSV_HEADER, fit_scaling, prepare_append,
+                      run_experiment, sweep)
+from .lowerbound import (STRATEGIES, adaptive_fork_adversary, minimax_price,
+                         play_game)
 from .model import TreeError
 
 
@@ -55,7 +56,7 @@ def build_parser():
 
     g = sub.add_parser("game", help="play the leaf-isolation pricing game")
     g.add_argument("--strategy", default="balanced_bisect",
-                   choices=("balanced_bisect", "greedy_cheapest", "random"))
+                   choices=STRATEGIES)
     g.add_argument("--h", type=int, default=6)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None)
@@ -83,11 +84,9 @@ def _cmd_search(args):
         spec = FamilySpec(args.family, args.n, args.t, args.seed, args.target)
     rec = run_experiment(spec, args.algo, args.psi)
     if args.out:
-        new = not (os.path.exists(args.out) and os.path.getsize(args.out) > 0)
+        _, header = prepare_append(args.out)
         with open(args.out, "a", encoding="utf-8") as fh:
-            if new:
-                fh.write(CSV_HEADER + "\n")
-            fh.write(rec.csv_row() + "\n")
+            fh.write(header + rec.csv_row() + "\n")
     print(CSV_HEADER)
     print(rec.csv_row())
     return 0

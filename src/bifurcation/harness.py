@@ -4,18 +4,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .algorithms import ALGORITHMS, SearchParams
 from .generators import FamilySpec, build_instance, check_names, mix_seed
 from .model import InstrumentedOracle, TreeError
-
-CSV_HEADER = ("family,n,t,psi,algo,seed,steps,oracle_calls,found,"
-              "target_inorder_rank,cost_linear_decider")
-
-FIELDS = tuple(CSV_HEADER.split(","))
 
 
 class InsufficientGridError(TreeError):
@@ -37,11 +32,17 @@ class ExperimentRecord:
     cost_linear_decider: int
 
     def csv_row(self) -> str:
-        vals = (self.family, self.n, self.t, self.psi, self.algo, self.seed,
-                self.steps, self.oracle_calls,
-                "true" if self.found else "false",
-                self.target_inorder_rank, self.cost_linear_decider)
-        return ",".join(str(v) for v in vals)
+        vals = (getattr(self, name) for name in FIELDS)
+        return ",".join(str(v).lower() if isinstance(v, bool) else str(v)
+                        for v in vals)
+
+
+# One CSV column per record field, in declaration order; bools read "true".
+FIELDS = tuple(f.name for f in fields(ExperimentRecord))
+CSV_HEADER = ",".join(FIELDS)
+_PARSERS = tuple(
+    {"int": int, "str": str, "bool": lambda v: v == "true"}[f.type]
+    for f in fields(ExperimentRecord))
 
 
 def run_experiment(spec: FamilySpec, algo: str, psi=None) -> ExperimentRecord:
@@ -70,37 +71,50 @@ def _run_on(tree, spec, algo, psi) -> ExperimentRecord:
 
 
 def load_records(path):
-    records = []
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header and header != CSV_HEADER:
-            raise TreeError("unexpected header in %s" % path)
-        for lineno, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != len(FIELDS):
-                raise TreeError("malformed row at line %d of %s"
-                                % (lineno, path))
-            (family, n, t, psi, algo, seed, steps, calls, found, rank,
-             cost) = fields
-            records.append(ExperimentRecord(
-                family=family, n=int(n), t=int(t), psi=int(psi), algo=algo,
-                seed=int(seed), steps=int(steps), oracle_calls=int(calls),
-                found=found == "true", target_inorder_rank=int(rank),
-                cost_linear_decider=int(cost)))
+        return _parse_records(fh, path)
+
+
+def _parse_records(lines, path):
+    """Records from a record CSV's lines, header first."""
+    records = []
+    lines = iter(lines)
+    header = next(lines, "").strip()
+    if header and header != CSV_HEADER:
+        raise TreeError("unexpected header in %s" % path)
+    for lineno, line in enumerate(lines, 2):
+        line = line.strip()
+        if not line:
+            continue
+        vals = line.split(",")
+        if len(vals) != len(FIELDS):
+            raise TreeError("malformed row at line %d of %s"
+                            % (lineno, path))
+        records.append(ExperimentRecord(
+            *(parse(v) for parse, v in zip(_PARSERS, vals))))
     return records
 
 
-def _drop_torn_tail(path) -> int:
-    """Cut off a last line with no newline, as a kill part-way through
-    writing a row leaves it, and return the length of what is left."""
-    with open(path, "rb+") as fh:
-        data = fh.read()
-        if data.endswith(b"\n"):
-            return len(data)
-        return fh.truncate(data.rfind(b"\n") + 1)
+def prepare_append(path):
+    """Ready a record CSV for appending rows.
+
+    Returns (records already there, text to write before the first new
+    row): the header for a new or empty file, else nothing. A foreign header
+    or a malformed row raises TreeError before the file is touched. Then a
+    last line with no newline, as a kill part-way through writing a row
+    leaves it, is cut off.
+    """
+    if os.path.exists(path):
+        with open(path, "rb+") as fh:
+            data = fh.read()
+            keep = data.rfind(b"\n") + 1
+            records = _parse_records(
+                data[:keep].decode("utf-8").splitlines(), path)
+            if keep < len(data):
+                fh.truncate(keep)
+        if keep:
+            return records, ""
+    return [], CSV_HEADER + "\n"
 
 
 def _cell_seed(base_seed: int, family: str, n: int, t: int, psi,
@@ -132,12 +146,8 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
             raise TreeError("unknown algorithm %r" % (algo,))
     for family in families:
         check_names(family, target_strategy)
-    done = set()
-    header = CSV_HEADER + "\n"
-    if os.path.exists(out_path) and _drop_torn_tail(out_path) > 0:
-        header = ""
-        for rec in load_records(out_path):
-            done.add((rec.family, rec.algo, rec.seed))
+    existing, header = prepare_append(out_path)
+    done = {(rec.family, rec.algo, rec.seed) for rec in existing}
     fh = None
     written = 0
     try:

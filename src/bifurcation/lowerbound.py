@@ -310,16 +310,14 @@ class AdaptiveOracle:
         return answer
 
     def _freeze(self):
-        """Demote every unrevealed fork still attached to the root, shallow
-        forks first. A fork is detached exactly when its rank lies in the
-        span of a subtree dropped before it."""
+        """Demote every unrevealed fork still attached to the root, in id
+        order, which puts every ancestor first. A fork is detached exactly
+        when its rank lies in the span of a subtree dropped before it."""
         self.froze = True
         tree = self.tree
         left = np.frombuffer(tree.left, dtype=np.intc)
         right = np.frombuffer(tree.right, dtype=np.intc)
-        depth = np.frombuffer(tree.depth, dtype=np.intc)
-        forks = np.flatnonzero((left >= 0) & (right >= 0))
-        forks = forks[np.argsort(depth[forks], kind="stable")].tolist()
+        forks = np.flatnonzero((left >= 0) & (right >= 0)).tolist()
         cands = self._cands
         lo, hi = self._sub_lo, self._sub_hi
         dropped = np.zeros(tree.size, dtype=bool)

@@ -1,12 +1,14 @@
 """Acceptance gate. Each test exercises one numbered criterion at its stated
 tolerance and prints one pass/fail line."""
 
+import contextlib
 import math
 import random
 import time
 
 import pytest
 
+from bifurcation import algorithms
 from bifurcation.algorithms import SearchParams, bifurcation_search
 from bifurcation.generators import (FamilySpec, build_instance, gen_random,
                                     mix_seed, place_target)
@@ -33,18 +35,30 @@ def _report(num, name, ok, detail=""):
 
 
 class _TrimAudit:
-    """Counts trims and target-inside-stub violations across runs."""
+    """Counts stub creations and target-inside-stub violations across runs.
+
+    ``watching(tree)`` wraps ``algorithms.trim`` for the searches run inside
+    it; ``halve`` looks ``trim`` up at call time, so every trim is seen.
+    """
 
     def __init__(self):
         self.checked = 0
         self.violations = 0
 
-    def observer(self, tree):
-        def check(explored, new_stubs):
+    @contextlib.contextmanager
+    def watching(self, tree):
+        trim = algorithms.trim
+
+        def checked_trim(explored, u, answer):
+            new_stubs = trim(explored, u, answer)
             self.checked += len(new_stubs)
             if target_inside_stub(tree, explored):
                 self.violations += 1
-        return check
+            return new_stubs
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algorithms, "trim", checked_trim)
+            yield
 
 
 @pytest.fixture(scope="module")
@@ -72,14 +86,10 @@ def correctness_runs(audit):
     for n, t, k in cases:
         tree = gen_random(n, t, seed=mix_seed(1, k))
         tree.target = place_target(tree, strategies[k % 4], seed=mix_seed(2, k))
-        check = audit.observer(tree)
-        for algo in ("bifurcation", "full", "rounds"):
+        for algo, search in algorithms.ALGORITHMS.items():
             oracle = InstrumentedOracle(tree)
-            if algo == "bifurcation":
-                result = bifurcation_search(tree, oracle, trim_observer=check)
-            else:
-                from bifurcation.algorithms import ALGORITHMS
-                result = ALGORITHMS[algo](tree, oracle)
+            with audit.watching(tree):
+                result = search(tree, oracle)
             if result.found != tree.target:
                 failures.append((n, t, k, algo))
     elapsed = time.perf_counter() - t0
@@ -98,8 +108,8 @@ def grid_runs(audit):
                 tree = build_instance(spec)
                 oracle = InstrumentedOracle(tree)
                 params = SearchParams.for_instance(tree)
-                result = bifurcation_search(tree, oracle, params=params,
-                                            trim_observer=audit.observer(tree))
+                with audit.watching(tree):
+                    result = bifurcation_search(tree, oracle, params=params)
                 assert result.found == tree.target
                 runs.append((n, t, seed, params, result))
     return runs
@@ -113,13 +123,12 @@ def separation_runs(audit):
         spec = FamilySpec("complete_path", n, 64, seed=1,
                           target_strategy="adversarial_deep")
         tree = build_instance(spec)
-        check = audit.observer(tree)
         oracle_b = InstrumentedOracle(tree)
-        rb = bifurcation_search(tree, oracle_b, trim_observer=check)
+        with audit.watching(tree):
+            rb = bifurcation_search(tree, oracle_b)
         assert rb.found == tree.target
-        from bifurcation.algorithms import baseline_rounds
         oracle_r = InstrumentedOracle(tree)
-        rr = baseline_rounds(tree, oracle_r)
+        rr = algorithms.baseline_rounds(tree, oracle_r)
         assert rr.found == tree.target
         rows.append((n, rr.oracle_calls, rb.oracle_calls))
     return rows

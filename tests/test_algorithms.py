@@ -9,9 +9,10 @@ from bifurcation.algorithms import (ALGORITHMS, TRIGGER_FACTOR, ExploredTree,
                                     bifurcation_search, dfs_extend,
                                     final_binary_search, halve, median_leaf,
                                     median_node, trim)
-from bifurcation.generators import (gen_comb, gen_complete_path, gen_random,
+from bifurcation.generators import (FamilySpec, build_instance, gen_comb,
+                                    gen_complete_path, gen_random,
                                     place_target)
-from bifurcation.model import (FOUND, TARGET_LARGER, TARGET_SMALLER,
+from bifurcation.model import (DIR_ONLY, FOUND, TARGET_LARGER, TARGET_SMALLER,
                                InstrumentedOracle, TreeError, Walker)
 
 from helpers import (forks_within_depth, make_path, nodes_within_depth,
@@ -21,7 +22,7 @@ from helpers import (forks_within_depth, make_path, nodes_within_depth,
 def explore_fully(tree, walker=None):
     walker = walker or Walker(tree)
     explored = ExploredTree(tree.root, walker.kind_of(tree.root))
-    dfs_extend(explored, walker, tree.n)
+    dfs_extend(explored, walker, tree.n, tree.root)
     return explored, walker
 
 
@@ -68,7 +69,7 @@ def test_maintained_counts_match_rescan():
         oracle = InstrumentedOracle(tree)
         step = 1 + rng.randrange(tree.n)
         for limit in range(step, tree.n + step, step):
-            dfs_extend(explored, walker, limit)
+            dfs_extend(explored, walker, limit, tree.root)
             _assert_counts_match_rescan(explored)
             u = rng.choice(explored.inorder_below(explored.root))
             answer = oracle.query(u)
@@ -256,7 +257,7 @@ def test_dfs_extend_full_depth_covers_instance():
     tree = gen_random(20, 5, seed=3)
     walker = Walker(tree)
     explored = ExploredTree(tree.root, walker.kind_of(tree.root))
-    dfs_extend(explored, walker, tree.n)
+    dfs_extend(explored, walker, tree.n, tree.root)
     assert explored.node_count == tree.size
     assert walker.steps == 2 * (tree.size - 1)
     assert walker.current == tree.root
@@ -266,12 +267,12 @@ def test_dfs_extend_never_enters_stubs():
     tree = gen_complete_path(2, 3)
     walker = Walker(tree)
     explored = ExploredTree(tree.root, walker.kind_of(tree.root))
-    dfs_extend(explored, walker, 3)  # just past the first fork
+    dfs_extend(explored, walker, 3, tree.root)  # just past the first fork
     root_fork = tree.root
     left = explored.left[root_fork]
     explored.mark_stub(left)
     steps_before = walker.steps
-    dfs_extend(explored, walker, tree.n)
+    dfs_extend(explored, walker, tree.n, tree.root)
     # the stubbed side contributes no nodes and no walking
     for v in list(explored.kind):
         assert not _under(tree, v, left) or v == left
@@ -294,7 +295,7 @@ def test_dfs_extend_stage_counts_match_instance():
     prev_forks = 1  # the root fork is revealed on arrival
     for i in (1, 2, 3):
         limit = 4 * i
-        _, new_forks = dfs_extend(explored, walker, limit)
+        new_forks = dfs_extend(explored, walker, limit, tree.root)
         want_nodes = nodes_within_depth(tree, limit)
         want_new_forks = forks_within_depth(tree, limit) - prev_forks
         assert explored.node_count == want_nodes
@@ -379,7 +380,7 @@ def test_bifurcation_round_budgets_hold():
         oracle2 = InstrumentedOracle(tree)
         found_early = False
         for rs in result.rounds:
-            dfs_extend(explored, walker, rs.depth_limit)
+            dfs_extend(explored, walker, rs.depth_limit, tree.root)
             for _ in range(200):
                 nodes, leaves = explored.inorder_nodes_and_leaves()
                 if len(leaves) > params.leaf_budget:
@@ -463,7 +464,7 @@ def test_pick_frontier_returns_the_deeper_neighbour():
         for depth_limit in (tree.n // 3, tree.n):
             walker = Walker(tree)
             explored = ExploredTree(tree.root, walker.kind_of(tree.root))
-            dfs_extend(explored, walker, depth_limit)
+            dfs_extend(explored, walker, depth_limit, tree.root)
             for v in list(explored.kind)[::5]:
                 cand = explored.inorder_below(v)
                 assert _pick_frontier(explored, None, cand[0]) == cand[0]
@@ -488,3 +489,16 @@ def test_all_algorithms_find_random_targets():
             oracle = InstrumentedOracle(tree)
             result = fn(tree, oracle)
             assert result.found == tree.target, (name, n, t, strategy, i)
+
+
+def test_every_algorithm_rejects_a_misplaced_walker():
+    # the root of this instance is unary, so the walker steps to its child
+    tree = build_instance(FamilySpec("random", 64, 4, 3))
+    for name, fn in ALGORITHMS.items():
+        walker = Walker(tree)
+        walker.move(DIR_ONLY)
+        oracle = InstrumentedOracle(tree)
+        with pytest.raises(TreeError):
+            fn(tree, oracle, walker=walker)
+        assert walker.steps == 1, name
+        assert oracle.calls == 0, name

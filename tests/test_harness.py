@@ -216,6 +216,27 @@ def test_cli_search(capsys):
     assert out[1].split(",")[8] == "true"
 
 
+def test_cli_search_out_follows_the_sweep_append_rules(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    sweep(out, ["random"], [16, 32], [2], ["full"], trials=1)
+    whole = out.read_text()
+    out.write_text(whole[:-5])  # killed part-way through the last row
+    assert main(["search", "--n", "64", "--t", "4", "--algo", "full",
+                 "--out", str(out)]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    lines = out.read_text().splitlines()
+    assert lines == whole.splitlines()[:-1] + [row]
+    assert len(load_records(out)) == 2
+    # a CSV with another header is refused before anything is written, its
+    # unterminated last line included
+    other = tmp_path / "other.csv"
+    other.write_text("a,b\n1,2")
+    assert main(["search", "--n", "64", "--t", "4", "--algo", "full",
+                 "--out", str(other)]) == 2
+    assert "unexpected header" in capsys.readouterr().err
+    assert other.read_text() == "a,b\n1,2"
+
+
 def test_cli_search_complete_path_by_height(capsys):
     assert main(["search", "--h", "3", "--delta", "4", "--algo", "rounds",
                  "--seed", "1"]) == 0
