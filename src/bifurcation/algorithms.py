@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT, FORK, FOUND,
-                    LEAF, LEFT, TARGET_LARGER, TARGET_SMALLER,
+                    LEAF, LEFT, TARGET_LARGER, TARGET_SMALLER, UNARY,
                     InconsistentOracleError, TreeError, Walker)
 
 
@@ -27,33 +27,35 @@ def _ceil_div(a: int, b: int) -> int:
 class ExploredTree:
     """The algorithm's partial copy of the instance.
 
-    Mirrors instance ids. A stub is a node proven not to hold the target in
-    its subtree; stubs stay in place as markers but their explored subtrees
-    are deleted. ``node_count`` and ``leaf_count`` (non-stub nodes with no
-    explored children) exclude stubs and are kept current as the tree changes.
+    Arrays indexed by instance id, one slot per id of a ``size``-node
+    instance: ``kind`` holds the kind string of an explored id and ``None``
+    for any other; ``parent``, ``left`` and ``right`` hold ids, ``-1`` for
+    none; ``stub`` flags stubs. A stub is a node proven not to hold the
+    target in its subtree; stubs stay in place as markers but their explored
+    subtrees are deleted. ``node_count`` and ``leaf_count`` (non-stub nodes
+    with no explored children) exclude stubs and are kept current as the
+    tree changes.
     """
 
-    __slots__ = ("root", "kind", "parent", "left", "right", "stubs",
-                 "leaf_count")
+    __slots__ = ("root", "kind", "parent", "left", "right", "stub",
+                 "node_count", "leaf_count")
 
-    def __init__(self, root: int, root_kind: str):
+    def __init__(self, size: int, root: int, root_kind: str):
         self.root = root
-        self.kind = {root: root_kind}
-        self.parent = {root: -1}
-        self.left = {}
-        self.right = {}
-        self.stubs = set()
+        self.kind = [None] * size
+        self.kind[root] = root_kind
+        self.parent = [-1] * size
+        self.left = [-1] * size
+        self.right = [-1] * size
+        self.stub = bytearray(size)
+        self.node_count = 1
         self.leaf_count = 1
-
-    @property
-    def node_count(self) -> int:
-        """Non-stub nodes currently explored."""
-        return len(self.kind) - len(self.stubs)
 
     def add_child(self, parent: int, side: str, child: int, kind: str):
         # the child is a new leaf; a childless parent stops being one
-        if parent in self.left or parent in self.right:
+        if self.left[parent] >= 0 or self.right[parent] >= 0:
             self.leaf_count += 1
+        self.node_count += 1
         self.kind[child] = kind
         self.parent[child] = parent
         if side == LEFT:
@@ -65,11 +67,11 @@ class ExploredTree:
         """Ids from u up to the root, inclusive."""
         path = [u]
         parent = self.parent
-        while True:
-            p = parent[path[-1]]
-            if p < 0:
-                return path
+        p = parent[u]
+        while p >= 0:
             path.append(p)
+            p = parent[p]
+        return path
 
     def _inorder(self, top: int):
         # Both public rescans call this, never each other, so a profiler
@@ -77,18 +79,19 @@ class ExploredTree:
         nodes = []
         left = self.left
         right = self.right
-        stubs = self.stubs
+        stub = self.stub
         stack = []
         cur = top
-        while stack or cur is not None:
-            while cur is not None:
+        while True:
+            while cur >= 0:
                 stack.append(cur)
-                cur = left.get(cur)
+                cur = left[cur]
+            if not stack:
+                return nodes
             cur = stack.pop()
-            if cur not in stubs:
+            if not stub[cur]:
                 nodes.append(cur)
-            cur = right.get(cur)
-        return nodes
+            cur = right[cur]
 
     def inorder_below(self, top: int):
         """Non-stub ids of top's explored subtree, in inorder."""
@@ -99,23 +102,40 @@ class ExploredTree:
         nodes = self._inorder(self.root)
         left = self.left
         right = self.right
-        return nodes, [v for v in nodes if v not in left and v not in right]
+        return nodes, [v for v in nodes if left[v] < 0 and right[v] < 0]
 
     def mark_stub(self, v: int):
         """Stub v and delete its explored subtree; a stub stays as it is."""
+        kind = self.kind
+        parent = self.parent
+        left = self.left
+        right = self.right
+        stub = self.stub
+        # stubs have no explored children, so every id met below v but the
+        # stubs is a non-stub node, and the childless ones are leaves
+        nodes = leaves = 0
         stack = [v]
         while stack:
             w = stack.pop()
-            children = [c for c in (self.left.pop(w, None),
-                                    self.right.pop(w, None)) if c is not None]
-            if not children and w not in self.stubs:
-                self.leaf_count -= 1
-            stack.extend(children)
+            l = left[w]
+            r = right[w]
+            if l >= 0:
+                stack.append(l)
+                left[w] = -1
+            if r >= 0:
+                stack.append(r)
+                right[w] = -1
+            if not stub[w]:
+                nodes += 1
+                if l < 0 and r < 0:
+                    leaves += 1
             if w != v:
-                del self.kind[w]
-                del self.parent[w]
-                self.stubs.discard(w)
-        self.stubs.add(v)
+                kind[w] = None
+                parent[w] = -1
+                stub[w] = 0
+        stub[v] = 1
+        self.node_count -= nodes
+        self.leaf_count -= leaves
 
 
 def trim(explored: ExploredTree, u: int, answer: str):
@@ -130,16 +150,16 @@ def trim(explored: ExploredTree, u: int, answer: str):
     if answer == FOUND:
         raise TreeError("trim is undefined for a found answer")
     take = explored.left if answer == TARGET_LARGER else explored.right
-    path = explored.path_to_root(u)
-    on_path = set(path)
-    stubs = explored.stubs
+    stub = explored.stub
     new_stubs = []
-    for v in path:
-        c = take.get(v)
-        if c is not None and c not in on_path and c not in stubs:
+    below = -1  # the path's child of v, the one child of v on the path
+    for v in explored.path_to_root(u):
+        c = take[v]
+        if c >= 0 and c != below and not stub[c]:
             explored.mark_stub(c)
             new_stubs.append(c)
-    if explored.kind[u] == LEAF and u not in stubs:
+        below = v
+    if explored.kind[u] == LEAF and not stub[u]:
         explored.mark_stub(u)
         new_stubs.append(u)
     return new_stubs
@@ -187,68 +207,82 @@ def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
     Already explored edges are re-walked (each at most twice), stubs are
     never entered, the walk turns back at the depth limit, and the walker
     ends where it started. Returns the count of newly explored forks.
+
+    No stack is kept. The walk goes down, into the left child first, until
+    it reaches the limit or a node with no child it may enter; then it
+    climbs, holding the child it came up from (``back``), to the first fork
+    it left by its left child and whose right child is no stub, or ends at
+    the anchor.
     """
     if walker.current != anchor:
         raise TreeError("walker must start at the exploration anchor")
     kinds = explored.kind
-    stubs = explored.stubs
+    stub = explored.stub
     lefts = explored.left
     rights = explored.right
+    parents = explored.parent
     move = walker.move
     new_forks = 0
-    # frame: [node, depth, next phase]
-    stack = [[anchor, len(explored.path_to_root(anchor)) - 1, 0]]
-    while stack:
-        frame = stack[-1]
-        node = frame[0]
-        depth = frame[1]
-        phase = frame[2]
-        k = kinds[node]
+    node = anchor
+    depth = len(explored.path_to_root(anchor)) - 1
+    while True:
         direction = None
+        k = kinds[node]
         if depth < depth_limit and k != LEAF:
+            c = lefts[node]
             if k == FORK:
-                if phase == 0:
+                if c < 0 or not stub[c]:
                     direction = DIR_LEFT
-                    known = lefts.get(node)
-                elif phase == 1:
+                else:
+                    c = rights[node]
+                    if c < 0 or not stub[c]:
+                        direction = DIR_RIGHT
+            else:
+                if c < 0:
+                    c = rights[node]
+                if c < 0 or not stub[c]:
+                    direction = DIR_ONLY
+        while direction is None:
+            if node == anchor:
+                return new_forks
+            move(DIR_PARENT)
+            back = node
+            node = parents[node]
+            depth -= 1
+            if lefts[node] == back and kinds[node] == FORK:
+                c = rights[node]
+                if c < 0 or not stub[c]:
                     direction = DIR_RIGHT
-                    known = rights.get(node)
-            elif phase == 0:
-                direction = DIR_ONLY
-                known = lefts.get(node)
-                if known is None:
-                    known = rights.get(node)
-        if direction is None:
-            stack.pop()
-            if node != anchor:
-                move(DIR_PARENT)
-            continue
-        frame[2] = phase + 1
-        if known is not None and known in stubs:
-            continue
         cid, ckind, cside = move(direction)
-        if cid not in kinds:
+        if kinds[cid] is None:
             if ckind is None:
                 ckind = walker.kind_of(cid)
             explored.add_child(node, cside, cid, ckind)
             if ckind == FORK:
                 new_forks += 1
-        stack.append([cid, depth + 1, 0])
-    return new_forks
+        node = cid
+        depth += 1
 
 
 # Scales the staged search's node cap against the depth bound.
 TRIGGER_FACTOR = 4
 
 
+def check_psi(psi) -> None:
+    """Reject a staged-search call budget below 1."""
+    if psi < 1:
+        raise TreeError("psi must be at least 1, got %r" % (psi,))
+
+
 @dataclass(frozen=True)
 class SearchParams:
     """Knobs for the staged search.
 
-    ``psi`` is roughly the oracle-call budget. Each round deepens the
-    exploration limit by ``depth_step``; after exploring, the tree is
-    decimated until it fits ``node_budget`` nodes (but no fewer than
-    ``TRIGGER_FACTOR * n + 2``) and ``leaf_budget`` leaves.
+    ``psi`` is roughly the oracle-call budget: at least 1, and a psi above
+    t is lowered to t. Each round deepens the exploration limit by
+    ``depth_step``; after exploring, the tree is decimated until it fits
+    ``node_budget`` nodes (but no fewer than ``TRIGGER_FACTOR * n + 2``)
+    and ``leaf_budget`` leaves.
     """
 
     psi: int
@@ -260,8 +294,10 @@ class SearchParams:
     def for_instance(cls, tree, psi=None) -> "SearchParams":
         t = tree.t
         if psi is None:
-            psi = max(1, _ceil_sqrt(t))
-        psi = max(1, min(psi, max(t, 1)))
+            psi = _ceil_sqrt(t)
+        else:
+            check_psi(psi)
+        psi = max(1, min(psi, t))
         leaf_budget = max(1, _ceil_div(t, psi))
         depth_step = max(1, _ceil_div(2 * tree.n, psi))
         return cls(psi=psi, leaf_budget=leaf_budget, depth_step=depth_step,
@@ -326,7 +362,7 @@ def bifurcation_search(tree, oracle, params=None, walker=None) -> SearchResult:
         params = SearchParams.for_instance(tree)
     if walker is None:
         walker = Walker(tree)
-    explored = ExploredTree(tree.root, walker.kind_of(tree.root))
+    explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
     # A bare root-to-depth path is incompressible, so the node target keeps
     # slack above the depth bound; decimation below that floor cannot help.
     node_cap = max(params.node_budget, TRIGGER_FACTOR * tree.n + 2)
@@ -376,7 +412,7 @@ def baseline_full(tree, oracle, walker=None) -> SearchResult:
     """
     if walker is None:
         walker = Walker(tree)
-    explored = ExploredTree(tree.root, walker.kind_of(tree.root))
+    explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
     base_steps = walker.steps
     base_calls = oracle.calls
     dfs_extend(explored, walker, tree.n, tree.root)
@@ -395,7 +431,7 @@ def baseline_rounds(tree, oracle, walker=None) -> SearchResult:
     """
     if walker is None:
         walker = Walker(tree)
-    explored = ExploredTree(tree.root, walker.kind_of(tree.root))
+    explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
     base_steps = walker.steps
     base_calls = oracle.calls
     chunk = max(1, _ceil_div(tree.n, max(1, _ceil_sqrt(tree.t))))
@@ -437,7 +473,7 @@ def _pick_frontier(explored, before, after):
         return after
     if after is None:
         return before
-    return after if before in explored.right else before
+    return after if explored.right[before] >= 0 else before
 
 
 def _descend(walker, explored, src, dst):
@@ -450,7 +486,7 @@ def _descend(walker, explored, src, dst):
     for node in reversed(chain):
         p = parent[node]
         if kinds[p] == FORK:
-            direction = DIR_LEFT if lefts.get(p) == node else DIR_RIGHT
+            direction = DIR_LEFT if lefts[p] == node else DIR_RIGHT
         else:
             direction = DIR_ONLY
         walker.move(direction)

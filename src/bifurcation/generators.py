@@ -248,8 +248,11 @@ def build_instance(spec: FamilySpec) -> TreeInstance:
         if h < 1 or h * h != spec.t:
             raise InfeasibleInstanceError(
                 "complete_path needs a square fork parameter, got %d" % spec.t)
-        delta = max(1, spec.n // h)
-        tree = gen_complete_path(h, delta)
+        if spec.n < h:
+            raise InfeasibleInstanceError(
+                "complete_path with %d forks needs n >= %d, got %d"
+                % (spec.t, h, spec.n))
+        tree = gen_complete_path(h, spec.n // h)
     else:
         raise ValueError("unknown family %r" % (fam,))
     tree.target = place_target(tree, spec.target_strategy, mix_seed(spec.seed, 2))

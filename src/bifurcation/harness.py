@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, SearchParams
+from .algorithms import ALGORITHMS, SearchParams, check_psi
 from .generators import FamilySpec, build_instance, check_names, mix_seed
 from .model import InstrumentedOracle, TreeError
 
@@ -138,14 +138,20 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
     instance is built once and shared by every algorithm. Each row is
     flushed as it is written; on resume a torn last row is dropped and run
     again, while a malformed row anywhere else raises. An unknown
-    algorithm, family or target strategy raises before the file is touched;
-    a new file gets its header along with its first row. Returns rows written.
+    algorithm, family or target strategy, a psi below 1 or fewer than one
+    trial raises before the file is touched; a new file gets its header
+    along with its first row. Returns rows written.
     """
     for algo in algos:
         if algo not in ALGORITHMS:
             raise TreeError("unknown algorithm %r" % (algo,))
     for family in families:
         check_names(family, target_strategy)
+    for psi in psis:
+        if psi is not None:
+            check_psi(psi)
+    if trials < 1:
+        raise TreeError("need at least one trial, got %r" % (trials,))
     existing, header = prepare_append(out_path)
     done = {(rec.family, rec.algo, rec.seed) for rec in existing}
     fh = None

@@ -103,9 +103,9 @@ def edge_union(labels, h):
 def target_inside_stub(tree, explored):
     """True when some stub is an ancestor-or-self of the instance target."""
     v = tree.target
-    stubs = explored.stubs
+    stub = explored.stub
     while v >= 0:
-        if v in stubs:
+        if stub[v]:
             return True
         v = tree.parent[v]
     return False
@@ -506,3 +506,8 @@ def reference_place_target(tree, strategy, seed=0):
                     best = v
         return best
     raise ValueError("unknown target strategy %r" % (strategy,))
+
+
+def explored_ids(explored):
+    """Ids of an ExploredTree's explored nodes, stubs included, in id order."""
+    return [v for v, k in enumerate(explored.kind) if k is not None]

@@ -198,7 +198,7 @@ def test_criterion_05_halving_size_bound():
             continue
         tree.target = place_target(tree, "random_node", seed=seed)
         ids = preorder_prefix(tree, 4 * n)
-        explored = ExploredTree(tree.root, tree.kind(tree.root))
+        explored = ExploredTree(tree.size, tree.root, tree.kind(tree.root))
         for v in ids[1:]:
             explored.add_child(tree.parent[v], tree.child_side(v), v,
                                tree.kind(v))

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from bifurcation.algorithms import (ALGORITHMS, TRIGGER_FACTOR, ExploredTree,
-                                    SearchParams, _pick_frontier,
+                                    SearchParams, _descend, _pick_frontier,
                                     baseline_full, baseline_rounds,
                                     bifurcation_search, dfs_extend,
                                     final_binary_search, halve, median_leaf,
@@ -12,16 +12,18 @@ from bifurcation.algorithms import (ALGORITHMS, TRIGGER_FACTOR, ExploredTree,
 from bifurcation.generators import (FamilySpec, build_instance, gen_comb,
                                     gen_complete_path, gen_random,
                                     place_target)
-from bifurcation.model import (DIR_ONLY, FOUND, TARGET_LARGER, TARGET_SMALLER,
+from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
+                               FORK, FOUND, TARGET_LARGER, TARGET_SMALLER,
                                InstrumentedOracle, TreeError, Walker)
 
-from helpers import (forks_within_depth, make_path, nodes_within_depth,
-                     preorder_prefix, slow_inorder, target_inside_stub)
+from helpers import (explored_ids, forks_within_depth, grid_trees, make_path,
+                     nodes_within_depth, preorder_prefix, slow_inorder,
+                     target_inside_stub)
 
 
 def explore_fully(tree, walker=None):
     walker = walker or Walker(tree)
-    explored = ExploredTree(tree.root, walker.kind_of(tree.root))
+    explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
     dfs_extend(explored, walker, tree.n, tree.root)
     return explored, walker
 
@@ -29,7 +31,7 @@ def explore_fully(tree, walker=None):
 def explored_from_prefix(tree, count):
     """Explored tree over the first `count` preorder ids, bypassing a walker."""
     ids = preorder_prefix(tree, count)
-    explored = ExploredTree(tree.root, tree.kind(tree.root))
+    explored = ExploredTree(tree.size, tree.root, tree.kind(tree.root))
     for v in ids[1:]:
         p = tree.parent[v]
         explored.add_child(p, tree.child_side(v), v, tree.kind(v))
@@ -51,12 +53,12 @@ def test_maintained_counts_match_rescan():
         tree = gen_random(4 + rng.randrange(60), rng.randrange(12), seed=i)
         tree.target = place_target(tree, "random_node", seed=i)
         # children added in any order, right before left included
-        grown = ExploredTree(tree.root, tree.kind(tree.root))
+        grown = ExploredTree(tree.size, tree.root, tree.kind(tree.root))
         _assert_counts_match_rescan(grown)
         for _ in range(40):
-            kids = [c for v in grown.kind
+            kids = [c for v in explored_ids(grown)
                     for c in (tree.left[v], tree.right[v])
-                    if c >= 0 and c not in grown.kind]
+                    if c >= 0 and grown.kind[c] is None]
             if not kids:
                 break
             c = rng.choice(kids)
@@ -65,7 +67,8 @@ def test_maintained_counts_match_rescan():
             _assert_counts_match_rescan(grown)
         # staged exploration, trims and direct stubs
         walker = Walker(tree)
-        explored = ExploredTree(tree.root, walker.kind_of(tree.root))
+        explored = ExploredTree(tree.size, tree.root,
+                                walker.kind_of(tree.root))
         oracle = InstrumentedOracle(tree)
         step = 1 + rng.randrange(tree.n)
         for limit in range(step, tree.n + step, step):
@@ -77,7 +80,7 @@ def test_maintained_counts_match_rescan():
                 trim(explored, u, answer)
                 _assert_counts_match_rescan(explored)
             # a direct stub, possibly over stubs, then the same stub again
-            v = rng.choice(sorted(explored.kind))
+            v = rng.choice(explored_ids(explored))
             if v == explored.root:
                 continue
             explored.mark_stub(v)
@@ -97,7 +100,7 @@ def test_trim_forkless_path_makes_no_stubs():
     new = trim(explored, 2, TARGET_LARGER)
     # nothing hangs off the path going left, and node 2 is not a leaf
     assert new == []
-    assert explored.stubs == set()
+    assert not any(explored.stub)
 
 
 def test_trim_single_fork_at_root():
@@ -107,7 +110,7 @@ def test_trim_single_fork_at_root():
     left = tree.left[tree.root]
     new = trim(explored, right, TARGET_LARGER)
     assert left in new
-    assert left in explored.stubs
+    assert explored.stub[left]
 
 
 def test_trim_removes_stub_children_from_view():
@@ -117,8 +120,8 @@ def test_trim_removes_stub_children_from_view():
     new = trim(explored, tree.right[tree.root], TARGET_LARGER)
     assert explored.node_count < before
     for s in new:
-        assert s in explored.kind  # the marker itself stays
-        assert s not in explored.left and s not in explored.right
+        assert explored.kind[s] is not None  # the marker itself stays
+        assert explored.left[s] < 0 and explored.right[s] < 0
 
 
 def test_trim_found_is_a_contract_violation():
@@ -148,7 +151,7 @@ def test_trim_never_stubs_the_target_region():
 
 def test_median_single_node():
     tree = make_path("")
-    explored = ExploredTree(tree.root, tree.kind(tree.root))
+    explored = ExploredTree(tree.size, tree.root, tree.kind(tree.root))
     assert median_node(explored) == tree.root
 
 
@@ -179,7 +182,7 @@ def test_median_tie_breaks_inorder_smaller():
     order = slow_inorder(tree)
     # stub the inorder-last leaf to force an even candidate count
     explored.mark_stub(order[-1])
-    remaining = [v for v in order if v not in explored.stubs]
+    remaining = [v for v in order if not explored.stub[v]]
     assert len(remaining) == 4
     # both middles split 1-vs-2; the inorder-smaller one wins the tie
     assert median_node(explored) == remaining[1]
@@ -256,7 +259,7 @@ def test_halve_leaf_mode_halves_leaves():
 def test_dfs_extend_full_depth_covers_instance():
     tree = gen_random(20, 5, seed=3)
     walker = Walker(tree)
-    explored = ExploredTree(tree.root, walker.kind_of(tree.root))
+    explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
     dfs_extend(explored, walker, tree.n, tree.root)
     assert explored.node_count == tree.size
     assert walker.steps == 2 * (tree.size - 1)
@@ -266,7 +269,7 @@ def test_dfs_extend_full_depth_covers_instance():
 def test_dfs_extend_never_enters_stubs():
     tree = gen_complete_path(2, 3)
     walker = Walker(tree)
-    explored = ExploredTree(tree.root, walker.kind_of(tree.root))
+    explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
     dfs_extend(explored, walker, 3, tree.root)  # just past the first fork
     root_fork = tree.root
     left = explored.left[root_fork]
@@ -274,7 +277,7 @@ def test_dfs_extend_never_enters_stubs():
     steps_before = walker.steps
     dfs_extend(explored, walker, tree.n, tree.root)
     # the stubbed side contributes no nodes and no walking
-    for v in list(explored.kind):
+    for v in explored_ids(explored):
         assert not _under(tree, v, left) or v == left
     assert walker.steps > steps_before
 
@@ -290,7 +293,7 @@ def _under(tree, v, top):
 def test_dfs_extend_stage_counts_match_instance():
     tree = gen_complete_path(3, 4)
     walker = Walker(tree)
-    explored = ExploredTree(tree.root, walker.kind_of(tree.root))
+    explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
     prev_nodes = 1
     prev_forks = 1  # the root fork is revealed on arrival
     for i in (1, 2, 3):
@@ -308,13 +311,89 @@ def test_dfs_extend_stage_counts_match_instance():
     assert prev_nodes == tree.size
 
 
+def _reach(tree, explored, anchor, limit):
+    """Non-anchor nodes under anchor at depth <= limit with no stub between
+    anchor (exclusive) and themselves (inclusive), read off the instance."""
+    out = []
+    stack = [anchor]
+    while stack:
+        v = stack.pop()
+        for c in (tree.left[v], tree.right[v]):
+            if c >= 0 and tree.depth[c] <= limit and not explored.stub[c]:
+                out.append(c)
+                stack.append(c)
+    return out
+
+
+def _stub_shapes(tree, explored, anchor, limit):
+    """Which stub layouts the walk from anchor meets above the limit."""
+    shapes = set()
+    for v in [anchor] + _reach(tree, explored, anchor, limit):
+        if tree.depth[v] >= limit:
+            continue
+        kids = [c for c in (tree.left[v], tree.right[v]) if c >= 0]
+        stubbed = [bool(explored.stub[c]) for c in kids]
+        if stubbed == [True, False]:
+            shapes.add("left stub")
+        elif stubbed == [True, True]:
+            shapes.add("both stubs")
+        elif stubbed == [True]:
+            shapes.add("only child stub")
+    return shapes
+
+
+def test_dfs_extend_walks_twice_the_reachable_region():
+    rng = random.Random(8)
+    trees = list(grid_trees(seed=3)) + [gen_complete_path(3, 2)]
+    seen = set()
+    for i, tree in enumerate(trees * 4):
+        walker = Walker(tree)
+        if i % 2:
+            # reveal a few nodes the explored tree will not know about
+            for _ in range(rng.randrange(1, tree.n + 1)):
+                if tree.is_leaf(walker.current):
+                    break
+                walker.move(DIR_ONLY if tree.kind(walker.current) != FORK
+                            else rng.choice((DIR_LEFT, DIR_RIGHT)))
+            while walker.current != tree.root:
+                walker.move(DIR_PARENT)
+        explored = ExploredTree(tree.size, tree.root,
+                                walker.kind_of(tree.root))
+        step = 1 + rng.randrange(max(1, tree.n // 2))
+        limits = [step, 2 * step, step // 2, tree.n, tree.n]
+        for limit in limits:
+            anchor = rng.choice(explored.inorder_below(tree.root))
+            _descend(walker, explored, tree.root, anchor)
+            if anchor != tree.root:
+                seen.add("non-root anchor")
+            seen |= _stub_shapes(tree, explored, anchor, limit)
+            before = set(explored_ids(explored))
+            reach = _reach(tree, explored, anchor, limit)
+            steps = walker.steps
+            new_forks = dfs_extend(explored, walker, limit, anchor)
+            assert walker.steps - steps == 2 * len(reach)
+            assert set(explored_ids(explored)) == before | set(reach)
+            assert new_forks == sum(1 for v in reach if v not in before
+                                    and tree.kind(v) == FORK)
+            assert walker.current == anchor
+            _assert_counts_match_rescan(explored)
+            while walker.current != tree.root:
+                walker.move(DIR_PARENT)
+            for _ in range(rng.randrange(3)):
+                v = rng.choice(explored_ids(explored))
+                if v != tree.root:
+                    explored.mark_stub(v)
+    assert seen == {"non-root anchor", "left stub", "both stubs",
+                    "only child stub"}
+
+
 # ------------------------------------------------------- final_binary_search
 
 
 def test_final_search_single_candidate():
     tree = make_path("")
     tree.target = 0
-    explored = ExploredTree(0, tree.kind(0))
+    explored = ExploredTree(tree.size, 0, tree.kind(0))
     oracle = InstrumentedOracle(tree)
     assert final_binary_search(explored, oracle) == 0
     assert oracle.calls == 1
@@ -376,7 +455,8 @@ def test_bifurcation_round_budgets_hold():
         node_cap = max(params.node_budget, TRIGGER_FACTOR * tree.n + 2)
         # drive the round machinery in slow motion and check the budgets
         walker = Walker(tree)
-        explored = ExploredTree(tree.root, walker.kind_of(tree.root))
+        explored = ExploredTree(tree.size, tree.root,
+                                walker.kind_of(tree.root))
         oracle2 = InstrumentedOracle(tree)
         found_early = False
         for rs in result.rounds:
@@ -409,6 +489,13 @@ def test_bifurcation_extreme_psi_still_terminates():
         result = bifurcation_search(tree, oracle, params=params)
         assert result.found == tree.target
         assert params.psi <= max(tree.t, 1)
+
+
+def test_search_params_reject_psi_below_one():
+    tree = gen_random(50, 9, seed=13)
+    for psi in (0, -5):
+        with pytest.raises(TreeError, match="psi"):
+            SearchParams.for_instance(tree, psi=psi)
 
 
 def test_bifurcation_round_stats_accounting():
@@ -463,9 +550,10 @@ def test_pick_frontier_returns_the_deeper_neighbour():
     for tree in trees:
         for depth_limit in (tree.n // 3, tree.n):
             walker = Walker(tree)
-            explored = ExploredTree(tree.root, walker.kind_of(tree.root))
+            explored = ExploredTree(tree.size, tree.root,
+                                walker.kind_of(tree.root))
             dfs_extend(explored, walker, depth_limit, tree.root)
-            for v in list(explored.kind)[::5]:
+            for v in explored_ids(explored)[::5]:
                 cand = explored.inorder_below(v)
                 assert _pick_frontier(explored, None, cand[0]) == cand[0]
                 assert _pick_frontier(explored, cand[-1], None) == cand[-1]

@@ -162,6 +162,14 @@ def test_build_instance_complete_path_requires_square():
         build_instance(FamilySpec("complete_path", 64, 12, seed=0))
 
 
+def test_build_instance_complete_path_refuses_n_below_its_height():
+    # n = 3 cannot stretch the 4 levels of h = sqrt(16) to one edge each
+    for n in (0, 3):
+        with pytest.raises(InfeasibleInstanceError, match="n >= 4"):
+            build_instance(FamilySpec("complete_path", n, 16, seed=0))
+    assert build_instance(FamilySpec("complete_path", 4, 16, seed=0)).n == 4
+
+
 @pytest.mark.parametrize("parent, left, depth, root", [
     ([-1, 2, 0], [2, -1, 1], [0, 2, 1], 0),  # node 1 hangs below node 2
     ([1, -1], [-1, 0], [1, 0], 1),  # the root is node 1

@@ -171,6 +171,19 @@ def test_sweep_rejects_unknown_algorithm_before_writing(tmp_path):
     assert not out.exists()
 
 
+def test_sweep_rejects_bad_psi_or_trials_before_touching_the_file(tmp_path):
+    out = tmp_path / "grid.csv"
+    for kwargs in ({"psis": (None, 0)}, {"psis": (-5,)}, {"trials": 0}):
+        with pytest.raises(TreeError):
+            sweep(out, ["random"], [16], [2], ["full"], **kwargs)
+        assert not out.exists()
+    # a torn last row is left as it was too
+    out.write_text(CSV_HEADER + "\nrandom,16")
+    with pytest.raises(TreeError):
+        sweep(out, ["random"], [16], [2], ["full"], psis=(0,))
+    assert out.read_text() == CSV_HEADER + "\nrandom,16"
+
+
 def _synthetic(records_fn):
     recs = []
     for n in (256, 1024, 4096):
@@ -254,9 +267,25 @@ def test_cli_search_needs_h_and_delta_together(capsys):
         assert "--h and --delta" in captured.err
 
 
+def test_cli_search_rejects_psi_below_one(capsys):
+    for psi in ("0", "-5"):
+        assert main(["search", "--n", "64", "--t", "4", "--psi", psi]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "psi" in captured.err
+
+
+def test_cli_search_rejects_complete_path_below_its_height(capsys):
+    assert main(["search", "--h", "2", "--delta", "0", "--algo", "full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "complete_path" in captured.err
+
+
 def test_cli_sweep_rejects_bad_names_before_writing(tmp_path, capsys):
     out = tmp_path / "s.csv"
-    for extra in (["--family", "bogus"], ["--target", "nowhere"]):
+    for extra in (["--family", "bogus"], ["--target", "nowhere"],
+                  ["--psi", "0"], ["--psi", "2,-5"], ["--trials", "0"]):
         assert main(["sweep", "--n", "64", "--t", "4", "--trials", "1",
                      "--out", str(out)] + extra) == 2
         assert "error" in capsys.readouterr().err
