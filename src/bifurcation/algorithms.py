@@ -111,9 +111,7 @@ class ExploredTree:
         left = self.left
         right = self.right
         stub = self.stub
-        # stubs have no explored children, so every id met below v but the
-        # stubs is a non-stub node, and the childless ones are leaves
-        nodes = leaves = 0
+        nodes = leaves = 0  # non-stub nodes and leaves taken out of view
         stack = [v]
         while stack:
             w = stack.pop()
