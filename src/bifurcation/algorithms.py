@@ -1,7 +1,8 @@
 """Search procedures over implicit trees: trimming, halving, staged
 bounded-depth exploration, and two baselines, all instrumented.
 
-All movement goes through the Walker (one step per edge), and all tree shape
+Each search builds its own Walker at the root, wired to the oracle's reveal
+hook; all movement goes through it (one step per edge), and all tree shape
 knowledge lives in an ExploredTree mirroring the ids the walker has entered.
 """
 
@@ -347,7 +348,7 @@ def final_binary_search(explored: ExploredTree, oracle) -> int:
     return found
 
 
-def bifurcation_search(tree, oracle, params=None, walker=None) -> SearchResult:
+def bifurcation_search(tree, oracle, params=None) -> SearchResult:
     """Staged search interleaving bounded-depth exploration with decimation.
 
     Round i explores to depth i * depth_step by DFS (skipping stubs), then
@@ -358,14 +359,12 @@ def bifurcation_search(tree, oracle, params=None, walker=None) -> SearchResult:
     """
     if params is None:
         params = SearchParams.for_instance(tree)
-    if walker is None:
-        walker = Walker(tree)
+    walker = Walker(tree, oracle.on_reveal)
     explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
     # A bare root-to-depth path is incompressible, so the node target keeps
     # slack above the depth bound; decimation below that floor cannot help.
     node_cap = max(params.node_budget, TRIGGER_FACTOR * tree.n + 2)
     leaf_cap = params.leaf_budget
-    base_steps = walker.steps
     base_calls = oracle.calls
     rounds = []
     i = 0
@@ -393,33 +392,29 @@ def bifurcation_search(tree, oracle, params=None, walker=None) -> SearchResult:
         rounds.append(RoundStats(i, new_forks, oracle.calls - calls_before,
                                  walker.steps - steps_before, depth_limit))
         if found is not None:
-            return SearchResult(found, walker.steps - base_steps,
-                                oracle.calls - base_calls, tuple(rounds),
-                                params)
+            return SearchResult(found, walker.steps, oracle.calls - base_calls,
+                                tuple(rounds), params)
         if depth_limit >= tree.n:
             break
     target = final_binary_search(explored, oracle)
-    return SearchResult(target, walker.steps - base_steps,
-                        oracle.calls - base_calls, tuple(rounds), params)
+    return SearchResult(target, walker.steps, oracle.calls - base_calls,
+                        tuple(rounds), params)
 
 
-def baseline_full(tree, oracle, walker=None) -> SearchResult:
+def baseline_full(tree, oracle) -> SearchResult:
     """Explore everything first, then bisect once.
 
     Steps come to exactly twice the edge count.
     """
-    if walker is None:
-        walker = Walker(tree)
+    walker = Walker(tree, oracle.on_reveal)
     explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
-    base_steps = walker.steps
     base_calls = oracle.calls
     dfs_extend(explored, walker, tree.n, tree.root)
     target = final_binary_search(explored, oracle)
-    return SearchResult(target, walker.steps - base_steps,
-                        oracle.calls - base_calls, ())
+    return SearchResult(target, walker.steps, oracle.calls - base_calls, ())
 
 
-def baseline_rounds(tree, oracle, walker=None) -> SearchResult:
+def baseline_rounds(tree, oracle) -> SearchResult:
     """Depth-capped rounds with a full bisection per round.
 
     Round i explores the subtree under the current frontier node down to
@@ -427,10 +422,8 @@ def baseline_rounds(tree, oracle, walker=None) -> SearchResult:
     isolate the inorder gap holding the target, and descends to the frontier
     node guarding that gap for the next round.
     """
-    if walker is None:
-        walker = Walker(tree)
+    walker = Walker(tree, oracle.on_reveal)
     explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
-    base_steps = walker.steps
     base_calls = oracle.calls
     chunk = max(1, _ceil_div(tree.n, max(1, _ceil_sqrt(tree.t))))
     frontier = tree.root
@@ -447,8 +440,8 @@ def baseline_rounds(tree, oracle, walker=None) -> SearchResult:
         rounds.append(RoundStats(i, new_forks, oracle.calls - calls_before,
                                  walker.steps - steps_before, depth_limit))
         if found is not None:
-            return SearchResult(found, walker.steps - base_steps,
-                                oracle.calls - base_calls, tuple(rounds))
+            return SearchResult(found, walker.steps, oracle.calls - base_calls,
+                                tuple(rounds))
         before = cand[gap - 1] if gap > 0 else None
         after = cand[gap] if gap < len(cand) else None
         nxt = _pick_frontier(explored, before, after)

@@ -8,8 +8,8 @@ import sys
 
 from .algorithms import ALGORITHMS
 from .generators import FamilySpec
-from .harness import (CSV_HEADER, fit_scaling, prepare_append,
-                      run_experiment, sweep)
+from .harness import (CSV_HEADER, fit_scaling, load_records,
+                      prepare_append, run_experiment, sweep)
 from .lowerbound import (STRATEGIES, adaptive_fork_adversary, minimax_price,
                          play_game)
 from .model import TreeError
@@ -37,10 +37,6 @@ def build_parser():
     s.add_argument("--algo", default="bifurcation", choices=tuple(ALGORITHMS))
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--target", default="random_node")
-    s.add_argument("--h", type=int, default=None,
-                   help="complete_path height (needs --delta; overrides --n/--t)")
-    s.add_argument("--delta", type=int, default=None,
-                   help="complete_path edge stretch (needs --h)")
     s.add_argument("--out", default=None, help="append the record to a CSV")
 
     w = sub.add_parser("sweep", help="Cartesian grid of runs into a CSV")
@@ -75,13 +71,7 @@ def build_parser():
 
 
 def _cmd_search(args):
-    if (args.h is None) != (args.delta is None):
-        raise ValueError("--h and --delta must be given together")
-    if args.h is not None:
-        spec = FamilySpec("complete_path", args.h * args.delta, args.h ** 2,
-                          args.seed, args.target)
-    else:
-        spec = FamilySpec(args.family, args.n, args.t, args.seed, args.target)
+    spec = FamilySpec(args.family, args.n, args.t, args.seed, args.target)
     rec = run_experiment(spec, args.algo, args.psi)
     if args.out:
         _, header = prepare_append(args.out)
@@ -130,7 +120,7 @@ def _cmd_adversary(args):
 
 
 def _cmd_fit(args):
-    print(fit_scaling(args.csv).format())
+    print(fit_scaling(load_records(args.csv)).format())
     return 0
 
 

@@ -244,14 +244,15 @@ def build_instance(spec: FamilySpec) -> TreeInstance:
     elif fam == "comb":
         tree = gen_comb(spec.n, spec.t, mix_seed(spec.seed, 1))
     elif fam == "complete_path":
-        h = math.isqrt(spec.t)
+        h = math.isqrt(max(spec.t, 0))
         if h < 1 or h * h != spec.t:
             raise InfeasibleInstanceError(
-                "complete_path needs a square fork parameter, got %d" % spec.t)
+                "complete_path needs t = h * h for a height h >= 1, got t = %d"
+                % spec.t)
         if spec.n < h:
             raise InfeasibleInstanceError(
-                "complete_path with %d forks needs n >= %d, got %d"
-                % (spec.t, h, spec.n))
+                "complete_path of height %d (t = %d) needs n >= %d, got %d"
+                % (h, spec.t, h, spec.n))
         tree = gen_complete_path(h, spec.n // h)
     else:
         raise ValueError("unknown family %r" % (fam,))

@@ -200,13 +200,12 @@ class FitReport:
         return "\n".join(lines)
 
 
-def fit_scaling(source, metrics=("steps", "oracle_calls")) -> FitReport:
+def fit_scaling(records, metrics=("steps", "oracle_calls")) -> FitReport:
     """Least-squares exponents of n and t on log-transformed per-cell means.
 
     Needs at least three distinct values of each fitted variable; rows with
     t = 0 cannot be log-transformed and are skipped.
     """
-    records = source if isinstance(source, list) else load_records(source)
     by_algo = {}
     for r in records:
         if r.found and r.t > 0 and r.n > 1:

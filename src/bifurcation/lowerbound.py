@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import as_strided
 from .algorithms import ALGORITHMS, _ceil_div, _ceil_sqrt
 from .generators import gen_complete_path
 from .model import (FORK, FOUND, TARGET_LARGER, TARGET_SMALLER,
-                    InconsistentOracleError, TreeError, Walker, check_node_id)
+                    InconsistentOracleError, TreeError, check_node_id)
 
 STRATEGIES = ("balanced_bisect", "greedy_cheapest", "random")
 
@@ -67,16 +67,6 @@ class GameState:
     @property
     def active_size(self) -> int:
         return self.y - self.x + 1
-
-    @property
-    def flank_left(self):
-        q = self.x - 1
-        return q if q in self.queried else None
-
-    @property
-    def flank_right(self):
-        q = self.y + 1
-        return q if q in self.queried else None
 
     def over(self) -> bool:
         return self.x == self.y
@@ -389,8 +379,7 @@ def adaptive_fork_adversary(n: int, t: int,
     step_len = _ceil_div(n, h)
     tree = gen_complete_path(h, step_len)
     oracle = AdaptiveOracle(tree, t)
-    walker = Walker(tree, on_reveal=oracle.on_reveal)
-    result = ALGORITHMS[player](tree, oracle, walker=walker)
+    result = ALGORITHMS[player](tree, oracle)
     if oracle.committed is None or result.found != oracle.committed:
         raise InconsistentOracleError(
             "player finished without isolating the committed target")

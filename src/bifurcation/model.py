@@ -363,6 +363,7 @@ class InstrumentedOracle:
     """
 
     __slots__ = ("calls", "_ranks", "_target_rank")
+    on_reveal = None  # watches no reveals, unlike the adaptive oracle
 
     def __init__(self, tree: TreeInstance):
         self.calls = 0

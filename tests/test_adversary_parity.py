@@ -10,7 +10,7 @@ import pytest
 from bifurcation.algorithms import ALGORITHMS, _ceil_div, _ceil_sqrt
 from bifurcation.generators import gen_comb, gen_complete_path, gen_random
 from bifurcation.lowerbound import AdaptiveOracle
-from bifurcation.model import TreeError, Walker
+from bifurcation.model import TreeError
 
 from helpers import ReferenceAdaptiveOracle
 
@@ -24,9 +24,8 @@ def _arena(n, t):
 
 def _play(oracle_cls, tree, budget, player):
     oracle = oracle_cls(tree, budget)
-    walker = Walker(tree, on_reveal=oracle.on_reveal)
     try:
-        result = ALGORITHMS[player](tree, oracle, walker=walker)
+        result = ALGORITHMS[player](tree, oracle)
         outcome = (result.found, result.steps, result.oracle_calls)
     except TreeError as exc:
         outcome = type(exc)

@@ -579,14 +579,13 @@ def test_all_algorithms_find_random_targets():
             assert result.found == tree.target, (name, n, t, strategy, i)
 
 
-def test_every_algorithm_rejects_a_misplaced_walker():
+def test_dfs_extend_rejects_a_misplaced_walker():
     # the root of this instance is unary, so the walker steps to its child
     tree = build_instance(FamilySpec("random", 64, 4, 3))
-    for name, fn in ALGORITHMS.items():
-        walker = Walker(tree)
-        walker.move(DIR_ONLY)
-        oracle = InstrumentedOracle(tree)
-        with pytest.raises(TreeError):
-            fn(tree, oracle, walker=walker)
-        assert walker.steps == 1, name
-        assert oracle.calls == 0, name
+    walker = Walker(tree)
+    walker.move(DIR_ONLY)
+    explored = ExploredTree(tree.size, tree.root, tree.kind(tree.root))
+    with pytest.raises(TreeError, match="anchor"):
+        dfs_extend(explored, walker, tree.n, tree.root)
+    assert walker.steps == 1
+    assert explored.node_count == 1

@@ -158,16 +158,26 @@ def test_build_instance_families():
 
 
 def test_build_instance_complete_path_requires_square():
-    with pytest.raises(InfeasibleInstanceError):
-        build_instance(FamilySpec("complete_path", 64, 12, seed=0))
+    # 0 is a square, but of no height h >= 1
+    for t in (12, 0, -4):
+        with pytest.raises(InfeasibleInstanceError,
+                           match=r"t = h \* h for a height h >= 1, got t = %d$"
+                           % t):
+            build_instance(FamilySpec("complete_path", 64, t, seed=0))
 
 
 def test_build_instance_complete_path_refuses_n_below_its_height():
     # n = 3 cannot stretch the 4 levels of h = sqrt(16) to one edge each
     for n in (0, 3):
-        with pytest.raises(InfeasibleInstanceError, match="n >= 4"):
+        with pytest.raises(InfeasibleInstanceError,
+                           match=r"height 4 \(t = 16\) needs n >= 4, got %d"
+                           % n):
             build_instance(FamilySpec("complete_path", n, 16, seed=0))
     assert build_instance(FamilySpec("complete_path", 4, 16, seed=0)).n == 4
+    # t = 4 is height 2 with 2**2 - 1 = 3 forks, not 4
+    with pytest.raises(InfeasibleInstanceError,
+                       match=r"height 2 \(t = 4\) needs n >= 2, got 1"):
+        build_instance(FamilySpec("complete_path", 1, 4, seed=0))
 
 
 @pytest.mark.parametrize("parent, left, depth, root", [

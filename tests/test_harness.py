@@ -212,6 +212,11 @@ def test_fit_recovers_planted_linear_law():
     assert abs(et - 1.0) < 1e-6
 
 
+def test_fit_takes_any_sequence_of_records():
+    recs = _synthetic(lambda n, t: n * t)
+    assert fit_scaling(tuple(recs)) == fit_scaling(recs)
+
+
 def test_fit_requires_grid_richness():
     recs = [r for r in _synthetic(lambda n, t: n) if r.t == 4]
     with pytest.raises(InsufficientGridError):
@@ -251,20 +256,12 @@ def test_cli_search_out_follows_the_sweep_append_rules(tmp_path, capsys):
 
 
 def test_cli_search_complete_path_by_height(capsys):
-    assert main(["search", "--h", "3", "--delta", "4", "--algo", "rounds",
-                 "--seed", "1"]) == 0
+    assert main(["search", "--family", "complete_path", "--n", "12",
+                 "--t", "9", "--algo", "rounds", "--seed", "1"]) == 0
     row = capsys.readouterr().out.strip().splitlines()[1].split(",")
     assert row[0] == "complete_path"
-    assert row[1] == "12"  # n = h * delta
+    assert row[1] == "12"  # n = h * (n // h) with h = sqrt(t) = 3
     assert row[2] == "7"   # 2**h - 1 forks
-
-
-def test_cli_search_needs_h_and_delta_together(capsys):
-    for extra in (["--h", "4"], ["--delta", "3"]):
-        assert main(["search", "--algo", "full"] + extra) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--h and --delta" in captured.err
 
 
 def test_cli_search_rejects_psi_below_one(capsys):
@@ -276,10 +273,11 @@ def test_cli_search_rejects_psi_below_one(capsys):
 
 
 def test_cli_search_rejects_complete_path_below_its_height(capsys):
-    assert main(["search", "--h", "2", "--delta", "0", "--algo", "full"]) == 2
+    assert main(["search", "--family", "complete_path", "--n", "0",
+                 "--t", "4", "--algo", "full"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "complete_path" in captured.err
+    assert "complete_path of height 2" in captured.err
 
 
 def test_cli_sweep_rejects_bad_names_before_writing(tmp_path, capsys):

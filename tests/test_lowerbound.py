@@ -116,9 +116,9 @@ def test_adversary_discard_bound_and_flanks():
                 lo, hi = discarded
                 assert hi - lo + 1 <= state.active_size + 1
             if state.x > 0:
-                assert state.flank_left == state.x - 1
+                assert state.x - 1 in state.queried
             if state.y < state.size - 1:
-                assert state.flank_right == state.y + 1
+                assert state.y + 1 in state.queried
             assert state.active_size < before
         assert state.total_price >= h  # the opening query alone costs h
 
