@@ -9,7 +9,7 @@ from .model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT, FORK, FOUND,
                     LEAF, LEFT, RIGHT, TARGET_LARGER, TARGET_SMALLER, UNARY,
                     InconsistentOracleError, InfeasibleInstanceError,
                     InstrumentedOracle, NodeIdError, TreeError, TreeInstance,
-                    Walker, WalkerError, dump_tree, inorder_compare)
+                    Walker, WalkerError)
 from .algorithms import (ALGORITHMS, ExploredTree, RoundStats, SearchParams,
                          SearchResult, baseline_full, baseline_rounds,
                          bifurcation_search, dfs_extend, final_binary_search,

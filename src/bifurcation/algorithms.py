@@ -275,19 +275,18 @@ def check_psi(psi) -> None:
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Knobs for the staged search.
+    """The staged search's budgets, all derived from n, t and psi.
 
     ``psi`` is roughly the oracle-call budget: at least 1, and a psi above
     t is lowered to t. Each round deepens the exploration limit by
     ``depth_step``; after exploring, the tree is decimated until it fits
-    ``node_budget`` nodes (but no fewer than ``TRIGGER_FACTOR * n + 2``)
-    and ``leaf_budget`` leaves.
+    ``node_cap`` nodes and ``leaf_budget`` leaves.
     """
 
     psi: int
     leaf_budget: int
     depth_step: int
-    node_budget: int
+    node_cap: int
 
     @classmethod
     def for_instance(cls, tree, psi=None) -> "SearchParams":
@@ -299,8 +298,12 @@ class SearchParams:
         psi = max(1, min(psi, t))
         leaf_budget = max(1, _ceil_div(t, psi))
         depth_step = max(1, _ceil_div(2 * tree.n, psi))
+        # A bare root-to-depth path is incompressible, so the node target
+        # keeps slack above the depth bound; decimation below that floor
+        # cannot help.
+        node_cap = max(leaf_budget * depth_step, TRIGGER_FACTOR * tree.n + 2)
         return cls(psi=psi, leaf_budget=leaf_budget, depth_step=depth_step,
-                   node_budget=leaf_budget * depth_step)
+                   node_cap=node_cap)
 
 
 @dataclass(frozen=True)
@@ -348,22 +351,20 @@ def final_binary_search(explored: ExploredTree, oracle) -> int:
     return found
 
 
-def bifurcation_search(tree, oracle, params=None) -> SearchResult:
+def bifurcation_search(tree, oracle, psi=None) -> SearchResult:
     """Staged search interleaving bounded-depth exploration with decimation.
 
     Round i explores to depth i * depth_step by DFS (skipping stubs), then
     repeatedly halves the explored tree until it fits the node and leaf
     budgets. Rounds stop once the limit covers the whole depth range, and a
     final bisection over the survivors pins down the target. A found answer
-    anywhere aborts immediately.
+    anywhere aborts immediately. ``psi`` defaults to ceil(sqrt(t)); the
+    budgets are ``SearchParams.for_instance(tree, psi)``.
     """
-    if params is None:
-        params = SearchParams.for_instance(tree)
+    params = SearchParams.for_instance(tree, psi)
     walker = Walker(tree, oracle.on_reveal)
     explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
-    # A bare root-to-depth path is incompressible, so the node target keeps
-    # slack above the depth bound; decimation below that floor cannot help.
-    node_cap = max(params.node_budget, TRIGGER_FACTOR * tree.n + 2)
+    node_cap = params.node_cap
     leaf_cap = params.leaf_budget
     base_calls = oracle.calls
     rounds = []

@@ -25,11 +25,12 @@ def _int_list(text):
 
 def build_parser():
     p = argparse.ArgumentParser(
-        prog="bifurcation",
+        prog="bifurcation", allow_abbrev=False,
         description="Implicit tree search experiments with a comparison oracle")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("search", help="one instrumented run on one instance")
+    s = sub.add_parser("search", allow_abbrev=False,
+                       help="one instrumented run on one instance")
     s.add_argument("--family", default="random")
     s.add_argument("--n", type=int, default=256)
     s.add_argument("--t", type=int, default=16)
@@ -39,7 +40,8 @@ def build_parser():
     s.add_argument("--target", default="random_node")
     s.add_argument("--out", default=None, help="append the record to a CSV")
 
-    w = sub.add_parser("sweep", help="Cartesian grid of runs into a CSV")
+    w = sub.add_parser("sweep", allow_abbrev=False,
+                       help="Cartesian grid of runs into a CSV")
     w.add_argument("--family", default="random")
     w.add_argument("--n", type=_int_list, required=True)
     w.add_argument("--t", type=_int_list, required=True)
@@ -50,22 +52,26 @@ def build_parser():
     w.add_argument("--target", default="random_node")
     w.add_argument("--out", required=True)
 
-    g = sub.add_parser("game", help="play the leaf-isolation pricing game")
+    g = sub.add_parser("game", allow_abbrev=False,
+                       help="play the leaf-isolation pricing game")
     g.add_argument("--strategy", default="balanced_bisect",
                    choices=STRATEGIES)
     g.add_argument("--h", type=int, default=6)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None)
 
-    m = sub.add_parser("minimax", help="exact game value for height h")
+    m = sub.add_parser("minimax", allow_abbrev=False,
+                       help="exact game value for height h")
     m.add_argument("--h", type=int, required=True)
 
-    a = sub.add_parser("adversary", help="run a player against the adaptive oracle")
+    a = sub.add_parser("adversary", allow_abbrev=False,
+                       help="run a player against the adaptive oracle")
     a.add_argument("--n", type=int, default=256)
     a.add_argument("--t", type=int, default=16)
     a.add_argument("--algo", default="bifurcation", choices=tuple(ALGORITHMS))
 
-    f = sub.add_parser("fit", help="log-log scaling exponents from a sweep CSV")
+    f = sub.add_parser("fit", allow_abbrev=False,
+                       help="log-log scaling exponents from a sweep CSV")
     f.add_argument("csv")
     return p
 

@@ -59,7 +59,7 @@ def _run_on(tree, spec, algo, psi) -> ExperimentRecord:
     params = SearchParams.for_instance(tree, psi)
     fn = ALGORITHMS[algo]
     if algo == "bifurcation":
-        result = fn(tree, oracle, params=params)
+        result = fn(tree, oracle, psi=psi)
     else:
         result = fn(tree, oracle)
     rank = tree.inorder_ranks()[tree.target]

@@ -96,16 +96,6 @@ class TreeInstance:
             return UNARY
         return LEAF
 
-    def is_leaf(self, v: int) -> bool:
-        return self.left[v] < 0 and self.right[v] < 0
-
-    def child_side(self, v: int):
-        """Side of v under its parent, or None for the root."""
-        p = self.parent[v]
-        if p < 0:
-            return None
-        return LEFT if self.left[p] == v else RIGHT
-
     def inorder_ranks(self):
         """Inorder position of every node, indexed by node id."""
         if self._ranks is None:
@@ -256,16 +246,6 @@ class TreeInstance:
         return size_of
 
 
-def inorder_compare(tree: TreeInstance, a: int, b: int) -> str:
-    """Order of a versus b in the inorder traversal: smaller, equal, larger."""
-    ranks = tree.inorder_ranks()
-    ra = ranks[a]
-    rb = ranks[b]
-    if ra == rb:
-        return "equal"
-    return "smaller" if ra < rb else "larger"
-
-
 class Walker:
     """Cursor over a TreeInstance that charges one step per edge traversal.
 
@@ -290,10 +270,6 @@ class Walker:
         self.on_reveal = on_reveal
         if on_reveal is not None:
             on_reveal(tree.root, tree.kind(tree.root))
-
-    def is_revealed(self, v: int) -> bool:
-        check_node_id(v, len(self.revealed))
-        return bool(self.revealed[v])
 
     def kind_of(self, v: int) -> str:
         """Kind of an already revealed node."""
@@ -380,15 +356,3 @@ class InstrumentedOracle:
             return FOUND
         return TARGET_SMALLER if rt < rq else TARGET_LARGER
 
-
-def dump_tree(tree: TreeInstance) -> str:
-    """Textual dump, one line per node: ``id kind parent side``, root first."""
-    root = tree.root
-    lines = ["%d %s - -" % (root, tree.kind(root))]
-    for v in range(tree.size):
-        if v == root:
-            continue
-        p = tree.parent[v]
-        side = "L" if tree.left[p] == v else "R"
-        lines.append("%d %s %d %s" % (v, tree.kind(v), p, side))
-    return "\n".join(lines)

@@ -21,6 +21,26 @@ GRID = ((1, 0), (1, 1), (1, 4), (2, 0), (2, 1), (2, 3), (3, 2), (4, 4),
         (30, 3), (31, 7), (64, 16), (64, 100), (128, 40), (0, 0), (5, -1))
 
 
+def is_leaf(tree, v):
+    return tree.left[v] < 0 and tree.right[v] < 0
+
+
+def child_side(tree, v):
+    """Side of v under its parent, or None for the root."""
+    p = tree.parent[v]
+    if p < 0:
+        return None
+    return LEFT if tree.left[p] == v else RIGHT
+
+
+def inorder_compare(tree, a, b):
+    """Order of a versus b in the inorder traversal: smaller, equal, larger."""
+    ranks = tree.inorder_ranks()
+    if ranks[a] == ranks[b]:
+        return "equal"
+    return "smaller" if ranks[a] < ranks[b] else "larger"
+
+
 def grid_trees(seed):
     """The feasible ``random`` and ``comb`` instances of the parity grid."""
     for gen in (gen_random, gen_comb):
@@ -492,14 +512,14 @@ def reference_place_target(tree, strategy, seed=0):
     if strategy == "random_node":
         return rng.randrange(tree.size)
     if strategy == "random_leaf":
-        leaves = [v for v in range(tree.size) if tree.is_leaf(v)]
+        leaves = [v for v in range(tree.size) if is_leaf(tree, v)]
         return rng.choice(leaves)
     if strategy == "adversarial_deep":
         ranks = reference_inorder(tree)[0]
         best = tree.root
         best_key = (-1, -1)
         for v in range(tree.size):
-            if tree.is_leaf(v):
+            if is_leaf(tree, v):
                 key = (tree.depth[v], ranks[v])
                 if key > best_key:
                     best_key = key

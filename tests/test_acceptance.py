@@ -9,7 +9,7 @@ import time
 import pytest
 
 from bifurcation import algorithms
-from bifurcation.algorithms import SearchParams, bifurcation_search
+from bifurcation.algorithms import bifurcation_search
 from bifurcation.generators import (FamilySpec, build_instance, gen_random,
                                     mix_seed, place_target)
 from bifurcation.harness import ExperimentRecord, fit_scaling
@@ -17,7 +17,7 @@ from bifurcation.lowerbound import (adaptive_fork_adversary, minimax_price,
                                     play_game)
 from bifurcation.model import FOUND, InstrumentedOracle
 
-from helpers import brute_minimax, target_inside_stub
+from helpers import brute_minimax, child_side, target_inside_stub
 
 GRID_NS = (1 << 10, 1 << 12, 1 << 14)
 GRID_TS = (16, 64, 256)
@@ -107,11 +107,10 @@ def grid_runs(audit):
                 spec = FamilySpec("random", n, t, seed)
                 tree = build_instance(spec)
                 oracle = InstrumentedOracle(tree)
-                params = SearchParams.for_instance(tree)
                 with audit.watching(tree):
-                    result = bifurcation_search(tree, oracle, params=params)
+                    result = bifurcation_search(tree, oracle)
                 assert result.found == tree.target
-                runs.append((n, t, seed, params, result))
+                runs.append((n, t, seed, result.params, result))
     return runs
 
 
@@ -200,7 +199,7 @@ def test_criterion_05_halving_size_bound():
         ids = preorder_prefix(tree, 4 * n)
         explored = ExploredTree(tree.size, tree.root, tree.kind(tree.root))
         for v in ids[1:]:
-            explored.add_child(tree.parent[v], tree.child_side(v), v,
+            explored.add_child(tree.parent[v], child_side(tree, v), v,
                                tree.kind(v))
         oracle = InstrumentedOracle(tree)
         answer, _, _ = halve(explored, oracle)

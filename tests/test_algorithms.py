@@ -16,9 +16,9 @@ from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
                                FORK, FOUND, TARGET_LARGER, TARGET_SMALLER,
                                InstrumentedOracle, TreeError, Walker)
 
-from helpers import (explored_ids, forks_within_depth, grid_trees, make_path,
-                     nodes_within_depth, preorder_prefix, slow_inorder,
-                     target_inside_stub)
+from helpers import (child_side, explored_ids, forks_within_depth, grid_trees,
+                     is_leaf, make_path, nodes_within_depth, preorder_prefix,
+                     slow_inorder, target_inside_stub)
 
 
 def explore_fully(tree, walker=None):
@@ -34,7 +34,7 @@ def explored_from_prefix(tree, count):
     explored = ExploredTree(tree.size, tree.root, tree.kind(tree.root))
     for v in ids[1:]:
         p = tree.parent[v]
-        explored.add_child(p, tree.child_side(v), v, tree.kind(v))
+        explored.add_child(p, child_side(tree, v), v, tree.kind(v))
     return explored
 
 
@@ -62,7 +62,7 @@ def test_maintained_counts_match_rescan():
             if not kids:
                 break
             c = rng.choice(kids)
-            grown.add_child(tree.parent[c], tree.child_side(c), c,
+            grown.add_child(tree.parent[c], child_side(tree, c), c,
                             tree.kind(c))
             _assert_counts_match_rescan(grown)
         # staged exploration, trims and direct stubs
@@ -247,7 +247,7 @@ def test_halve_leaf_mode_halves_leaves():
     oracle = InstrumentedOracle(tree)
     leaves_before = len(explored.inorder_nodes_and_leaves()[1])
     answer, u, _ = halve(explored, oracle, median_leaf)
-    assert tree.is_leaf(u)
+    assert is_leaf(tree, u)
     if answer != FOUND:
         leaves_after = len(explored.inorder_nodes_and_leaves()[1])
         assert leaves_after <= (leaves_before + 1) // 2 + 1
@@ -351,7 +351,7 @@ def test_dfs_extend_walks_twice_the_reachable_region():
         if i % 2:
             # reveal a few nodes the explored tree will not know about
             for _ in range(rng.randrange(1, tree.n + 1)):
-                if tree.is_leaf(walker.current):
+                if is_leaf(tree, walker.current):
                     break
                 walker.move(DIR_ONLY if tree.kind(walker.current) != FORK
                             else rng.choice((DIR_LEFT, DIR_RIGHT)))
@@ -427,8 +427,7 @@ def test_bifurcation_on_path_uses_log_calls():
     tree = gen_random(128, 0, seed=1)
     tree.target = place_target(tree, "random_node", 9)
     oracle = InstrumentedOracle(tree)
-    params = SearchParams.for_instance(tree, psi=1)
-    result = bifurcation_search(tree, oracle, params=params)
+    result = bifurcation_search(tree, oracle, psi=1)
     assert result.found == tree.target
     assert result.oracle_calls <= 2 * math.log2(tree.n)
 
@@ -449,10 +448,10 @@ def test_bifurcation_round_budgets_hold():
         tree = gen_random(n, t, seed=i)
         tree.target = place_target(tree, "random_node", seed=i)
         oracle = InstrumentedOracle(tree)
-        params = SearchParams.for_instance(tree)
-        result = bifurcation_search(tree, oracle, params=params)
+        result = bifurcation_search(tree, oracle)
         assert result.found == tree.target
-        node_cap = max(params.node_budget, TRIGGER_FACTOR * tree.n + 2)
+        params = result.params
+        node_cap = params.node_cap
         # drive the round machinery in slow motion and check the budgets
         walker = Walker(tree)
         explored = ExploredTree(tree.size, tree.root,
@@ -485,10 +484,9 @@ def test_bifurcation_extreme_psi_still_terminates():
     tree.target = place_target(tree, "adversarial_deep")
     for psi in (1, 2, 9, 50):
         oracle = InstrumentedOracle(tree)
-        params = SearchParams.for_instance(tree, psi=psi)
-        result = bifurcation_search(tree, oracle, params=params)
+        result = bifurcation_search(tree, oracle, psi=psi)
         assert result.found == tree.target
-        assert params.psi <= max(tree.t, 1)
+        assert result.params.psi == min(psi, tree.t)
 
 
 def test_search_params_reject_psi_below_one():
@@ -496,6 +494,20 @@ def test_search_params_reject_psi_below_one():
     for psi in (0, -5):
         with pytest.raises(TreeError, match="psi"):
             SearchParams.for_instance(tree, psi=psi)
+        with pytest.raises(TreeError, match="psi"):
+            bifurcation_search(tree, InstrumentedOracle(tree), psi=psi)
+    # the budgets are derived from psi, never handed in
+    with pytest.raises(TypeError):
+        bifurcation_search(tree, InstrumentedOracle(tree),
+                           params=SearchParams.for_instance(tree))
+
+
+@pytest.mark.parametrize("gen", [gen_random, gen_comb])
+def test_search_params_node_cap(gen):
+    tree = gen(200, 12, seed=7)
+    params = SearchParams.for_instance(tree)
+    assert params.node_cap == max(params.leaf_budget * params.depth_step,
+                                  TRIGGER_FACTOR * tree.n + 2)
 
 
 def test_bifurcation_round_stats_accounting():

@@ -9,7 +9,7 @@ from bifurcation.generators import (FamilySpec, build_instance, gen_comb,
                                     place_target, validate_instance)
 from bifurcation.model import InfeasibleInstanceError, TreeInstance
 
-from helpers import reference_gen_random, slow_inorder
+from helpers import is_leaf, reference_gen_random, slow_inorder
 
 
 def test_random_zero_forks_is_a_path():
@@ -69,7 +69,7 @@ def test_complete_path_h3_d4():
     tree = gen_complete_path(3, 4)
     validate_instance(tree)
     assert tree.t == 7
-    leaves = [v for v in range(tree.size) if tree.is_leaf(v)]
+    leaves = [v for v in range(tree.size) if is_leaf(tree, v)]
     assert len(leaves) == 8
     assert all(tree.depth[v] == 12 for v in leaves)
 
@@ -129,13 +129,13 @@ def test_place_target_fixed():
 def test_place_target_adversarial_deep():
     tree = gen_complete_path(2, 4)
     v = place_target(tree, "adversarial_deep")
-    assert tree.is_leaf(v)
+    assert is_leaf(tree, v)
     assert tree.depth[v] == tree.n
 
 
 def test_place_target_random_leaf_roughly_uniform():
     tree = gen_complete_path(2, 2)
-    leaves = [v for v in range(tree.size) if tree.is_leaf(v)]
+    leaves = [v for v in range(tree.size) if is_leaf(tree, v)]
     counts = collections.Counter(
         place_target(tree, "random_leaf", seed=s) for s in range(10_000))
     assert set(counts) == set(leaves)

@@ -312,6 +312,24 @@ def test_cli_game_and_minimax(capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "7"
 
 
+def test_cli_rejects_abbreviated_options(capsys):
+    # --h once abbreviated --help, so a removed option exited 0 unnoticed
+    for argv in (["search", "--h", "4", "--delta", "16"],
+                 ["search", "--fam", "comb"],
+                 ["sweep", "--n", "64", "--t", "4", "--ou", "x.csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+    # commands that define --h themselves keep it
+    assert main(["game", "--h", "3"]) == 0
+    assert "total_price," in capsys.readouterr().out
+    assert main(["minimax", "--h", "4"]) == 0
+    assert capsys.readouterr().out.strip() == "11"
+
+
 def test_cli_adversary(capsys):
     assert main(["adversary", "--n", "64", "--t", "4", "--algo", "rounds"]) == 0
     out = capsys.readouterr().out.strip().splitlines()

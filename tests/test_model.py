@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
                                FORK, FOUND, LEAF, TARGET_LARGER,
                                TARGET_SMALLER, UNARY, InstrumentedOracle,
-                               NodeIdError, Walker, WalkerError, dump_tree,
-                               inorder_compare)
+                               NodeIdError, Walker, WalkerError)
 from bifurcation.generators import gen_complete_path, gen_random, place_target
 
-from helpers import make_path, slow_inorder
+from helpers import inorder_compare, is_leaf, make_path, slow_inorder
 
 
 def test_walker_single_edge():
@@ -39,7 +38,7 @@ def test_walker_full_path_dfs_steps():
     tree = make_path("LRLRLRL")
     w = Walker(tree)
     down = 0
-    while not tree.is_leaf(w.current):
+    while not is_leaf(tree, w.current):
         w.move(DIR_ONLY)
         down += 1
     while w.current != tree.root:
@@ -79,7 +78,7 @@ def test_walker_reveal_once():
     w.move(DIR_PARENT)
     node, kind, _ = w.move(DIR_ONLY)
     assert kind is None
-    assert w.is_revealed(node)
+    assert w.revealed[node]
     assert w.kind_of(node) == UNARY
 
 
@@ -199,16 +198,5 @@ def test_walker_rejects_out_of_range_ids():
     for v in (-1, -tree.size, tree.size):
         with pytest.raises(NodeIdError):
             w.kind_of(v)
-        with pytest.raises(NodeIdError):
-            w.is_revealed(v)
     assert (w.current, w.steps) == (2, 2)
 
-
-def test_dump_format_golden():
-    tree = make_path("LR")
-    assert dump_tree(tree) == "0 unary - -\n1 unary 0 L\n2 leaf 1 R"
-    cp = gen_complete_path(1, 1)
-    lines = dump_tree(cp).splitlines()
-    assert lines[0] == "0 fork - -"
-    assert len(lines) == 3
-    assert all(len(line.split()) == 4 for line in lines)
