@@ -9,11 +9,12 @@ knowledge lives in an ExploredTree mirroring the ids the walker has entered.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from .model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT, FORK, FOUND,
                     LEAF, LEFT, TARGET_LARGER, TARGET_SMALLER, UNARY,
-                    InconsistentOracleError, TreeError, Walker)
+                    InconsistentOracleError, TreeError, Walker, WalkerError)
 
 
 def _ceil_sqrt(x: int) -> int:
@@ -29,11 +30,11 @@ class ExploredTree:
     """The algorithm's partial copy of the instance.
 
     Arrays indexed by instance id, one slot per id of a ``size``-node
-    instance: ``kind`` holds the kind string of an explored id and ``None``
-    for any other; ``parent``, ``left`` and ``right`` hold ids, ``-1`` for
-    none; ``stub`` flags stubs. A stub is a node proven not to hold the
-    target in its subtree; stubs stay in place as markers but their explored
-    subtrees are deleted. ``node_count`` and ``leaf_count`` (non-stub nodes
+    instance: ``kind`` is a list holding the kind string of an explored id
+    and ``None`` for any other; ``parent``, ``left`` and ``right`` are
+    ``array("i")`` of ids, ``-1`` for none; ``stub`` flags stubs. A stub is
+    a node proven not to hold the target in its subtree; stubs stay in
+    place as markers but their explored subtrees are deleted. ``node_count`` and ``leaf_count`` (non-stub nodes
     with no explored children) exclude stubs and are kept current as the
     tree changes.
     """
@@ -45,9 +46,10 @@ class ExploredTree:
         self.root = root
         self.kind = [None] * size
         self.kind[root] = root_kind
-        self.parent = [-1] * size
-        self.left = [-1] * size
-        self.right = [-1] * size
+        none = array("i", [-1])
+        self.parent = none * size
+        self.left = none * size
+        self.right = none * size
         self.stub = bytearray(size)
         self.node_count = 1
         self.leaf_count = 1
@@ -63,6 +65,17 @@ class ExploredTree:
             self.left[parent] = child
         else:
             self.right[parent] = child
+
+    def add_chain(self, first: int, last: int, kind: str, left, right):
+        """Add ids first..last below the leaf first - 1, each the only child
+        of the id before it; all but the last are unary, and ``left`` and
+        ``right`` are the links of first - 1..last - 1."""
+        self.kind[first:last] = [UNARY] * (last - first)
+        self.kind[last] = kind
+        self.parent[first:last + 1] = array("i", range(first - 1, last))
+        self.left[first - 1:last] = left
+        self.right[first - 1:last] = right
+        self.node_count += last + 1 - first  # last takes the leaf's place
 
     def path_to_root(self, u: int):
         """Ids from u up to the root, inclusive."""
@@ -212,6 +225,16 @@ def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
     climbs, holding the child it came up from (``back``), to the first fork
     it left by its left child and whose right child is no stub, or ends at
     the anchor.
+
+    Every edge costs one step, but a unary chain is walked in one call.
+    Going down to an only child, the walk asks ``Walker.follow`` for the
+    depth left, cut short of the next stub id; a node whose child is not id
+    + 1 makes ``follow`` raise before anything moves, and one
+    ``Walker.move`` takes that edge instead. The chain's new nodes are
+    written with slices: an explored chain is ancestor-closed, so they
+    start at the first unexplored id. Going up, ``Walker.climb`` takes the
+    walk to the top of its chain, and one move over the edge above it. So
+    the moves, and every counter, are those of one move per edge.
     """
     if walker.current != anchor:
         raise TreeError("walker must start at the exploration anchor")
@@ -221,9 +244,11 @@ def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
     rights = explored.right
     parents = explored.parent
     move = walker.move
+    follow = walker.follow
+    climb = walker.climb
     new_forks = 0
     node = anchor
-    depth = len(explored.path_to_root(anchor)) - 1
+    anchor_depth = depth = len(explored.path_to_root(anchor)) - 1
     while True:
         direction = None
         k = kinds[node]
@@ -242,6 +267,10 @@ def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
                 if c < 0 or not stub[c]:
                     direction = DIR_ONLY
         while direction is None:
+            if node != anchor:
+                top = climb(depth - anchor_depth)
+                depth -= node - top
+                node = top
             if node == anchor:
                 return new_forks
             move(DIR_PARENT)
@@ -252,6 +281,28 @@ def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
                 c = rights[node]
                 if c < 0 or not stub[c]:
                     direction = DIR_RIGHT
+        if direction == DIR_ONLY:
+            # the child is no stub, so the cut looks past it
+            room = depth_limit - depth
+            s = stub.find(1, node + 2, node + room + 1)
+            if s >= 0:
+                room = s - node - 1
+            try:
+                end, ekind, ls, rs = follow(room)
+            except WalkerError:  # node ends its run: one move takes the edge
+                pass
+            else:
+                if kinds[end] is None:
+                    new = kinds.index(None, node + 1, end + 1)
+                    if ekind is None:
+                        ekind = walker.kind_of(end)
+                    explored.add_chain(new, end, ekind, ls[new - 1 - node:],
+                                       rs[new - 1 - node:])
+                    if ekind == FORK:
+                        new_forks += 1
+                depth += end - node
+                node = end
+                continue
         cid, ckind, cside = move(direction)
         if kinds[cid] is None:
             if ckind is None:

@@ -253,16 +253,35 @@ class Walker:
     disclosed the first time the walker enters it; entering a node that was
     already revealed reports None for the kind. Downward moves also report the
     side label of the edge just traversed.
+
+    A *run* is a maximal id range ``a..b`` in which every node but ``b`` is
+    unary with only child id + 1; every generated family is made of such
+    runs. ``follow`` and ``climb`` walk many edges of one run in a call, at
+    one step per edge, revealing and reporting exactly what the same single
+    moves would. The run flags behind them, 1 for every node of a run but
+    its last, are built once, here, before the root is reported. They stay
+    conservative when ``AdaptiveOracle._freeze`` rewrites the child arrays
+    of a live walker: a freeze only touches forks, whose flag is 0; a
+    demoted fork that keeps child id + 1 keeps its 0 too, so it only ends
+    a run early, and ``move`` takes its edge; and the subtrees a freeze
+    drops can no longer be reached.
     """
 
     __slots__ = ("tree", "current", "steps", "revealed", "on_reveal",
-                 "_parent", "_left", "_right")
+                 "_parent", "_left", "_right", "_run")
 
     def __init__(self, tree: TreeInstance, on_reveal=None):
         self.tree = tree
         self._parent = tree.parent
         self._left = tree.left
         self._right = tree.right
+        left = np.frombuffer(tree.left, np.intc)
+        right = np.frombuffer(tree.right, np.intc)
+        # unary, and the one child id (the other entry is -1) is id + 1
+        self._run = bytearray(
+            (((left < 0) != (right < 0))
+             & (left + right == np.arange(len(left), dtype=np.intc)))
+            .tobytes())
         self.current = tree.root
         self.steps = 0
         self.revealed = bytearray(tree.size)
@@ -329,6 +348,59 @@ class Walker:
         if self.on_reveal is not None:
             self.on_reveal(nxt, kind)
         return nxt, kind, side
+
+    def follow(self, k: int):
+        """Walk down the current node's run for at most k edges.
+
+        Stops after entering the run's last node, so at a fork, a leaf or a
+        node whose child is not id + 1. Raises WalkerError before anything
+        moves for k < 1 or when the current node is the last of its run.
+        Fires ``on_reveal`` for every newly revealed node, in id order.
+        Returns ``(node id, kind or None, left, right)``: the node it ends
+        on, its kind on first entry, and the ``left``/``right`` entries of
+        the nodes it left, the side labels k single moves would report.
+        """
+        cur = self.current
+        run = self._run
+        if k < 1 or not run[cur]:
+            raise WalkerError("no run to follow for %r edges below node %d"
+                              % (k, cur))
+        end = run.find(0, cur + 1, cur + k)
+        if end < 0:
+            end = cur + k
+        self.current = end
+        self.steps += end - cur
+        kind = None
+        revealed = self.revealed
+        new = revealed.find(0, cur + 1, end + 1)
+        if new >= 0:
+            revealed[new:end + 1] = b"\x01" * (end + 1 - new)
+            hook = self.on_reveal
+            if hook is not None:
+                for v in range(new, end):
+                    hook(v, UNARY)
+            kind = self.tree.kind(end)
+            if hook is not None:
+                hook(end, kind)
+        return end, kind, self._left[cur:end], self._right[cur:end]
+
+    def climb(self, k: int) -> int:
+        """Walk up the current node's run for at most k edges.
+
+        Stops at the run's first node, which may be the current node itself.
+        Raises WalkerError before anything moves for k < 1 or for k above
+        the node's depth. Returns the node it ends on.
+        """
+        cur = self.current
+        if k < 1 or k > self.tree.depth[cur]:
+            raise WalkerError("cannot climb %r edges above node %d"
+                              % (k, cur))
+        lo = max(cur - k, 0)
+        j = self._run.rfind(0, lo, cur)
+        top = j + 1 if j >= 0 else lo
+        self.current = top
+        self.steps += cur - top
+        return top
 
 
 class InstrumentedOracle:

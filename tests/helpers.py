@@ -8,9 +8,11 @@ from array import array
 import numpy as np
 
 from bifurcation.generators import gen_comb, gen_random, mix_seed
-from bifurcation.model import (FORK, FOUND, LEFT, RIGHT, TARGET_LARGER,
+from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
+                              FORK, FOUND, LEAF, LEFT, RIGHT, TARGET_LARGER,
                               TARGET_SMALLER, InconsistentOracleError,
-                              InfeasibleInstanceError, TreeInstance)
+                              InfeasibleInstanceError, TreeError,
+                              TreeInstance)
 
 
 # The generator parity grid of (n, t) pairs: n = 1, t = 0, t > n (forks
@@ -531,3 +533,70 @@ def reference_place_target(tree, strategy, seed=0):
 def explored_ids(explored):
     """Ids of an ExploredTree's explored nodes, stubs included, in id order."""
     return [v for v, k in enumerate(explored.kind) if k is not None]
+
+
+def reference_dfs_extend(explored, walker, depth_limit, anchor):
+    """The single-move ``dfs_extend`` that walked one edge per
+    ``Walker.move`` call, kept to check the run-walking one against.
+
+    Grow anchor's explored subtree to the depth limit by walking DFS.
+
+    The walker must stand at anchor, or TreeError is raised before any step.
+    Already explored edges are re-walked (each at most twice), stubs are
+    never entered, the walk turns back at the depth limit, and the walker
+    ends where it started. Returns the count of newly explored forks.
+
+    No stack is kept. The walk goes down, into the left child first, until
+    it reaches the limit or a node with no child it may enter; then it
+    climbs, holding the child it came up from (``back``), to the first fork
+    it left by its left child and whose right child is no stub, or ends at
+    the anchor.
+    """
+    if walker.current != anchor:
+        raise TreeError("walker must start at the exploration anchor")
+    kinds = explored.kind
+    stub = explored.stub
+    lefts = explored.left
+    rights = explored.right
+    parents = explored.parent
+    move = walker.move
+    new_forks = 0
+    node = anchor
+    depth = len(explored.path_to_root(anchor)) - 1
+    while True:
+        direction = None
+        k = kinds[node]
+        if depth < depth_limit and k != LEAF:
+            c = lefts[node]
+            if k == FORK:
+                if c < 0 or not stub[c]:
+                    direction = DIR_LEFT
+                else:
+                    c = rights[node]
+                    if c < 0 or not stub[c]:
+                        direction = DIR_RIGHT
+            else:
+                if c < 0:
+                    c = rights[node]
+                if c < 0 or not stub[c]:
+                    direction = DIR_ONLY
+        while direction is None:
+            if node == anchor:
+                return new_forks
+            move(DIR_PARENT)
+            back = node
+            node = parents[node]
+            depth -= 1
+            if lefts[node] == back and kinds[node] == FORK:
+                c = rights[node]
+                if c < 0 or not stub[c]:
+                    direction = DIR_RIGHT
+        cid, ckind, cside = move(direction)
+        if kinds[cid] is None:
+            if ckind is None:
+                ckind = walker.kind_of(cid)
+            explored.add_child(node, cside, cid, ckind)
+            if ckind == FORK:
+                new_forks += 1
+        node = cid
+        depth += 1

@@ -1,4 +1,5 @@
 import itertools
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +8,13 @@ from hypothesis import strategies as st
 from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
                                FORK, FOUND, LEAF, TARGET_LARGER,
                                TARGET_SMALLER, UNARY, InstrumentedOracle,
-                               NodeIdError, Walker, WalkerError)
+                               NodeIdError, TreeInstance, Walker,
+                               WalkerError)
+from bifurcation.algorithms import ExploredTree, dfs_extend
 from bifurcation.generators import gen_complete_path, gen_random, place_target
 
-from helpers import inorder_compare, is_leaf, make_path, slow_inorder
+from helpers import (inorder_compare, is_leaf, make_path,
+                     reference_dfs_extend, slow_inorder)
 
 
 def test_walker_single_edge():
@@ -200,3 +204,135 @@ def test_walker_rejects_out_of_range_ids():
             w.kind_of(v)
     assert (w.current, w.steps) == (2, 2)
 
+
+
+def _tree(parent, left, right):
+    """A hand-built instance from its three link lists; depths follow."""
+    depth = [0] * len(parent)
+    for v in range(len(parent)):
+        u = v
+        while parent[u] >= 0:
+            depth[v] += 1
+            u = parent[u]
+    return TreeInstance(array("i", parent), array("i", left),
+                        array("i", right), array("i", depth),
+                        n=max(depth), t=sum(1 for a, b in zip(left, right)
+                                            if a >= 0 and b >= 0))
+
+
+# 0 -> 1 -> 2, a fork with 3 -> 4 on its left and 5 -> 6 on its right
+FORKED = dict(parent=[-1, 0, 1, 2, 3, 2, 5], left=[1, -1, 3, -1, -1, 6, -1],
+              right=[-1, 2, 5, 4, -1, -1, -1])
+# 0 -> 2 -> 3 -> 5, a fork with 6 -> 7 on its left and 1 -> 4 on its
+# right: the only child of 0, 3 and 1 is not id + 1
+SHUFFLED = dict(parent=[-1, 5, 0, 2, 1, 3, 5, 6],
+                left=[-1, 4, 3, -1, -1, 6, 7, -1],
+                right=[2, -1, -1, 5, -1, 1, -1, -1])
+
+
+def _logged(tree):
+    log = []
+    return Walker(tree, lambda v, kind: log.append((v, kind))), log
+
+
+def _seen(walker, log):
+    return walker.current, walker.steps, bytes(walker.revealed), list(log)
+
+
+def test_follow_equals_single_moves():
+    tree = make_path("LRRLLRLR")
+    for start in (0, 3):
+        for k in range(1, tree.size - start):
+            a, log_a = _logged(tree)
+            b, log_b = _logged(tree)
+            for w in (a, b):
+                for _ in range(start):
+                    w.move(DIR_ONLY)
+            end, kind, lefts, rights = a.follow(k)
+            for _ in range(k):
+                node, last_kind, _ = b.move(DIR_ONLY)
+            assert (end, kind) == (node, last_kind) == (start + k, kind)
+            assert _seen(a, log_a) == _seen(b, log_b)
+            assert list(lefts) == list(tree.left[start:end])
+            assert list(rights) == list(tree.right[start:end])
+    # a second pass over revealed nodes reports no kind and fires no hook
+    a, log = _logged(tree)
+    a.follow(5)
+    a.move(DIR_PARENT)
+    a.move(DIR_PARENT)
+    calls = len(log)
+    assert a.follow(2)[:2] == (5, None)
+    assert a.follow(3)[:2] == (8, LEAF)
+    assert len(log) == calls + 3
+
+
+def test_climb_equals_single_moves():
+    tree = make_path("RLLRL")
+    for k in range(1, tree.size):
+        a, log_a = _logged(tree)
+        b, log_b = _logged(tree)
+        for w in (a, b):
+            w.follow(5)
+        assert a.climb(k) == 5 - k
+        for _ in range(k):
+            b.move(DIR_PARENT)
+        assert _seen(a, log_a) == _seen(b, log_b)
+
+
+def test_follow_stops_after_entering_a_fork_or_a_leaf():
+    tree = _tree(**FORKED)
+    w, log = _logged(tree)
+    assert w.follow(10)[:2] == (2, FORK)
+    w.move(DIR_LEFT)
+    assert w.follow(10)[:2] == (4, LEAF)
+    assert w.steps == 4
+    assert log == [(0, UNARY), (1, UNARY), (2, FORK), (3, UNARY), (4, LEAF)]
+    # a climb stops at the first node of its run: 3, below the fork
+    assert w.climb(4) == 3
+    assert w.steps == 5
+
+
+def test_follow_and_climb_refuse_before_anything_moves():
+    tree = _tree(**SHUFFLED)
+    w, log = _logged(tree)
+    for call, k in ((w.follow, 0), (w.follow, -1), (w.climb, 0),
+                    (w.follow, 1),  # the only child of 0 is 2
+                    (w.climb, 1)):  # the root
+        before = _seen(w, log)
+        with pytest.raises(WalkerError):
+            call(k)
+        assert _seen(w, log) == before
+    w.move(DIR_ONLY)
+    assert w.follow(5)[:2] == (3, UNARY)  # 3's only child is 5
+    w.move(DIR_ONLY)
+    w.move(DIR_LEFT)
+    assert w.follow(1)[:2] == (7, LEAF)
+    for call, k in ((w.follow, 1),  # a leaf
+                    (w.climb, 6)):  # 7 is at depth 5
+        before = _seen(w, log)
+        with pytest.raises(WalkerError):
+            call(k)
+        assert _seen(w, log) == before
+    w.climb(1)
+    w.move(DIR_PARENT)
+    before = _seen(w, log)
+    with pytest.raises(WalkerError):
+        w.follow(1)  # a fork
+    assert _seen(w, log) == before
+
+
+def test_dfs_extend_matches_reference_where_children_skip_ids():
+    tree = _tree(**SHUFFLED)
+    for limit in range(7):
+        sides = []
+        for dfs in (dfs_extend, reference_dfs_extend):
+            w, log = _logged(tree)
+            explored = ExploredTree(tree.size, tree.root, w.kind_of(0))
+            forks = dfs(explored, w, limit, tree.root)
+            again = dfs(explored, w, limit + 1, tree.root)
+            sides.append((forks, again, _seen(w, log), explored.kind,
+                          list(explored.parent), list(explored.left),
+                          list(explored.right), explored.node_count,
+                          explored.leaf_count))
+        assert sides[0] == sides[1]
+    assert sides[0][2][1] == 4 * (tree.size - 1)  # two full walks
