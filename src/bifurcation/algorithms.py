@@ -234,7 +234,8 @@ def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
     written with slices: an explored chain is ancestor-closed, so they
     start at the first unexplored id. Going up, ``Walker.climb`` takes the
     walk to the top of its chain, and one move over the edge above it. So
-    the moves, and every counter, are those of one move per edge.
+    the moves, and every counter, are those of one move per edge. New nodes
+    take their kind from ``Walker.kind_of``.
     """
     if walker.current != anchor:
         raise TreeError("walker must start at the exploration anchor")
@@ -288,14 +289,13 @@ def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
             if s >= 0:
                 room = s - node - 1
             try:
-                end, ekind, ls, rs = follow(room)
+                end, _, ls, rs = follow(room)
             except WalkerError:  # node ends its run: one move takes the edge
                 pass
             else:
                 if kinds[end] is None:
                     new = kinds.index(None, node + 1, end + 1)
-                    if ekind is None:
-                        ekind = walker.kind_of(end)
+                    ekind = walker.kind_of(end)
                     explored.add_chain(new, end, ekind, ls[new - 1 - node:],
                                        rs[new - 1 - node:])
                     if ekind == FORK:
@@ -303,10 +303,9 @@ def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
                 depth += end - node
                 node = end
                 continue
-        cid, ckind, cside = move(direction)
+        cid, _, cside = move(direction)
         if kinds[cid] is None:
-            if ckind is None:
-                ckind = walker.kind_of(cid)
+            ckind = walker.kind_of(cid)
             explored.add_child(node, cside, cid, ckind)
             if ckind == FORK:
                 new_forks += 1

@@ -11,7 +11,8 @@ from itertools import repeat, starmap
 
 import numpy as np
 
-from .model import LEFT, RIGHT, InfeasibleInstanceError, TreeInstance
+from .model import (LEFT, RIGHT, InfeasibleInstanceError, TreeError,
+                    TreeInstance)
 
 FAMILIES = ("random", "comb", "complete_path")
 
@@ -261,34 +262,26 @@ def build_instance(spec: FamilySpec) -> TreeInstance:
 
 
 def validate_instance(tree: TreeInstance) -> None:
-    """Check structural invariants, raising InfeasibleInstanceError on failure."""
-    size = tree.size
-    roots = [v for v in range(size) if tree.parent[v] < 0]
-    if roots != [tree.root]:
-        raise InfeasibleInstanceError("expected a single root")
-    # the id order that inorder ranking relies on
-    if tree.root != 0 or any(tree.parent[v] >= v for v in range(1, size)):
+    """Check structural invariants, raising InfeasibleInstanceError on
+    failure; the id order and the links are the ranking pass's checks."""
+    try:
+        tree._compute_inorder()
+    except TreeError as exc:
         raise InfeasibleInstanceError(
-            "expected root 0 and every parent id below its child's")
-    forks = 0
-    for v in range(size):
-        l = tree.left[v]
-        r = tree.right[v]
-        if l >= 0 and r >= 0:
-            forks += 1
-            if l == r:
-                raise InfeasibleInstanceError("duplicate child at %d" % v)
-        for c in (l, r):
-            if c >= 0:
-                if tree.parent[c] != v:
-                    raise InfeasibleInstanceError("parent link mismatch at %d" % c)
-                if tree.depth[c] != tree.depth[v] + 1:
-                    raise InfeasibleInstanceError("depth mismatch at %d" % c)
-        if l < 0 and r < 0 and tree.depth[v] > tree.n:
-            raise InfeasibleInstanceError(
-                "leaf %d at depth %d exceeds bound %d" % (v, tree.depth[v], tree.n))
+            "expected root 0, every parent id below its child's and child "
+            "links that match the parents: %s" % exc) from exc
+    parent, left, right, depth = (np.frombuffer(a, np.intc) for a in (
+        tree.parent, tree.left, tree.right, tree.depth))
+    bad = np.flatnonzero(depth[1:] != depth[parent[1:]] + 1)
+    if bad.size:
+        raise InfeasibleInstanceError("depth mismatch at %d" % (bad[0] + 1))
+    bad = np.flatnonzero((left < 0) & (right < 0) & (depth > tree.n))
+    if bad.size:
+        raise InfeasibleInstanceError("leaf %d at depth %d exceeds bound %d"
+                                      % (bad[0], depth[bad[0]], tree.n))
+    forks = np.count_nonzero((left >= 0) & (right >= 0))
     if forks != tree.t:
         raise InfeasibleInstanceError(
             "fork count %d does not match declared %d" % (forks, tree.t))
-    if not 0 <= tree.target < size:
+    if not 0 <= tree.target < tree.size:
         raise InfeasibleInstanceError("target out of range")

@@ -134,8 +134,9 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
     Every record's seed is mixed from (base_seed, family, n, t, psi,
     trial), so a row's (family, algo, seed) names its full cell wherever the
     cell sits in the grid: a resumed sweep skips exactly the completed
-    cells, even after the grid is reordered or extended. Each (cell, trial)
-    instance is built once and shared by every algorithm. Each row is
+    cells, even after the grid is reordered or extended, and a cell named
+    twice, by a repeated grid value or algorithm, runs once. Each (cell,
+    trial) instance is built once and shared by every algorithm. Each row is
     flushed as it is written; on resume a torn last row is dropped and run
     again, while a malformed row anywhere else raises. An unknown
     algorithm, family or target strategy, a psi below 1 or fewer than one
@@ -164,10 +165,11 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
                         for trial in range(trials):
                             seed = _cell_seed(base_seed, family, n, t, psi,
                                               trial)
-                            todo = [algo for algo in algos
+                            todo = [algo for algo in dict.fromkeys(algos)
                                     if (family, algo, seed) not in done]
                             if not todo:
                                 continue
+                            done.update((family, algo, seed) for algo in todo)
                             spec = FamilySpec(family, n, t, seed,
                                               target_strategy)
                             tree = build_instance(spec)

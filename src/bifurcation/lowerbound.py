@@ -130,8 +130,6 @@ def _allowed_queries(state: GameState):
 
 
 def _validate_move(state: GameState, q: int):
-    if q in state.queried:
-        raise GameRuleError("repeated query %d" % q)
     if state.active_size > 2:
         if not state.x < q < state.y:
             raise GameRuleError("query %d outside the open active range" % q)
@@ -144,19 +142,27 @@ def play_game(strategy: str, h: int, seed: int = 0) -> Transcript:
     isolated.
 
     Players query strictly inside the active range while it has more than two
-    labels, and an endpoint once two remain.
+    labels, and an endpoint once two remain. ``random`` draws one allowed
+    label with ``randrange``. ``greedy_cheapest`` takes the cheapest, smallest
+    first, pricing against the queried flanks x - 1 and y + 1 alone, as
+    ``minimax_price`` does; its work grows 4x a height, so it shares that cap.
     """
+    if strategy == "greedy_cheapest" and h > _MINIMAX_CAP:
+        raise GameRuleError("height %d is past desk scale" % h)
     state = GameState(h)
     rng = random.Random(seed)
     steps = []
     while not state.over():
+        x, y = state.x, state.y
         if strategy == "balanced_bisect":
-            q = (state.x + state.y) // 2
+            q = (x + y) // 2
         elif strategy == "greedy_cheapest":
+            flanks = state.queried & {x - 1, y + 1}
             q = min(_allowed_queries(state),
-                    key=lambda c: (query_price(c, state.queried, h), c))
+                    key=lambda c: (query_price(c, flanks, h), c))
         elif strategy == "random":
-            q = rng.choice(_allowed_queries(state))
+            q = (rng.randrange(x, y + 1) if state.active_size == 2
+                 else rng.randrange(x + 1, y))
         else:
             raise GameRuleError("unknown strategy %r" % (strategy,))
         _validate_move(state, q)

@@ -267,14 +267,10 @@ class Walker:
     drops can no longer be reached.
     """
 
-    __slots__ = ("tree", "current", "steps", "revealed", "on_reveal",
-                 "_parent", "_left", "_right", "_run")
+    __slots__ = ("tree", "current", "steps", "revealed", "on_reveal", "_run")
 
     def __init__(self, tree: TreeInstance, on_reveal=None):
         self.tree = tree
-        self._parent = tree.parent
-        self._left = tree.left
-        self._right = tree.right
         left = np.frombuffer(tree.left, np.intc)
         right = np.frombuffer(tree.right, np.intc)
         # unary, and the one child id (the other entry is -1) is id + 1
@@ -304,14 +300,15 @@ class Walker:
         reported only on first entry, the side only on downward moves.
         """
         cur = self.current
+        tree = self.tree
         if direction == DIR_PARENT:
-            nxt = self._parent[cur]
+            nxt = tree.parent[cur]
             if nxt < 0:
                 raise WalkerError("the root has no parent")
             side = None
         elif direction == DIR_ONLY:
-            l = self._left[cur]
-            r = self._right[cur]
+            l = tree.left[cur]
+            r = tree.right[cur]
             if l >= 0:
                 if r >= 0:
                     raise WalkerError("node %d is a fork; pick a side" % cur)
@@ -323,13 +320,13 @@ class Walker:
             else:
                 raise WalkerError("node %d is a leaf" % cur)
         elif direction == DIR_LEFT:
-            nxt = self._left[cur]
-            if nxt < 0 or self._right[cur] < 0:
+            nxt = tree.left[cur]
+            if nxt < 0 or tree.right[cur] < 0:
                 raise WalkerError("left_child requires a fork, not %d" % cur)
             side = LEFT
         elif direction == DIR_RIGHT:
-            nxt = self._right[cur]
-            if nxt < 0 or self._left[cur] < 0:
+            nxt = tree.right[cur]
+            if nxt < 0 or tree.left[cur] < 0:
                 raise WalkerError("right_child requires a fork, not %d" % cur)
             side = RIGHT
         else:
@@ -339,12 +336,7 @@ class Walker:
         if self.revealed[nxt]:
             return nxt, None, side
         self.revealed[nxt] = 1
-        l = self._left[nxt]
-        r = self._right[nxt]
-        if l >= 0:
-            kind = FORK if r >= 0 else UNARY
-        else:
-            kind = UNARY if r >= 0 else LEAF
+        kind = tree.kind(nxt)
         if self.on_reveal is not None:
             self.on_reveal(nxt, kind)
         return nxt, kind, side
@@ -382,7 +374,7 @@ class Walker:
             kind = self.tree.kind(end)
             if hook is not None:
                 hook(end, kind)
-        return end, kind, self._left[cur:end], self._right[cur:end]
+        return end, kind, self.tree.left[cur:end], self.tree.right[cur:end]
 
     def climb(self, k: int) -> int:
         """Walk up the current node's run for at most k edges.

@@ -8,6 +8,8 @@ from array import array
 import numpy as np
 
 from bifurcation.generators import gen_comb, gen_random, mix_seed
+from bifurcation.lowerbound import (GameRuleError, GameState, GameStep,
+                                    Transcript, adversary_answer, query_price)
 from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
                               FORK, FOUND, LEAF, LEFT, RIGHT, TARGET_LARGER,
                               TARGET_SMALLER, InconsistentOracleError,
@@ -600,3 +602,50 @@ def reference_dfs_extend(explored, walker, depth_limit, anchor):
                 new_forks += 1
         node = cid
         depth += 1
+
+
+def _allowed_queries(state):
+    if state.active_size == 2:
+        return [state.x, state.y]
+    return list(range(state.x + 1, state.y))
+
+
+def _validate_move(state, q):
+    if q in state.queried:
+        raise GameRuleError("repeated query %d" % q)
+    if state.active_size > 2:
+        if not state.x < q < state.y:
+            raise GameRuleError("query %d outside the open active range" % q)
+    elif q not in (state.x, state.y):
+        raise GameRuleError("query %d outside the active pair" % q)
+
+
+def reference_play_game(strategy, h, seed=0):
+    """The ``play_game`` that listed every allowed query at every step and
+    priced greedy candidates against the whole query history, kept to check
+    the drawing and flank-pricing one against.
+
+    Run a query strategy against the adversary until the target label is
+    isolated.
+
+    Players query strictly inside the active range while it has more than two
+    labels, and an endpoint once two remain.
+    """
+    state = GameState(h)
+    rng = random.Random(seed)
+    steps = []
+    while not state.over():
+        if strategy == "balanced_bisect":
+            q = (state.x + state.y) // 2
+        elif strategy == "greedy_cheapest":
+            q = min(_allowed_queries(state),
+                    key=lambda c: (query_price(c, state.queried, h), c))
+        elif strategy == "random":
+            q = rng.choice(_allowed_queries(state))
+        else:
+            raise GameRuleError("unknown strategy %r" % (strategy,))
+        _validate_move(state, q)
+        answer, price, discarded = adversary_answer(state, q)
+        steps.append(GameStep(len(steps) + 1, q, price, answer,
+                              state.x, state.y, discarded))
+    return Transcript(h, strategy, tuple(steps), state.total_price)

@@ -192,3 +192,34 @@ def test_validator_rejects_ids_out_of_parent_order(parent, left, depth, root):
                         n=size - 1, t=0, root=root, target=root)
     with pytest.raises(InfeasibleInstanceError, match="parent id"):
         validate_instance(tree)
+
+
+def _fork_tree(depth=(0, 1, 1), n=1, t=1, target=0):
+    """A root fork with two leaf children."""
+    return TreeInstance(array("i", [-1, 0, 0]), array("i", [1, -1, -1]),
+                        array("i", [2, -1, -1]), array("i", depth), n=n, t=t,
+                        target=target)
+
+
+@pytest.mark.parametrize("tree, message", [
+    (_fork_tree(depth=(0, 1, 2), n=2), "depth mismatch at 2"),
+    (_fork_tree(n=0), "leaf 1 at depth 1 exceeds bound 0"),
+    (_fork_tree(t=2), "fork count 1 does not match declared 2"),
+    (_fork_tree(target=3), "target out of range"),
+    (_fork_tree(target=-1), "target out of range"),
+    # node 0 links node 1 on both sides
+    (TreeInstance(array("i", [-1, 0]), array("i", [1, -1]),
+                  array("i", [1, -1]), array("i", [0, 1]), n=1, t=1),
+     "child"),
+    # node 1 names node 0 as its parent, but node 0 links no child
+    (TreeInstance(array("i", [-1, 0]), array("i", [-1, -1]),
+                  array("i", [-1, -1]), array("i", [0, 1]), n=1, t=0),
+     "child arrays disagree"),
+])
+def test_validator_rejects_malformed_trees(tree, message):
+    with pytest.raises(InfeasibleInstanceError, match=message):
+        validate_instance(tree)
+
+
+def test_validator_accepts_the_fork_tree():
+    validate_instance(_fork_tree())

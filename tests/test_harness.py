@@ -60,6 +60,15 @@ def test_sweep_resume_no_duplicates(tmp_path):
     assert len(keys) == len(set(keys)) == 4
 
 
+def test_sweep_runs_a_repeated_cell_once(tmp_path):
+    out = tmp_path / "grid.csv"
+    grid = (["random"], [16, 16], [2], ["full", "full"])
+    assert sweep(out, *grid, trials=1) == 1
+    assert len(load_records(out)) == 1
+    assert sweep(out, *grid, trials=1) == 0
+    assert len(load_records(out)) == 1
+
+
 def test_sweep_resume_after_torn_last_row(tmp_path):
     grid = (["random"], [16, 32], [2], ["full", "rounds"])
     whole = tmp_path / "whole.csv"

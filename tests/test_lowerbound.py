@@ -11,10 +11,13 @@ from bifurcation.lowerbound import (_MINIMAX_CAP, AdaptiveOracle,
                                     adaptive_fork_adversary, adversary_answer,
                                     lca_rank, minimax_price, play_game,
                                     query_price)
-from bifurcation.model import TARGET_LARGER, NodeIdError
+from bifurcation.model import (FOUND, TARGET_LARGER, TARGET_SMALLER,
+                              NodeIdError)
 
+import bifurcation.lowerbound as lowerbound
 from helpers import (brute_minimax, edge_union, reference_minimax,
-                     reference_subtree_spans, root_path_edges)
+                     reference_play_game, reference_subtree_spans,
+                     root_path_edges)
 
 
 # ---------------------------------------------------------------- lca_rank
@@ -162,6 +165,28 @@ def test_play_game_unknown_strategy():
         play_game("clairvoyant", 3)
 
 
+def test_play_game_matches_reference():
+    for h in range(1, 9):
+        for strategy in STRATEGIES:
+            for seed in range(3):
+                assert (play_game(strategy, h, seed=seed)
+                        == reference_play_game(strategy, h, seed=seed))
+
+
+def test_play_game_random_lists_no_queries(monkeypatch):
+    def refuse(state):
+        raise AssertionError("the random player listed the allowed queries")
+
+    monkeypatch.setattr(lowerbound, "_allowed_queries", refuse)
+    transcript = play_game("random", 10, seed=4)
+    assert transcript.steps[-1].range_lo == transcript.steps[-1].range_hi
+
+
+def test_play_game_greedy_height_cap():
+    with pytest.raises(GameRuleError):
+        play_game("greedy_cheapest", _MINIMAX_CAP + 1)
+
+
 # ------------------------------------------------------------ minimax_price
 
 
@@ -249,6 +274,19 @@ def test_adaptive_freeze_demotes_unrevealed_forks():
         stack.extend(c for c in (l, r) if c >= 0)
     assert live_forks <= rep.revealed_forks
     assert rep.replay_consistent()
+
+
+def test_replay_inconsistent_reports():
+    rep = adaptive_fork_adversary(64, 16, "bifurcation")
+    assert rep.replay_consistent()
+    q, answer = rep.transcript[0]
+    assert answer != FOUND
+    flipped = TARGET_SMALLER if answer == TARGET_LARGER else TARGET_LARGER
+    rep.transcript = ((q, flipped),) + rep.transcript[1:]
+    assert not rep.replay_consistent()
+    rep = adaptive_fork_adversary(64, 16, "bifurcation")
+    rep.target = None
+    assert not rep.replay_consistent()
 
 
 def test_adaptive_oracle_rejects_out_of_range_ids():
