@@ -12,6 +12,8 @@ import math
 from array import array
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT, FORK, FOUND,
                     LEAF, LEFT, TARGET_LARGER, TARGET_SMALLER, UNARY,
                     InconsistentOracleError, TreeError, Walker, WalkerError)
@@ -27,25 +29,29 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class ExploredTree:
-    """The algorithm's partial copy of the instance.
+    """The algorithm's partial copy of the instance the walker explores.
 
-    Arrays indexed by instance id, one slot per id of a ``size``-node
-    instance: ``kind`` is a list holding the kind string of an explored id
-    and ``None`` for any other; ``parent``, ``left`` and ``right`` are
-    ``array("i")`` of ids, ``-1`` for none; ``stub`` flags stubs. A stub is
-    a node proven not to hold the target in its subtree; stubs stay in
-    place as markers but their explored subtrees are deleted. ``node_count`` and ``leaf_count`` (non-stub nodes
-    with no explored children) exclude stubs and are kept current as the
-    tree changes.
+    Arrays indexed by instance id, one slot per id: ``kind`` is a list
+    holding the kind string of an explored id and ``None`` for any other;
+    ``parent``, ``left`` and ``right`` are ``array("i")`` of ids, ``-1`` for
+    none; ``stub`` flags stubs. A stub is a node proven not to hold the
+    target in its subtree; stubs stay in place as markers but their
+    explored subtrees are deleted. ``node_count`` and ``leaf_count``
+    (non-stub nodes with no explored children) exclude stubs and are kept
+    current as the tree changes.
+
+    A node's value is its inorder rank (``Walker.values``), fetched on the
+    first rescan or cut and read only at explored ids.
     """
 
     __slots__ = ("root", "kind", "parent", "left", "right", "stub",
-                 "node_count", "leaf_count")
+                 "node_count", "leaf_count", "_walker", "_values")
 
-    def __init__(self, size: int, root: int, root_kind: str):
-        self.root = root
+    def __init__(self, walker: Walker):
+        size = walker.tree.size
+        self.root = root = walker.tree.root
         self.kind = [None] * size
-        self.kind[root] = root_kind
+        self.kind[root] = walker.kind_of(root)
         none = array("i", [-1])
         self.parent = none * size
         self.left = none * size
@@ -53,6 +59,8 @@ class ExploredTree:
         self.stub = bytearray(size)
         self.node_count = 1
         self.leaf_count = 1
+        self._walker = walker
+        self._values = None
 
     def add_child(self, parent: int, side: str, child: int, kind: str):
         # the child is a new leaf; a childless parent stops being one
@@ -87,65 +95,65 @@ class ExploredTree:
             p = parent[p]
         return path
 
+    def _value_array(self):
+        if self._values is None:
+            self._values = np.frombuffer(self._walker.values(), np.intc)
+        return self._values
+
     def _inorder(self, top: int):
         # Both public rescans call this, never each other, so a profiler
         # that wraps both counts every rescanned id once.
-        nodes = []
-        left = self.left
-        right = self.right
-        stub = self.stub
-        stack = []
-        cur = top
-        while True:
-            while cur >= 0:
-                stack.append(cur)
-                cur = left[cur]
-            if not stack:
-                return nodes
-            cur = stack.pop()
-            if not stub[cur]:
-                nodes.append(cur)
-            cur = right[cur]
+        values = self._value_array()
+        live = np.frombuffer(self.parent, np.intc) >= 0
+        live[self.root] = True
+        live &= np.frombuffer(self.stub, bool) == 0
+        slots = np.full(len(live), -1, np.intc)  # explored ids by value
+        slots[values[live]] = np.arange(len(live), dtype=np.intc)[live]
+        if top != self.root:  # cut to the values of top's lowest and
+            lo = hi = top     # highest explored descendants
+            while self.left[lo] >= 0:
+                lo = self.left[lo]
+            while self.right[hi] >= 0:
+                hi = self.right[hi]
+            slots = slots[values[lo]:values[hi] + 1]
+        return slots[slots >= 0]
 
     def inorder_below(self, top: int):
-        """Non-stub ids of top's explored subtree, in inorder."""
+        """Non-stub ids of top's explored subtree, in inorder (np.intc)."""
         return self._inorder(top)
 
     def inorder_nodes_and_leaves(self):
         """Non-stub ids in inorder, plus the subset with no explored children."""
         nodes = self._inorder(self.root)
-        left = self.left
-        right = self.right
-        return nodes, [v for v in nodes if left[v] < 0 and right[v] < 0]
+        has_child = np.frombuffer(self.left, np.intc)[nodes] >= 0
+        has_child |= np.frombuffer(self.right, np.intc)[nodes] >= 0
+        return nodes, nodes[~has_child]
 
-    def mark_stub(self, v: int):
-        """Stub v and delete its explored subtree; a stub stays as it is."""
-        kind = self.kind
-        parent = self.parent
-        left = self.left
-        right = self.right
-        stub = self.stub
-        nodes = leaves = 0  # non-stub nodes and leaves taken out of view
-        stack = [v]
-        while stack:
-            w = stack.pop()
-            l = left[w]
-            r = right[w]
-            if l >= 0:
-                stack.append(l)
-                left[w] = -1
-            if r >= 0:
-                stack.append(r)
-                right[w] = -1
-            if not stub[w]:
-                nodes += 1
-                if l < 0 and r < 0:
-                    leaves += 1
-            if w != v:
-                kind[w] = None
-                parent[w] = -1
-                stub[w] = 0
-        stub[v] = 1
+    def _cut(self, u: int, larger: bool, keep, stubs):
+        """Stub ``stubs`` and delete their explored subtrees: every explored
+        id valued below u's (``larger``) or above it, but those in ``keep``."""
+        values = self._value_array()
+        parent = np.frombuffer(self.parent, np.intc)
+        left = np.frombuffer(self.left, np.intc)
+        right = np.frombuffer(self.right, np.intc)
+        stub = np.frombuffer(self.stub, bool)
+        padded = np.zeros(len(parent) + 1, bool)  # id -1 is the pad
+        cut = padded[:-1]
+        (np.less if larger else np.greater)(values, values[u], out=cut,
+                                            where=parent >= 0)
+        padded[keep] = False
+        gone = cut & ~stub
+        gone[stubs] = True  # stubs from now, non-stub nodes until now
+        nodes = np.count_nonzero(gone)
+        gone &= (left & right) < 0  # no child: both links are negative
+        leaves = np.count_nonzero(gone)
+        parent[cut] = left[cut] = right[cut] = -1
+        left[stubs] = right[stubs] = -1
+        stub[cut] = False
+        stub[stubs] = True
+        for a, b in np.flatnonzero(padded[1:] != padded[:-1]).reshape(
+                -1, 2).tolist():
+            self.kind[a + 1:b + 1] = [None] * (b - a)
         self.node_count -= nodes
         self.leaf_count -= leaves
 
@@ -157,23 +165,21 @@ def trim(explored: ExploredTree, u: int, answer: str):
     root-to-u path that is not itself on the path becomes a stub; symmetric
     for a smaller target and right children. A queried node that is a true
     leaf is also stubbed, since its whole subtree is just itself and the
-    answer excluded it. Returns the newly created stubs.
+    answer excluded it. Returns the newly created stubs, whose explored
+    subtrees go in one deletion: u's cut side bar the path and its children.
     """
     if answer == FOUND:
         raise TreeError("trim is undefined for a found answer")
+    path = explored.path_to_root(u)
     take = explored.left if answer == TARGET_LARGER else explored.right
-    stub = explored.stub
-    new_stubs = []
-    below = -1  # the path's child of v, the one child of v on the path
-    for v in explored.path_to_root(u):
-        c = take[v]
-        if c >= 0 and c != below and not stub[c]:
-            explored.mark_stub(c)
-            new_stubs.append(c)
-        below = v
-    if explored.kind[u] == LEAF and not stub[u]:
-        explored.mark_stub(u)
+    kids = [take[v] for v in path]
+    # [-1] + path holds the path's child of each path node
+    new_stubs = [c for c, below in zip(kids, [-1] + path)
+                 if c >= 0 and c != below and not explored.stub[c]]
+    if explored.kind[u] == LEAF and not explored.stub[u]:
         new_stubs.append(u)
+    if new_stubs:
+        explored._cut(u, answer == TARGET_LARGER, path + kids, new_stubs)
     return new_stubs
 
 
@@ -184,17 +190,17 @@ def median_node(explored: ExploredTree) -> int:
     toward the inorder-smaller candidate.
     """
     nodes = explored.inorder_below(explored.root)
-    if not nodes:
+    if not len(nodes):
         raise TreeError("empty explored tree")
-    return nodes[(len(nodes) - 1) // 2]
+    return int(nodes[(len(nodes) - 1) // 2])
 
 
 def median_leaf(explored: ExploredTree) -> int:
     """Median over non-stub explored leaves, same tie rule as median_node."""
     leaves = explored.inorder_nodes_and_leaves()[1]
-    if not leaves:
+    if not len(leaves):
         raise TreeError("no non-stub leaves to bisect")
-    return leaves[(len(leaves) - 1) // 2]
+    return int(leaves[(len(leaves) - 1) // 2])
 
 
 def halve(explored: ExploredTree, oracle, median=median_node):
@@ -380,9 +386,9 @@ def _bisect(seq, oracle):
     hi = len(seq) - 1
     while lo <= hi:
         mid = (lo + hi) // 2
-        answer = oracle.query(seq[mid])
+        answer = oracle.query(int(seq[mid]))
         if answer == FOUND:
-            return seq[mid], mid
+            return int(seq[mid]), mid
         if answer == TARGET_SMALLER:
             hi = mid - 1
         else:
@@ -413,7 +419,7 @@ def bifurcation_search(tree, oracle, psi=None) -> SearchResult:
     """
     params = SearchParams.for_instance(tree, psi)
     walker = Walker(tree, oracle.on_reveal)
-    explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
+    explored = ExploredTree(walker)
     node_cap = params.node_cap
     leaf_cap = params.leaf_budget
     base_calls = oracle.calls
@@ -458,7 +464,7 @@ def baseline_full(tree, oracle) -> SearchResult:
     Steps come to exactly twice the edge count.
     """
     walker = Walker(tree, oracle.on_reveal)
-    explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
+    explored = ExploredTree(walker)
     base_calls = oracle.calls
     dfs_extend(explored, walker, tree.n, tree.root)
     target = final_binary_search(explored, oracle)
@@ -474,7 +480,7 @@ def baseline_rounds(tree, oracle) -> SearchResult:
     node guarding that gap for the next round.
     """
     walker = Walker(tree, oracle.on_reveal)
-    explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
+    explored = ExploredTree(walker)
     base_calls = oracle.calls
     chunk = max(1, _ceil_div(tree.n, max(1, _ceil_sqrt(tree.t))))
     frontier = tree.root
@@ -493,8 +499,8 @@ def baseline_rounds(tree, oracle) -> SearchResult:
         if found is not None:
             return SearchResult(found, walker.steps, oracle.calls - base_calls,
                                 tuple(rounds))
-        before = cand[gap - 1] if gap > 0 else None
-        after = cand[gap] if gap < len(cand) else None
+        before = int(cand[gap - 1]) if gap > 0 else None
+        after = int(cand[gap]) if gap < len(cand) else None
         nxt = _pick_frontier(explored, before, after)
         _descend(walker, explored, frontier, nxt)
         frontier = nxt

@@ -89,7 +89,7 @@ def _cmd_search(args):
 
 
 def _cmd_sweep(args):
-    psis = args.psi if args.psi else [None]
+    psis = [None] if args.psi is None else args.psi
     written = sweep(args.out, _split(args.family), args.n, args.t,
                     _split(args.algo), trials=args.trials, psis=psis,
                     base_seed=args.seed, target_strategy=args.target)

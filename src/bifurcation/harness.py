@@ -140,9 +140,13 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
     flushed as it is written; on resume a torn last row is dropped and run
     again, while a malformed row anywhere else raises. An unknown
     algorithm, family or target strategy, a psi below 1 or fewer than one
-    trial raises before the file is touched; a new file gets its header
-    along with its first row. Returns rows written.
+    trial, or an empty axis, raises before the file is touched; a new file
+    gets its header along with its first row. Returns rows written.
     """
+    axes = dict(family=families, n=ns, t=ts, algorithm=algos, psi=psis)
+    for name, axis in axes.items():
+        if not len(axis):
+            raise TreeError("the %s axis is empty: no cell to run" % name)
     for algo in algos:
         if algo not in ALGORITHMS:
             raise TreeError("unknown algorithm %r" % (algo,))

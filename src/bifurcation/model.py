@@ -293,6 +293,11 @@ class Walker:
             raise WalkerError("node %d has not been revealed" % v)
         return self.tree.kind(v)
 
+    def values(self):
+        """Every node's inorder rank, by id: the value the oracle compares.
+        A tree that a freeze has cut cannot be ranked; rank it before."""
+        return self.tree.inorder_ranks()
+
     def move(self, direction: str):
         """Step to a neighboring node.
 

@@ -294,6 +294,9 @@ class ReferenceAdaptiveOracle:
         self.froze = False
         self.committed = None
         self.ranks = {v: r for r, v in enumerate(slow_inorder(tree))}
+        # the walker discloses the package's ranks to the searches, and a
+        # tree cut by a freeze can no longer be ranked
+        tree.inorder_ranks()
         self.cands = set(range(tree.size))
         self.revealed = set()
 
@@ -649,3 +652,94 @@ def reference_play_game(strategy, h, seed=0):
         steps.append(GameStep(len(steps) + 1, q, price, answer,
                               state.x, state.y, discarded))
     return Transcript(h, strategy, tuple(steps), state.total_price)
+
+
+def reference_explored_inorder(explored, top):
+    """The stack walk ``ExploredTree._inorder`` made before explored trees
+    were rescanned by value: non-stub ids of top's explored subtree, in
+    inorder, as a list."""
+    nodes = []
+    left = explored.left
+    right = explored.right
+    stub = explored.stub
+    stack = []
+    cur = top
+    while True:
+        while cur >= 0:
+            stack.append(cur)
+            cur = left[cur]
+        if not stack:
+            return nodes
+        cur = stack.pop()
+        if not stub[cur]:
+            nodes.append(cur)
+        cur = right[cur]
+
+
+def reference_nodes_and_leaves(explored):
+    """Non-stub ids in inorder, plus the subset with no explored children."""
+    nodes = reference_explored_inorder(explored, explored.root)
+    left = explored.left
+    right = explored.right
+    return nodes, [v for v in nodes if left[v] < 0 and right[v] < 0]
+
+
+def reference_mark_stub(explored, v):
+    """The per-node deletion ``ExploredTree.mark_stub`` made before trims
+    were one masked pass. Stub v and delete its explored subtree; a stub
+    stays as it is. Tests stub nodes directly through it."""
+    kind = explored.kind
+    parent = explored.parent
+    left = explored.left
+    right = explored.right
+    stub = explored.stub
+    nodes = leaves = 0  # non-stub nodes and leaves taken out of view
+    stack = [v]
+    while stack:
+        w = stack.pop()
+        l = left[w]
+        r = right[w]
+        if l >= 0:
+            stack.append(l)
+            left[w] = -1
+        if r >= 0:
+            stack.append(r)
+            right[w] = -1
+        if not stub[w]:
+            nodes += 1
+            if l < 0 and r < 0:
+                leaves += 1
+        if w != v:
+            kind[w] = None
+            parent[w] = -1
+            stub[w] = 0
+    stub[v] = 1
+    explored.node_count -= nodes
+    explored.leaf_count -= leaves
+
+
+def reference_trim(explored, u, answer):
+    """The ``trim`` that stubbed one path child at a time.
+
+    When the target is larger than u, every left child hanging off the
+    root-to-u path that is not itself on the path becomes a stub; symmetric
+    for a smaller target and right children. A queried node that is a true
+    leaf is also stubbed, since its whole subtree is just itself and the
+    answer excluded it. Returns the newly created stubs.
+    """
+    if answer == FOUND:
+        raise TreeError("trim is undefined for a found answer")
+    take = explored.left if answer == TARGET_LARGER else explored.right
+    stub = explored.stub
+    new_stubs = []
+    below = -1  # the path's child of v, the one child of v on the path
+    for v in explored.path_to_root(u):
+        c = take[v]
+        if c >= 0 and c != below and not stub[c]:
+            reference_mark_stub(explored, c)
+            new_stubs.append(c)
+        below = v
+    if explored.kind[u] == LEAF and not stub[u]:
+        reference_mark_stub(explored, u)
+        new_stubs.append(u)
+    return new_stubs

@@ -15,7 +15,7 @@ from bifurcation.generators import (FamilySpec, build_instance, gen_random,
 from bifurcation.harness import ExperimentRecord, fit_scaling
 from bifurcation.lowerbound import (adaptive_fork_adversary, minimax_price,
                                     play_game)
-from bifurcation.model import FOUND, InstrumentedOracle
+from bifurcation.model import FOUND, InstrumentedOracle, Walker
 
 from helpers import brute_minimax, child_side, target_inside_stub
 
@@ -197,7 +197,7 @@ def test_criterion_05_halving_size_bound():
             continue
         tree.target = place_target(tree, "random_node", seed=seed)
         ids = preorder_prefix(tree, 4 * n)
-        explored = ExploredTree(tree.size, tree.root, tree.kind(tree.root))
+        explored = ExploredTree(Walker(tree))
         for v in ids[1:]:
             explored.add_child(tree.parent[v], child_side(tree, v), v,
                                tree.kind(v))

@@ -18,12 +18,12 @@ from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
 
 from helpers import (child_side, explored_ids, forks_within_depth, grid_trees,
                      is_leaf, make_path, nodes_within_depth, preorder_prefix,
-                     slow_inorder, target_inside_stub)
+                     reference_mark_stub, slow_inorder, target_inside_stub)
 
 
 def explore_fully(tree, walker=None):
     walker = walker or Walker(tree)
-    explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
+    explored = ExploredTree(walker)
     dfs_extend(explored, walker, tree.n, tree.root)
     return explored, walker
 
@@ -31,7 +31,7 @@ def explore_fully(tree, walker=None):
 def explored_from_prefix(tree, count):
     """Explored tree over the first `count` preorder ids, bypassing a walker."""
     ids = preorder_prefix(tree, count)
-    explored = ExploredTree(tree.size, tree.root, tree.kind(tree.root))
+    explored = ExploredTree(Walker(tree))
     for v in ids[1:]:
         p = tree.parent[v]
         explored.add_child(p, child_side(tree, v), v, tree.kind(v))
@@ -53,7 +53,7 @@ def test_maintained_counts_match_rescan():
         tree = gen_random(4 + rng.randrange(60), rng.randrange(12), seed=i)
         tree.target = place_target(tree, "random_node", seed=i)
         # children added in any order, right before left included
-        grown = ExploredTree(tree.size, tree.root, tree.kind(tree.root))
+        grown = ExploredTree(Walker(tree))
         _assert_counts_match_rescan(grown)
         for _ in range(40):
             kids = [c for v in explored_ids(grown)
@@ -67,8 +67,7 @@ def test_maintained_counts_match_rescan():
             _assert_counts_match_rescan(grown)
         # staged exploration, trims and direct stubs
         walker = Walker(tree)
-        explored = ExploredTree(tree.size, tree.root,
-                                walker.kind_of(tree.root))
+        explored = ExploredTree(walker)
         oracle = InstrumentedOracle(tree)
         step = 1 + rng.randrange(tree.n)
         for limit in range(step, tree.n + step, step):
@@ -83,10 +82,10 @@ def test_maintained_counts_match_rescan():
             v = rng.choice(explored_ids(explored))
             if v == explored.root:
                 continue
-            explored.mark_stub(v)
+            reference_mark_stub(explored, v)
             _assert_counts_match_rescan(explored)
             counts = (explored.node_count, explored.leaf_count)
-            explored.mark_stub(v)
+            reference_mark_stub(explored, v)
             assert (explored.node_count, explored.leaf_count) == counts
             _assert_counts_match_rescan(explored)
 
@@ -151,7 +150,7 @@ def test_trim_never_stubs_the_target_region():
 
 def test_median_single_node():
     tree = make_path("")
-    explored = ExploredTree(tree.size, tree.root, tree.kind(tree.root))
+    explored = ExploredTree(Walker(tree))
     assert median_node(explored) == tree.root
 
 
@@ -181,7 +180,7 @@ def test_median_tie_breaks_inorder_smaller():
     explored, _ = explore_fully(tree)
     order = slow_inorder(tree)
     # stub the inorder-last leaf to force an even candidate count
-    explored.mark_stub(order[-1])
+    reference_mark_stub(explored, order[-1])
     remaining = [v for v in order if not explored.stub[v]]
     assert len(remaining) == 4
     # both middles split 1-vs-2; the inorder-smaller one wins the tie
@@ -259,7 +258,7 @@ def test_halve_leaf_mode_halves_leaves():
 def test_dfs_extend_full_depth_covers_instance():
     tree = gen_random(20, 5, seed=3)
     walker = Walker(tree)
-    explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
+    explored = ExploredTree(walker)
     dfs_extend(explored, walker, tree.n, tree.root)
     assert explored.node_count == tree.size
     assert walker.steps == 2 * (tree.size - 1)
@@ -269,11 +268,11 @@ def test_dfs_extend_full_depth_covers_instance():
 def test_dfs_extend_never_enters_stubs():
     tree = gen_complete_path(2, 3)
     walker = Walker(tree)
-    explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
+    explored = ExploredTree(walker)
     dfs_extend(explored, walker, 3, tree.root)  # just past the first fork
     root_fork = tree.root
     left = explored.left[root_fork]
-    explored.mark_stub(left)
+    reference_mark_stub(explored, left)
     steps_before = walker.steps
     dfs_extend(explored, walker, tree.n, tree.root)
     # the stubbed side contributes no nodes and no walking
@@ -293,7 +292,7 @@ def _under(tree, v, top):
 def test_dfs_extend_stage_counts_match_instance():
     tree = gen_complete_path(3, 4)
     walker = Walker(tree)
-    explored = ExploredTree(tree.size, tree.root, walker.kind_of(tree.root))
+    explored = ExploredTree(walker)
     prev_nodes = 1
     prev_forks = 1  # the root fork is revealed on arrival
     for i in (1, 2, 3):
@@ -357,8 +356,7 @@ def test_dfs_extend_walks_twice_the_reachable_region():
                             else rng.choice((DIR_LEFT, DIR_RIGHT)))
             while walker.current != tree.root:
                 walker.move(DIR_PARENT)
-        explored = ExploredTree(tree.size, tree.root,
-                                walker.kind_of(tree.root))
+        explored = ExploredTree(walker)
         step = 1 + rng.randrange(max(1, tree.n // 2))
         limits = [step, 2 * step, step // 2, tree.n, tree.n]
         for limit in limits:
@@ -382,7 +380,7 @@ def test_dfs_extend_walks_twice_the_reachable_region():
             for _ in range(rng.randrange(3)):
                 v = rng.choice(explored_ids(explored))
                 if v != tree.root:
-                    explored.mark_stub(v)
+                    reference_mark_stub(explored, v)
     assert seen == {"non-root anchor", "left stub", "both stubs",
                     "only child stub"}
 
@@ -393,7 +391,7 @@ def test_dfs_extend_walks_twice_the_reachable_region():
 def test_final_search_single_candidate():
     tree = make_path("")
     tree.target = 0
-    explored = ExploredTree(tree.size, 0, tree.kind(0))
+    explored = ExploredTree(Walker(tree))
     oracle = InstrumentedOracle(tree)
     assert final_binary_search(explored, oracle) == 0
     assert oracle.calls == 1
@@ -454,8 +452,7 @@ def test_bifurcation_round_budgets_hold():
         node_cap = params.node_cap
         # drive the round machinery in slow motion and check the budgets
         walker = Walker(tree)
-        explored = ExploredTree(tree.size, tree.root,
-                                walker.kind_of(tree.root))
+        explored = ExploredTree(walker)
         oracle2 = InstrumentedOracle(tree)
         found_early = False
         for rs in result.rounds:
@@ -562,8 +559,7 @@ def test_pick_frontier_returns_the_deeper_neighbour():
     for tree in trees:
         for depth_limit in (tree.n // 3, tree.n):
             walker = Walker(tree)
-            explored = ExploredTree(tree.size, tree.root,
-                                walker.kind_of(tree.root))
+            explored = ExploredTree(walker)
             dfs_extend(explored, walker, depth_limit, tree.root)
             for v in explored_ids(explored)[::5]:
                 cand = explored.inorder_below(v)
@@ -596,7 +592,7 @@ def test_dfs_extend_rejects_a_misplaced_walker():
     tree = build_instance(FamilySpec("random", 64, 4, 3))
     walker = Walker(tree)
     walker.move(DIR_ONLY)
-    explored = ExploredTree(tree.size, tree.root, tree.kind(tree.root))
+    explored = ExploredTree(walker)
     with pytest.raises(TreeError, match="anchor"):
         dfs_extend(explored, walker, tree.n, tree.root)
     assert walker.steps == 1

@@ -31,8 +31,7 @@ class _Side:
     def __init__(self, tree):
         self.log = []
         self.walker = Walker(tree, lambda v, kind: self.log.append((v, kind)))
-        self.explored = ExploredTree(tree.size, tree.root,
-                                     self.walker.kind_of(tree.root))
+        self.explored = ExploredTree(self.walker)
 
     def state(self):
         w = self.walker

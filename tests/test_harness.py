@@ -193,6 +193,37 @@ def test_sweep_rejects_bad_psi_or_trials_before_touching_the_file(tmp_path):
     assert out.read_text() == CSV_HEADER + "\nrandom,16"
 
 
+# sweep() keyword per axis, and the name its error gives the axis
+AXES = {"families": "family", "ns": "n", "ts": "t", "algos": "algorithm",
+        "psis": "psi"}
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_sweep_with_an_empty_axis_fails_before_touching_the_file(tmp_path,
+                                                                 axis):
+    out = tmp_path / "grid.csv"
+    grid = dict(families=["random"], ns=[16], ts=[2], algos=["full"],
+                psis=(None,))
+    grid[axis] = []
+    with pytest.raises(TreeError, match="the %s axis is empty" % AXES[axis]):
+        sweep(out, grid.pop("families"), grid.pop("ns"), grid.pop("ts"),
+              grid.pop("algos"), trials=1, **grid)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--family", "--n", "--t", "--algo",
+                                    "--psi"])
+def test_cli_sweep_with_an_empty_axis_exits_2(tmp_path, capsys, option):
+    out = tmp_path / "s.csv"
+    # a repeated option takes its last value, so the empty list wins
+    assert main(["sweep", "--n", "16", "--t", "2", "--trials", "1",
+                 "--out", str(out), option, ","]) == 2
+    captured = capsys.readouterr()
+    assert "axis is empty" in captured.err
+    assert "wrote" not in captured.out
+    assert not out.exists()
+
+
 def _synthetic(records_fn):
     recs = []
     for n in (256, 1024, 4096):

@@ -327,7 +327,7 @@ def test_dfs_extend_matches_reference_where_children_skip_ids():
         sides = []
         for dfs in (dfs_extend, reference_dfs_extend):
             w, log = _logged(tree)
-            explored = ExploredTree(tree.size, tree.root, w.kind_of(0))
+            explored = ExploredTree(w)
             forks = dfs(explored, w, limit, tree.root)
             again = dfs(explored, w, limit + 1, tree.root)
             sides.append((forks, again, _seen(w, log), explored.kind,
@@ -336,3 +336,19 @@ def test_dfs_extend_matches_reference_where_children_skip_ids():
                           explored.leaf_count))
         assert sides[0] == sides[1]
     assert sides[0][2][1] == 4 * (tree.size - 1)  # two full walks
+
+
+def test_exploring_ranks_nothing_until_the_first_rescan(monkeypatch):
+    """The SHUFFLED tree cannot be ranked, yet it explores: the explored
+    tree asks the walker for values only when it first rescans."""
+    def refuse(self):
+        raise AssertionError("ranked")
+
+    monkeypatch.setattr(TreeInstance, "_compute_inorder", refuse)
+    tree = _tree(**SHUFFLED)
+    w, _ = _logged(tree)
+    explored = ExploredTree(w)
+    dfs_extend(explored, w, tree.n, tree.root)
+    assert explored.node_count == tree.size
+    with pytest.raises(AssertionError, match="ranked"):
+        explored.inorder_below(tree.root)
