@@ -109,8 +109,8 @@ class ExploredTree:
         live &= np.frombuffer(self.stub, bool) == 0
         slots = np.full(len(live), -1, np.intc)  # explored ids by value
         slots[values[live]] = np.arange(len(live), dtype=np.intc)[live]
-        if top != self.root:  # cut to the values of top's lowest and
-            lo = hi = top     # highest explored descendants
+        if top != self.root:  # slice between the values of top's lowest
+            lo = hi = top     # and highest explored descendants
             while self.left[lo] >= 0:
                 lo = self.left[lo]
             while self.right[hi] >= 0:
