@@ -7,7 +7,6 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import repeat, starmap
 
 import numpy as np
 
@@ -52,9 +51,27 @@ def _check_size(total: int) -> None:
             % (total, MAX_NODES))
 
 
+_DRAW_CHUNK = 1 << 16
+
+
 def _draw_left(rng, k):
-    """k side flags, True for left, from k rng.random() draws in order."""
-    return np.fromiter(starmap(rng.random, repeat((), k)), float, k) < 0.5
+    """k side flags, True for left, equal to k ``rng.random() < 0.5`` draws
+    and leaving ``rng`` in the same state.
+
+    ``random()`` reads two 32-bit Mersenne Twister words and takes its top
+    bits from the first, so it is below 0.5 exactly when that first word is
+    below 2**31. ``getrandbits(64 * m)`` reads the same 2m words in the same
+    order, least significant first, so the flags are the even words compared
+    with 2**31. At most _DRAW_CHUNK flags are drawn per call, which bounds
+    the word buffer; consecutive calls read on along the same stream.
+    """
+    left = np.empty(k, bool)
+    for lo in range(0, k, _DRAW_CHUNK):
+        m = min(_DRAW_CHUNK, k - lo)
+        words = np.frombuffer(
+            rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u4")
+        np.less(words[::2], 0x80000000, out=left[lo:lo + m])
+    return left
 
 
 class _Builder:
@@ -63,7 +80,11 @@ class _Builder:
     A path is a chain of new nodes with contiguous ids, each the only child
     of the one before; its first node hangs below a host created earlier.
     The builder keeps one side flag and the depth of every node, so a
-    host's depth and the side of its child are O(1) reads.
+    host's depth and the side of its child are O(1) reads. Random sides come
+    from ``_draw_left`` (the even Mersenne words below 2**31, at most
+    _DRAW_CHUNK per call), and the links are written in whole-array passes;
+    the instances are byte-identical to those of one ``rng.random()`` draw
+    and one link write per node.
     """
 
     def __init__(self):
@@ -78,12 +99,12 @@ class _Builder:
         one goes on a side drawn from ``rng``, or on ``side`` without one."""
         start = len(self.depth)
         _check_size(start + length)
-        left = np.full(length, side == LEFT)
-        if rng is not None:
-            left[1:] = _draw_left(rng, length - 1)
+        first = side == LEFT
         self.hosts.append(host)
         self.starts.append(start)
-        self.is_left += left.tobytes()
+        self.is_left.append(first)
+        self.is_left += (_draw_left(rng, length - 1).tobytes()
+                         if rng is not None else bytes([first]) * (length - 1))
         head = self.depth[host] + 1
         self.depth.frombytes(
             np.arange(head, head + length, dtype=np.intc).tobytes())
@@ -94,18 +115,32 @@ class _Builder:
         return RIGHT if self.is_left[host + 1] else LEFT
 
     def finish(self, n, t, family):
-        """The instance: inside a path a node's parent is the node before
-        it, and a path's first node hangs below its host."""
+        """The instance. The links are first written as if every node hung
+        below the node before it, as inside a path, in branch-free passes
+        over the side flags; then each path's first node moves below its
+        host."""
         size = len(self.depth)
         parent, left, right = (array("i", [-1]) * size for _ in range(3))
         p, l, r = (np.frombuffer(a, np.intc) for a in (parent, left, right))
+        is_left = np.frombuffer(self.is_left, bool)
+        starts = np.frombuffer(self.starts, np.intc)
+        hosts = np.frombuffer(self.hosts, np.intc)
         ids = np.arange(1, size, dtype=np.intc)
-        p[1:] = ids - 1
-        p[np.frombuffer(self.starts, np.intc)] = np.frombuffer(
-            self.hosts, np.intc)
-        is_left = np.frombuffer(self.is_left, bool)[1:]
-        l[p[1:][is_left]] = ids[is_left]
-        r[p[1:][~is_left]] = ids[~is_left]
+        # as if node v hung below v - 1: left[v - 1] is v if v goes left
+        # and -1 if not, or (v + 1) * is_left[v] - 1, and right[v - 1] is
+        # v - 1 - left[v - 1]
+        np.multiply(ids + 1, is_left[1:], out=l[:-1])
+        l[:-1] -= 1
+        np.subtract(ids, l[:-1], out=r[:-1])
+        r[:-1] -= 1
+        ids -= 1
+        p[1:] = ids
+        # a path's first node s hangs below its host, not below s - 1
+        l[starts - 1] = r[starts - 1] = -1
+        on_left = is_left[starts]
+        l[hosts[on_left]] = starts[on_left]
+        r[hosts[~on_left]] = starts[~on_left]
+        p[starts] = hosts
         return TreeInstance(parent, left, right, self.depth,
                             n=n, t=t, family=family)
 
@@ -125,7 +160,10 @@ def gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
     rng = random.Random(mix_seed(seed, 17))
     b = _Builder()
     b.add_path(0, n, LEFT if rng.random() < 0.5 else RIGHT, rng)
-    hosts = list(range(n))  # spine minus its tip: unary, depth <= n - 1
+    # the pool of unary hosts, at first the spine minus its tip (depth
+    # <= n - 1); a host leaves by swap-remove, a new path's nodes but its tip
+    # join at the end
+    hosts = array("i", range(n))
     lam = max(2.0, 2.0 * n / max(1.0, math.sqrt(t))) if t else 1.0
     placed = 0
     while placed < t:
@@ -152,7 +190,8 @@ def gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
         hosts[idx] = hosts[-1]
         hosts.pop()
         last = b.add_path(host, length, b.free_side(host), rng)
-        hosts.extend(range(last - length + 1, last))
+        hosts.frombytes(
+            np.arange(last - length + 1, last, dtype=np.intc).tobytes())
         placed += 1
     return b.finish(n, t, "random")
 

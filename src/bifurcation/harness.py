@@ -209,8 +209,10 @@ class FitReport:
 def fit_scaling(records, metrics=("steps", "oracle_calls")) -> FitReport:
     """Least-squares exponents of n and t on log-transformed per-cell means.
 
-    Needs at least three distinct values of each fitted variable; rows with
-    t = 0 cannot be log-transformed and are skipped.
+    Needs at least three distinct values of each fitted variable, and one
+    psi per algorithm and (n, t) cell, since searches with different psi
+    follow different laws; rows with t = 0 cannot be log-transformed and
+    are skipped.
     """
     by_algo = {}
     for r in records:
@@ -229,6 +231,12 @@ def fit_scaling(records, metrics=("steps", "oracle_calls")) -> FitReport:
         cells = {}
         for r in rows:
             cells.setdefault((r.n, r.t), []).append(r)
+        for (n, t), rs in sorted(cells.items()):
+            psis = sorted({r.psi for r in rs})
+            if len(psis) > 1:
+                raise InsufficientGridError(
+                    "%s rows at n=%d, t=%d carry psi %s; fit one psi at a "
+                    "time" % (algo, n, t, ", ".join(map(str, psis))))
         per_metric = {}
         for metric in metrics:
             xs = []

@@ -1,10 +1,16 @@
 """The path-by-path generators against the per-node references in helpers."""
 
+import hashlib
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifurcation.generators import (gen_comb, gen_complete_path, gen_random,
+from bifurcation import generators
+from bifurcation.generators import (FamilySpec, build_instance, gen_comb,
+                                    gen_complete_path, gen_random, mix_seed,
                                     place_target)
 from bifurcation.model import InfeasibleInstanceError
 
@@ -35,6 +41,60 @@ def test_seeded_families_match_reference(gen, ref):
             assert got == _outcome(ref, n, t, seed=seed), (n, t, seed)
             outcomes.add(got is InfeasibleInstanceError)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("gen, ref, n, t",
+                         [(gen_random, reference_gen_random, 2048, 64),
+                          (gen_comb, reference_gen_comb, 1024, 16)])
+def test_larger_seeded_instances_match_reference(gen, ref, n, t, seed):
+    assert _outcome(gen, n, t, seed=seed) == _outcome(ref, n, t, seed=seed)
+
+
+# sha256 of parent, left, right and depth (little-endian int32) and the
+# target of each benchmark-scale spec below, as built with one
+# rng.random() side draw and one link write per node
+BENCHMARK_SCALE_DIGEST = (
+    "9fca11d9d7905bb3f3df42ae45a70efc2fa214c5928609d8ee8aa7833457d34f")
+
+
+def test_benchmark_scale_instances_keep_their_digest():
+    specs = [FamilySpec(family, 8192, t, mix_seed(1, i))
+             for family, t in (("random", 256), ("comb", 64))
+             for i in range(4)]
+    specs.append(FamilySpec("complete_path", 4096, 64, mix_seed(1, 0)))
+    digest = hashlib.sha256()
+    for spec in specs:
+        tree = build_instance(spec)
+        for a in (tree.parent, tree.left, tree.right, tree.depth):
+            digest.update(np.frombuffer(a, np.intc).astype("<i4").tobytes())
+        digest.update(b"%d;" % tree.target)
+    assert digest.hexdigest() == BENCHMARK_SCALE_DIGEST
+
+
+_CHUNK = generators._DRAW_CHUNK
+
+
+class _RecordingRandom(random.Random):
+    """A Random that records the width of every getrandbits call."""
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 31, 32, 33, _CHUNK - 1, _CHUNK,
+                               _CHUNK + 1, 3 * _CHUNK + 5])
+def test_draw_left_equals_per_draw_comparisons(k):
+    rng, ref = _RecordingRandom(k), random.Random(k)
+    rng.widths = []
+    left = generators._draw_left(rng, k)
+    assert left.dtype == bool
+    assert left.tolist() == [ref.random() < 0.5 for _ in range(k)]
+    assert rng.getstate() == ref.getstate()
+    assert rng.random() == ref.random()
+    assert sum(rng.widths) == 64 * k
+    assert max(rng.widths, default=0) <= 64 * _CHUNK
 
 
 def test_complete_path_matches_reference():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -263,6 +264,18 @@ def test_fit_requires_grid_richness():
         fit_scaling(recs, metrics=("steps",))
 
 
+def test_fit_refuses_a_cell_that_mixes_psi():
+    recs = _synthetic(lambda n, t: n * t)
+    mixed = recs + [dataclasses.replace(recs[4], psi=4, steps=7)]
+    with pytest.raises(InsufficientGridError,
+                       match=r"synthetic rows at n=1024, t=16 carry psi 1, 4"):
+        fit_scaling(mixed, metrics=("steps",))
+    # one psi per cell, even a different one in each cell, still fits
+    each = [dataclasses.replace(r, psi=i + 1) for i, r in enumerate(recs)]
+    assert fit_scaling(each, metrics=("steps",)) == fit_scaling(
+        recs, metrics=("steps",))
+
+
 # ------------------------------------------------------------------- CLI
 
 
@@ -338,6 +351,17 @@ def test_cli_sweep_and_fit(tmp_path, capsys):
     assert main(["fit", out]) == 0
     text = capsys.readouterr().out
     assert "full steps" in text
+
+
+def test_cli_fit_of_a_sweep_over_two_psi_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "s.csv")
+    assert main(["sweep", "--family", "random", "--n", "64,128,256",
+                 "--t", "2,4,8", "--psi", "1,8", "--algo", "bifurcation",
+                 "--trials", "1", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["fit", out]) == 2
+    err = capsys.readouterr().err
+    assert "bifurcation rows at n=64, t=2 carry psi 1, 2" in err
 
 
 def test_cli_game_and_minimax(capsys, tmp_path):
