@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT, FORK, FOUND,
-                    LEAF, LEFT, TARGET_LARGER, TARGET_SMALLER, UNARY,
+                    LEAF, LEFT, TARGET_LARGER, TARGET_SMALLER,
                     InconsistentOracleError, TreeError, Walker, WalkerError)
 
 
@@ -31,27 +31,26 @@ def _ceil_div(a: int, b: int) -> int:
 class ExploredTree:
     """The algorithm's partial copy of the instance the walker explores.
 
-    Arrays indexed by instance id, one slot per id: ``kind`` is a list
-    holding the kind string of an explored id and ``None`` for any other;
-    ``parent``, ``left`` and ``right`` are ``array("i")`` of ids, ``-1`` for
-    none; ``stub`` flags stubs. A stub is a node proven not to hold the
-    target in its subtree; stubs stay in place as markers but their
-    explored subtrees are deleted. ``node_count`` and ``leaf_count``
-    (non-stub nodes with no explored children) exclude stubs and are kept
-    current as the tree changes.
+    Arrays indexed by instance id, one slot per id: ``parent``, ``left``
+    and ``right`` are ``array("i")`` of ids, ``-1`` for none; ``stub`` flags
+    stubs. An id other than the root is explored exactly when its
+    ``parent`` is not ``-1``; kinds are not copied but read through the
+    walker (``Walker.kind_of``), which revealed every explored id. A stub is
+    a node proven not to hold the target in its subtree; stubs stay in
+    place as markers but their explored subtrees are deleted.
+    ``node_count`` and ``leaf_count`` (non-stub nodes with no explored
+    children) exclude stubs and are kept current as the tree changes.
 
     A node's value is its inorder rank (``Walker.values``), fetched on the
     first rescan or cut and read only at explored ids.
     """
 
-    __slots__ = ("root", "kind", "parent", "left", "right", "stub",
+    __slots__ = ("root", "parent", "left", "right", "stub",
                  "node_count", "leaf_count", "_walker", "_values")
 
     def __init__(self, walker: Walker):
         size = walker.tree.size
-        self.root = root = walker.tree.root
-        self.kind = [None] * size
-        self.kind[root] = walker.kind_of(root)
+        self.root = walker.tree.root
         none = array("i", [-1])
         self.parent = none * size
         self.left = none * size
@@ -62,24 +61,21 @@ class ExploredTree:
         self._walker = walker
         self._values = None
 
-    def add_child(self, parent: int, side: str, child: int, kind: str):
+    def add_child(self, parent: int, side: str, child: int):
         # the child is a new leaf; a childless parent stops being one
         if self.left[parent] >= 0 or self.right[parent] >= 0:
             self.leaf_count += 1
         self.node_count += 1
-        self.kind[child] = kind
         self.parent[child] = parent
         if side == LEFT:
             self.left[parent] = child
         else:
             self.right[parent] = child
 
-    def add_chain(self, first: int, last: int, kind: str, left, right):
+    def add_chain(self, first: int, last: int, left, right):
         """Add ids first..last below the leaf first - 1, each the only child
         of the id before it; all but the last are unary, and ``left`` and
         ``right`` are the links of first - 1..last - 1."""
-        self.kind[first:last] = [UNARY] * (last - first)
-        self.kind[last] = kind
         self.parent[first:last + 1] = array("i", range(first - 1, last))
         self.left[first - 1:last] = left
         self.right[first - 1:last] = right
@@ -151,9 +147,6 @@ class ExploredTree:
         left[stubs] = right[stubs] = -1
         stub[cut] = False
         stub[stubs] = True
-        for a, b in np.flatnonzero(padded[1:] != padded[:-1]).reshape(
-                -1, 2).tolist():
-            self.kind[a + 1:b + 1] = [None] * (b - a)
         self.node_count -= nodes
         self.leaf_count -= leaves
 
@@ -176,7 +169,7 @@ def trim(explored: ExploredTree, u: int, answer: str):
     # [-1] + path holds the path's child of each path node
     new_stubs = [c for c, below in zip(kids, [-1] + path)
                  if c >= 0 and c != below and not explored.stub[c]]
-    if explored.kind[u] == LEAF and not explored.stub[u]:
+    if not explored.stub[u] and explored._walker.kind_of(u) == LEAF:
         new_stubs.append(u)
     if new_stubs:
         explored._cut(u, answer == TARGET_LARGER, path + kids, new_stubs)
@@ -240,16 +233,16 @@ def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
     written with slices: an explored chain is ancestor-closed, so they
     start at the first unexplored id. Going up, ``Walker.climb`` takes the
     walk to the top of its chain, and one move over the edge above it. So
-    the moves, and every counter, are those of one move per edge. New nodes
-    take their kind from ``Walker.kind_of``.
+    the moves, and every counter, are those of one move per edge. Kinds are
+    read through ``Walker.kind_of``.
     """
     if walker.current != anchor:
         raise TreeError("walker must start at the exploration anchor")
-    kinds = explored.kind
     stub = explored.stub
     lefts = explored.left
     rights = explored.right
     parents = explored.parent
+    kind_of = walker.kind_of
     move = walker.move
     follow = walker.follow
     climb = walker.climb
@@ -258,7 +251,7 @@ def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
     anchor_depth = depth = len(explored.path_to_root(anchor)) - 1
     while True:
         direction = None
-        k = kinds[node]
+        k = kind_of(node)
         if depth < depth_limit and k != LEAF:
             c = lefts[node]
             if k == FORK:
@@ -284,7 +277,7 @@ def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
             back = node
             node = parents[node]
             depth -= 1
-            if lefts[node] == back and kinds[node] == FORK:
+            if lefts[node] == back and kind_of(node) == FORK:
                 c = rights[node]
                 if c < 0 or not stub[c]:
                     direction = DIR_RIGHT
@@ -299,21 +292,19 @@ def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
             except WalkerError:  # node ends its run: one move takes the edge
                 pass
             else:
-                if kinds[end] is None:
-                    new = kinds.index(None, node + 1, end + 1)
-                    ekind = walker.kind_of(end)
-                    explored.add_chain(new, end, ekind, ls[new - 1 - node:],
+                if parents[end] < 0:
+                    new = parents.index(-1, node + 1, end + 1)
+                    explored.add_chain(new, end, ls[new - 1 - node:],
                                        rs[new - 1 - node:])
-                    if ekind == FORK:
+                    if kind_of(end) == FORK:
                         new_forks += 1
                 depth += end - node
                 node = end
                 continue
         cid, _, cside = move(direction)
-        if kinds[cid] is None:
-            ckind = walker.kind_of(cid)
-            explored.add_child(node, cside, cid, ckind)
-            if ckind == FORK:
+        if parents[cid] < 0:
+            explored.add_child(node, cside, cid)
+            if kind_of(cid) == FORK:
                 new_forks += 1
         node = cid
         depth += 1
@@ -529,11 +520,10 @@ def _descend(walker, explored, src, dst):
     chain = explored.path_to_root(dst)
     del chain[chain.index(src):]
     parent = explored.parent
-    kinds = explored.kind
     lefts = explored.left
     for node in reversed(chain):
         p = parent[node]
-        if kinds[p] == FORK:
+        if walker.kind_of(p) == FORK:
             direction = DIR_LEFT if lefts[p] == node else DIR_RIGHT
         else:
             direction = DIR_ONLY

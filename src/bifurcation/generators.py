@@ -245,10 +245,10 @@ def place_target(tree: TreeInstance, strategy: str, seed: int = 0) -> int:
     """
     if strategy.startswith("fixed:"):
         k = int(strategy.split(":", 1)[1])
-        order = tree.inorder_sequence()
-        if not 0 <= k < len(order):
+        if not 0 <= k < tree.size:
             raise InfeasibleInstanceError("fixed target %d out of range" % k)
-        return order[k]
+        return int(np.flatnonzero(
+            np.frombuffer(tree.inorder_ranks(), np.intc) == k)[0])
     rng = random.Random(mix_seed(seed, 31))
     if strategy == "random_node":
         return rng.randrange(tree.size)

@@ -536,8 +536,20 @@ def reference_place_target(tree, strategy, seed=0):
 
 
 def explored_ids(explored):
-    """Ids of an ExploredTree's explored nodes, stubs included, in id order."""
-    return [v for v, k in enumerate(explored.kind) if k is not None]
+    """Ids of an ExploredTree's explored nodes, stubs included, in id order:
+    the root and every id with a parent link."""
+    return [v for v, p in enumerate(explored.parent)
+            if p >= 0 or v == explored.root]
+
+
+def explored_kinds(explored):
+    """Kind of every explored id from the instance, ``None`` for any other
+    id, as a list indexed by id."""
+    tree = explored._walker.tree
+    kinds = [None] * tree.size
+    for v in explored_ids(explored):
+        kinds[v] = tree.kind(v)
+    return kinds
 
 
 def reference_dfs_extend(explored, walker, depth_limit, anchor):
@@ -559,18 +571,18 @@ def reference_dfs_extend(explored, walker, depth_limit, anchor):
     """
     if walker.current != anchor:
         raise TreeError("walker must start at the exploration anchor")
-    kinds = explored.kind
     stub = explored.stub
     lefts = explored.left
     rights = explored.right
     parents = explored.parent
+    kind_of = walker.kind_of
     move = walker.move
     new_forks = 0
     node = anchor
     depth = len(explored.path_to_root(anchor)) - 1
     while True:
         direction = None
-        k = kinds[node]
+        k = kind_of(node)
         if depth < depth_limit and k != LEAF:
             c = lefts[node]
             if k == FORK:
@@ -592,15 +604,15 @@ def reference_dfs_extend(explored, walker, depth_limit, anchor):
             back = node
             node = parents[node]
             depth -= 1
-            if lefts[node] == back and kinds[node] == FORK:
+            if lefts[node] == back and kind_of(node) == FORK:
                 c = rights[node]
                 if c < 0 or not stub[c]:
                     direction = DIR_RIGHT
         cid, ckind, cside = move(direction)
-        if kinds[cid] is None:
+        if parents[cid] < 0:
             if ckind is None:
-                ckind = walker.kind_of(cid)
-            explored.add_child(node, cside, cid, ckind)
+                ckind = kind_of(cid)
+            explored.add_child(node, cside, cid)
             if ckind == FORK:
                 new_forks += 1
         node = cid
@@ -688,7 +700,6 @@ def reference_mark_stub(explored, v):
     """The per-node deletion ``ExploredTree.mark_stub`` made before trims
     were one masked pass. Stub v and delete its explored subtree; a stub
     stays as it is. Tests stub nodes directly through it."""
-    kind = explored.kind
     parent = explored.parent
     left = explored.left
     right = explored.right
@@ -710,7 +721,6 @@ def reference_mark_stub(explored, v):
             if l < 0 and r < 0:
                 leaves += 1
         if w != v:
-            kind[w] = None
             parent[w] = -1
             stub[w] = 0
     stub[v] = 1
@@ -739,7 +749,7 @@ def reference_trim(explored, u, answer):
             reference_mark_stub(explored, c)
             new_stubs.append(c)
         below = v
-    if explored.kind[u] == LEAF and not stub[u]:
+    if explored._walker.kind_of(u) == LEAF and not stub[u]:
         reference_mark_stub(explored, u)
         new_stubs.append(u)
     return new_stubs

@@ -197,10 +197,11 @@ def test_criterion_05_halving_size_bound():
             continue
         tree.target = place_target(tree, "random_node", seed=seed)
         ids = preorder_prefix(tree, 4 * n)
-        explored = ExploredTree(Walker(tree))
-        for v in ids[1:]:
-            explored.add_child(tree.parent[v], child_side(tree, v), v,
-                               tree.kind(v))
+        walker = Walker(tree)
+        explored = ExploredTree(walker)
+        for v in ids[1:]:  # revealed, so trim can ask the walker for kinds
+            walker.revealed[v] = 1
+            explored.add_child(tree.parent[v], child_side(tree, v), v)
         oracle = InstrumentedOracle(tree)
         answer, _, _ = halve(explored, oracle)
         if answer == FOUND:

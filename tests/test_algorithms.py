@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bifurcation import algorithms, lowerbound
 from bifurcation.algorithms import (ALGORITHMS, TRIGGER_FACTOR, ExploredTree,
                                     SearchParams, _descend, _pick_frontier,
                                     baseline_full, baseline_rounds,
@@ -12,6 +13,7 @@ from bifurcation.algorithms import (ALGORITHMS, TRIGGER_FACTOR, ExploredTree,
 from bifurcation.generators import (FamilySpec, build_instance, gen_comb,
                                     gen_complete_path, gen_random,
                                     place_target)
+from bifurcation.lowerbound import AdaptiveOracle, adaptive_fork_adversary
 from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
                                FORK, FOUND, TARGET_LARGER, TARGET_SMALLER,
                                InstrumentedOracle, TreeError, Walker)
@@ -29,12 +31,14 @@ def explore_fully(tree, walker=None):
 
 
 def explored_from_prefix(tree, count):
-    """Explored tree over the first `count` preorder ids, bypassing a walker."""
+    """Explored tree over the first `count` preorder ids, bypassing a walker's
+    moves; the ids are marked revealed, so the walker reports their kinds."""
     ids = preorder_prefix(tree, count)
-    explored = ExploredTree(Walker(tree))
+    walker = Walker(tree)
+    explored = ExploredTree(walker)
     for v in ids[1:]:
-        p = tree.parent[v]
-        explored.add_child(p, child_side(tree, v), v, tree.kind(v))
+        walker.revealed[v] = 1
+        explored.add_child(tree.parent[v], child_side(tree, v), v)
     return explored
 
 
@@ -58,12 +62,11 @@ def test_maintained_counts_match_rescan():
         for _ in range(40):
             kids = [c for v in explored_ids(grown)
                     for c in (tree.left[v], tree.right[v])
-                    if c >= 0 and grown.kind[c] is None]
+                    if c >= 0 and grown.parent[c] < 0]
             if not kids:
                 break
             c = rng.choice(kids)
-            grown.add_child(tree.parent[c], child_side(tree, c), c,
-                            tree.kind(c))
+            grown.add_child(tree.parent[c], child_side(tree, c), c)
             _assert_counts_match_rescan(grown)
         # staged exploration, trims and direct stubs
         walker = Walker(tree)
@@ -119,7 +122,7 @@ def test_trim_removes_stub_children_from_view():
     new = trim(explored, tree.right[tree.root], TARGET_LARGER)
     assert explored.node_count < before
     for s in new:
-        assert explored.kind[s] is not None  # the marker itself stays
+        assert explored.parent[s] >= 0  # the marker itself stays
         assert explored.left[s] < 0 and explored.right[s] < 0
 
 
@@ -597,3 +600,78 @@ def test_dfs_extend_rejects_a_misplaced_walker():
         dfs_extend(explored, walker, tree.n, tree.root)
     assert walker.steps == 1
     assert explored.node_count == 1
+
+
+# ------------------------------------------- kinds read through the walker
+
+
+class _ReportingOracle(InstrumentedOracle):
+    """Records the kind ``on_reveal`` reports for every node entered."""
+
+    def __init__(self, tree):
+        super().__init__(tree)
+        self.reported = {}
+
+    def on_reveal(self, node, kind):
+        assert node not in self.reported
+        self.reported[node] = kind
+
+
+class _ReportingAdaptiveOracle(AdaptiveOracle):
+    def __init__(self, tree, fork_budget):
+        super().__init__(tree, fork_budget)
+        self.reported = {}
+
+    def on_reveal(self, node, kind):
+        assert node not in self.reported
+        self.reported[node] = kind
+        super().on_reveal(node, kind)
+
+
+def _keeping(cls, into):
+    """A stand-in for cls that also appends every instance it builds."""
+    def build(*args):
+        obj = cls(*args)
+        into.append(obj)
+        return obj
+    return build
+
+
+def _kinds_match_reveals(explored, reported):
+    """Every explored id was revealed, and the walker still reports the kind
+    it had when it was entered; returns the number of ids checked."""
+    ids = explored_ids(explored)
+    for v in ids:
+        assert explored._walker.kind_of(v) == reported[v], v
+    return len(ids)
+
+
+def test_explored_kinds_are_the_kinds_revealed(monkeypatch):
+    """The explored tree keeps no kinds of its own: it asks the walker,
+    which reads the live instance. That is sound only if an explored node
+    keeps the kind it was revealed with, freezes included."""
+    trees = []
+    oracles = []
+    monkeypatch.setattr(algorithms, "ExploredTree",
+                        _keeping(ExploredTree, trees))
+    monkeypatch.setattr(lowerbound, "AdaptiveOracle",
+                        _keeping(_ReportingAdaptiveOracle, oracles))
+    runs = checked = 0
+    for family in ("random", "comb", "complete_path"):
+        for n, t in ((64, 4), (200, 16)):
+            for seed in range(2):
+                tree = build_instance(FamilySpec(family, n, t, seed))
+                for fn in ALGORITHMS.values():
+                    oracles.append(_ReportingOracle(tree))
+                    assert fn(tree, oracles[-1]).found == tree.target
+                    runs += 1
+    froze = 0
+    for n, t in ((64, 25), (128, 36), (256, 49), (512, 64)):
+        for player in ALGORITHMS:
+            froze += adaptive_fork_adversary(n, t, player).froze
+            runs += 1
+    assert runs == len(trees) == len(oracles) == 48
+    for explored, oracle in zip(trees, oracles):
+        checked += _kinds_match_reveals(explored, oracle.reported)
+    assert froze >= 1
+    assert checked > 30000

@@ -35,13 +35,13 @@ from bifurcation.model import (DIR_PARENT, FOUND, TARGET_LARGER,
                                TARGET_SMALLER, InstrumentedOracle, TreeError,
                                Walker)
 
-from helpers import (explored_ids, reference_explored_inorder,
-                     reference_mark_stub, reference_nodes_and_leaves,
-                     reference_trim)
+from helpers import (explored_ids, explored_kinds,
+                     reference_explored_inorder, reference_mark_stub,
+                     reference_nodes_and_leaves, reference_trim)
 
 
 def _state(explored):
-    return (explored.kind, explored.parent.tobytes(),
+    return (explored_kinds(explored), explored.parent.tobytes(),
             explored.left.tobytes(), explored.right.tobytes(),
             bytes(explored.stub), explored.node_count, explored.leaf_count)
 
@@ -259,7 +259,8 @@ class _PoisonedWalker(Walker):
     def poison(self, explored, mode, rng):
         ranks = np.frombuffer(self.tree.inorder_ranks(), np.intc)
         mine = np.frombuffer(self.values(), np.intc)
-        held = np.array([k is not None for k in explored.kind])
+        held = np.zeros(len(ranks), bool)
+        held[explored_ids(explored)] = True
         mine[held] = ranks[held]
         if mode == "minus_one":
             mine[~held] = -1

@@ -24,7 +24,7 @@ from bifurcation.lowerbound import AdaptiveOracle, adaptive_fork_adversary
 from bifurcation.model import (DIR_PARENT, FOUND, InstrumentedOracle,
                                TreeError, Walker)
 
-from helpers import reference_dfs_extend
+from helpers import explored_ids, explored_kinds, reference_dfs_extend
 
 
 class _Side:
@@ -37,7 +37,7 @@ class _Side:
         w = self.walker
         e = self.explored
         return (w.current, w.steps, bytes(w.revealed), list(self.log),
-                e.kind, e.parent.tobytes(), e.left.tobytes(),
+                explored_kinds(e), e.parent.tobytes(), e.left.tobytes(),
                 e.right.tobytes(), bytes(e.stub), e.node_count, e.leaf_count)
 
     def go_to(self, anchor):
@@ -66,8 +66,7 @@ def _play(tree, rng, seen):
     runs = 0
     for _ in range(12):
         explored = new.explored
-        live = [v for v, k in enumerate(explored.kind)
-                if k is not None and not explored.stub[v]]
+        live = [v for v in explored_ids(explored) if not explored.stub[v]]
         anchor = rng.choice(live) if rng.random() < 0.5 else tree.root
         for side in (new, ref):
             side.go_to(anchor)

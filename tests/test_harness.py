@@ -394,6 +394,24 @@ def test_cli_rejects_abbreviated_options(capsys):
     assert capsys.readouterr().out.strip() == "11"
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "{missing}/s.csv"],
+    ["fit", "{dir}"],
+    ["sweep", "--n", "16", "--t", "2", "--trials", "1",
+     "--out", "{missing}/s.csv"],
+    ["search", "--n", "16", "--t", "2", "--out", "{missing}/s.csv"],
+    ["game", "--h", "3", "--out", "{missing}/g.csv"],
+], ids=["fit-missing", "fit-directory", "sweep-out", "search-out",
+        "game-out"])
+def test_cli_file_errors_exit_2(tmp_path, capsys, argv):
+    paths = dict(missing=tmp_path / "missing", dir=tmp_path)
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_adversary(capsys):
     assert main(["adversary", "--n", "64", "--t", "4", "--algo", "rounds"]) == 0
     out = capsys.readouterr().out.strip().splitlines()

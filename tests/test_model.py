@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 from array import array
 
 import pytest
@@ -13,7 +15,7 @@ from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
 from bifurcation.algorithms import ExploredTree, dfs_extend
 from bifurcation.generators import gen_complete_path, gen_random, place_target
 
-from helpers import (inorder_compare, is_leaf, make_path,
+from helpers import (explored_kinds, inorder_compare, is_leaf, make_path,
                      reference_dfs_extend, slow_inorder)
 
 
@@ -330,10 +332,10 @@ def test_dfs_extend_matches_reference_where_children_skip_ids():
             explored = ExploredTree(w)
             forks = dfs(explored, w, limit, tree.root)
             again = dfs(explored, w, limit + 1, tree.root)
-            sides.append((forks, again, _seen(w, log), explored.kind,
-                          list(explored.parent), list(explored.left),
-                          list(explored.right), explored.node_count,
-                          explored.leaf_count))
+            sides.append((forks, again, _seen(w, log),
+                          explored_kinds(explored), list(explored.parent),
+                          list(explored.left), list(explored.right),
+                          explored.node_count, explored.leaf_count))
         assert sides[0] == sides[1]
     assert sides[0][2][1] == 4 * (tree.size - 1)  # two full walks
 
@@ -352,3 +354,38 @@ def test_exploring_ranks_nothing_until_the_first_rescan(monkeypatch):
     assert explored.node_count == tree.size
     with pytest.raises(AssertionError, match="ranked"):
         explored.inorder_below(tree.root)
+
+
+def _held_bytes_per_node(tree, build):
+    """Bytes that ``build()``'s result still holds, per node of tree."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del kept
+    return held / tree.size
+
+
+@pytest.mark.parametrize("make", [lambda: gen_random(2048, 64, 3),
+                                  lambda: gen_complete_path(8, 64)],
+                         ids=["random", "complete_path"])
+def test_node_sized_state_stays_lean(make):
+    """Ranks are one int32 a node, with no inverse order kept beside them;
+    a walker (two byte flags) and an explored tree (three int32 links and
+    a stub byte) explored to full depth hold no copy of the kinds."""
+    tree = make()
+    assert _held_bytes_per_node(tree, tree.inorder_ranks) <= 5
+
+    def explore():
+        w = Walker(tree)
+        explored = ExploredTree(w)
+        dfs_extend(explored, w, tree.n, tree.root)
+        assert explored.node_count == tree.size
+        return w, explored
+
+    tree = make()
+    assert _held_bytes_per_node(tree, explore) <= 16
