@@ -362,12 +362,10 @@ def _held_bytes_per_node(tree, build):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        kept = build()
-        held = tracemalloc.get_traced_memory()[0] - before
+        kept = build()  # alive while measured
+        return (tracemalloc.get_traced_memory()[0] - before) / tree.size
     finally:
         tracemalloc.stop()
-    del kept
-    return held / tree.size
 
 
 @pytest.mark.parametrize("make", [lambda: gen_random(2048, 64, 3),
