@@ -9,6 +9,7 @@ knowledge lives in an ExploredTree mirroring the ids the walker has entered.
 from __future__ import annotations
 
 import math
+import mmap
 from array import array
 from dataclasses import dataclass
 
@@ -28,25 +29,46 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _run_ids(first, last):
+    """The ids of the runs ``first[i]..last[i]``, one after another, from
+    two nonempty int32 arrays: one int32 arange shifted run by run."""
+    lengths = last - first
+    lengths += 1
+    ends = np.cumsum(lengths, dtype=np.intc)
+    ids = np.arange(ends[-1], dtype=np.intc)
+    ids += np.repeat(first - (ends - lengths), lengths)
+    return ids
+
+
 class ExploredTree:
     """The algorithm's partial copy of the instance the walker explores.
 
     Arrays indexed by instance id, one slot per id: ``parent``, ``left``
     and ``right`` are ``array("i")`` of ids, ``-1`` for none; ``stub`` flags
-    stubs. An id other than the root is explored exactly when its
-    ``parent`` is not ``-1``; kinds are not copied but read through the
-    walker (``Walker.kind_of``), which revealed every explored id. A stub is
-    a node proven not to hold the target in its subtree; stubs stay in
-    place as markers but their explored subtrees are deleted.
+    stubs. Membership is ``parent``: an id other than the root is explored
+    exactly when its ``parent`` is not ``-1``. Kinds are not copied but read
+    through the walker (``Walker.kind_of``), which revealed every explored
+    id. A stub is a node proven not to hold the target in its subtree;
+    stubs stay in place as markers but their explored subtrees are deleted.
     ``node_count`` and ``leaf_count`` (non-stub nodes with no explored
     children) exclude stubs and are kept current as the tree changes.
 
-    A node's value is its inorder rank (``Walker.values``), fetched on the
-    first rescan or cut and read only at explored ids.
+    A node's value is its inorder rank (``Walker.values``). The values, and
+    an int32 slot index by value that holds the explored ids (stubs
+    included), are allocated on the first rescan or cut, so exploring alone
+    ranks nothing. ``add_child`` and ``add_chain`` only log their new ids as
+    ``(first, last)`` runs; the next rescan or cut writes the log into the
+    index, reading values only at logged ids the tree still holds. A rescan
+    compacts the index, or the value slice under ``top``, and keeps the
+    members that are no stubs, so an id deleted behind the index's back
+    stays out of view. A cut takes the value slice on u's cut side, reads
+    and clears the ids there by position, and writes ``-1`` into the links
+    of the deleted ids only. Root paths are walked as id runs
+    (``path_runs``); ``path_to_root`` walks them node by node.
     """
 
-    __slots__ = ("root", "parent", "left", "right", "stub",
-                 "node_count", "leaf_count", "_walker", "_values")
+    __slots__ = ("root", "parent", "left", "right", "stub", "node_count",
+                 "leaf_count", "_walker", "_values", "_slots", "_log")
 
     def __init__(self, walker: Walker):
         size = walker.tree.size
@@ -60,6 +82,8 @@ class ExploredTree:
         self.leaf_count = 1
         self._walker = walker
         self._values = None
+        self._slots = None
+        self._log = array("i")  # (first, last) runs of new ids
 
     def add_child(self, parent: int, side: str, child: int):
         # the child is a new leaf; a childless parent stops being one
@@ -71,18 +95,45 @@ class ExploredTree:
             self.left[parent] = child
         else:
             self.right[parent] = child
+        self._log.extend((child, child))
 
     def add_chain(self, first: int, last: int, left, right):
         """Add ids first..last below the leaf first - 1, each the only child
         of the id before it; all but the last are unary, and ``left`` and
         ``right`` are the links of first - 1..last - 1."""
-        self.parent[first:last + 1] = array("i", range(first - 1, last))
+        np.frombuffer(self.parent, np.intc)[first:last + 1] = np.arange(
+            first - 1, last, dtype=np.intc)
         self.left[first - 1:last] = left
         self.right[first - 1:last] = right
         self.node_count += last + 1 - first  # last takes the leaf's place
+        self._log.extend((first, last))
+
+    def path_runs(self, u: int, top=None):
+        """The explored path from u up to its ancestor top (the root by
+        default) as id runs ``(a, b)``, u's run first: each run is the chain
+        a..b (``Walker.run_start``), and each a is a child of the next
+        run's b."""
+        if top is None:
+            top = self.root
+        run_start = self._walker.run_start
+        parent = self.parent
+        runs = []
+        v = u
+        while v >= top:  # ids fall going up, so the path passes top by
+            a = run_start(v, top)
+            runs.append((a, v))
+            if a == top:
+                return runs
+            v = parent[a]
+        raise TreeError("node %d is not below node %d" % (u, top))
+
+    def depth(self, u: int) -> int:
+        """Edges from the root down to u, counted run by run."""
+        runs = self.path_runs(u)
+        return sum(b - a for a, b in runs) + len(runs) - 1
 
     def path_to_root(self, u: int):
-        """Ids from u up to the root, inclusive."""
+        """Ids from u up to the root, inclusive, walked node by node."""
         path = [u]
         parent = self.parent
         p = parent[u]
@@ -91,20 +142,32 @@ class ExploredTree:
             p = parent[p]
         return path
 
-    def _value_array(self):
-        if self._values is None:
-            self._values = np.frombuffer(self._walker.values(), np.intc)
-        return self._values
+    def _index(self):
+        """The values and the slot index, with the log written in."""
+        values = self._values
+        if values is None:
+            values = np.frombuffer(self._walker.values(), np.intc)
+            self._values = values
+            # The index lives as long as the search, so it gets its own
+            # anonymous mapping: from malloc it would sit between the
+            # short-lived node-sized temporaries and fragment the heap.
+            slots = np.frombuffer(mmap.mmap(-1, values.nbytes), np.intc)
+            slots.fill(-1)
+            slots[values[self.root]] = self.root
+            self._slots = slots
+        slots = self._slots
+        if self._log:
+            runs = np.frombuffer(self._log, np.intc)
+            self._log = array("i")
+            ids = _run_ids(runs[0::2], runs[1::2])
+            ids = ids[np.frombuffer(self.parent, np.intc)[ids] >= 0]
+            slots[values[ids]] = ids
+        return values, slots
 
     def _inorder(self, top: int):
         # Both public rescans call this, never each other, so a profiler
         # that wraps both counts every rescanned id once.
-        values = self._value_array()
-        live = np.frombuffer(self.parent, np.intc) >= 0
-        live[self.root] = True
-        live &= np.frombuffer(self.stub, bool) == 0
-        slots = np.full(len(live), -1, np.intc)  # explored ids by value
-        slots[values[live]] = np.arange(len(live), dtype=np.intc)[live]
+        values, slots = self._index()
         if top != self.root:  # slice between the values of top's lowest
             lo = hi = top     # and highest explored descendants
             while self.left[lo] >= 0:
@@ -112,7 +175,11 @@ class ExploredTree:
             while self.right[hi] >= 0:
                 hi = self.right[hi]
             slots = slots[values[lo]:values[hi] + 1]
-        return slots[slots >= 0]
+        ids = slots[slots >= 0]
+        held = np.frombuffer(self.parent, np.intc)[ids] >= 0
+        held |= ids == self.root
+        held &= ~np.frombuffer(self.stub, bool)[ids]
+        return ids[held]
 
     def inorder_below(self, top: int):
         """Non-stub ids of top's explored subtree, in inorder (np.intc)."""
@@ -127,28 +194,32 @@ class ExploredTree:
 
     def _cut(self, u: int, larger: bool, keep, stubs):
         """Stub ``stubs`` and delete their explored subtrees: every explored
-        id valued below u's (``larger``) or above it, but those in ``keep``."""
-        values = self._value_array()
+        id valued below u's (``larger``) or above it, but the held ids in
+        the int32 array ``keep``."""
+        values, slots = self._index()
+        kept = values[keep]
+        slots[kept] = -1  # out of the cut for the moment
+        side = slots[:values[u]] if larger else slots[values[u] + 1:]
+        gone = side[side >= 0]
+        side.fill(-1)
+        slots[kept] = keep
         parent = np.frombuffer(self.parent, np.intc)
         left = np.frombuffer(self.left, np.intc)
         right = np.frombuffer(self.right, np.intc)
         stub = np.frombuffer(self.stub, bool)
-        padded = np.zeros(len(parent) + 1, bool)  # id -1 is the pad
-        cut = padded[:-1]
-        (np.less if larger else np.greater)(values, values[u], out=cut,
-                                            where=parent >= 0)
-        padded[keep] = False
-        gone = cut & ~stub
-        gone[stubs] = True  # stubs from now, non-stub nodes until now
-        nodes = np.count_nonzero(gone)
-        gone &= (left & right) < 0  # no child: both links are negative
-        leaves = np.count_nonzero(gone)
-        parent[cut] = left[cut] = right[cut] = -1
+        gone = gone[parent[gone] >= 0]  # not deleted behind the index's back
+        live = gone[~stub[gone]]
+        stubs = np.array(stubs, np.intc)
+        # stubs from now, non-stub nodes until now; a leaf has no child, so
+        # both its links are negative
+        self.node_count -= len(live) + len(stubs)
+        self.leaf_count -= (np.count_nonzero((left[live] & right[live]) < 0)
+                            + np.count_nonzero((left[stubs] & right[stubs])
+                                               < 0))
+        parent[gone] = left[gone] = right[gone] = -1
         left[stubs] = right[stubs] = -1
-        stub[cut] = False
+        stub[gone] = False
         stub[stubs] = True
-        self.node_count -= nodes
-        self.leaf_count -= leaves
 
 
 def trim(explored: ExploredTree, u: int, answer: str):
@@ -160,19 +231,32 @@ def trim(explored: ExploredTree, u: int, answer: str):
     leaf is also stubbed, since its whole subtree is just itself and the
     answer excluded it. Returns the newly created stubs, whose explored
     subtrees go in one deletion: u's cut side bar the path and its children.
+
+    The path is walked as id runs (``ExploredTree.path_runs``). A node of a
+    run above its last one has the next id as its only child, or no child
+    yet, and both are on the path; so only each run's last node can have a
+    new stub, and the kept ids are the runs' aranges plus those nodes'
+    children.
     """
     if answer == FOUND:
         raise TreeError("trim is undefined for a found answer")
-    path = explored.path_to_root(u)
     take = explored.left if answer == TARGET_LARGER else explored.right
-    kids = [take[v] for v in path]
-    # [-1] + path holds the path's child of each path node
-    new_stubs = [c for c, below in zip(kids, [-1] + path)
-                 if c >= 0 and c != below and not explored.stub[c]]
-    if not explored.stub[u] and explored._walker.kind_of(u) == LEAF:
+    stub = explored.stub
+    runs = explored.path_runs(u)
+    kids = [take[b] for _, b in runs]
+    # the path's child of a run's last node: u has none, any other has the
+    # first node of the run below it
+    below = [-1] + [a for a, _ in runs[:-1]]
+    new_stubs = [c for c, d in zip(kids, below)
+                 if c >= 0 and c != d and not stub[c]]
+    if not stub[u] and explored._walker.kind_of(u) == LEAF:
         new_stubs.append(u)
     if new_stubs:
-        explored._cut(u, answer == TARGET_LARGER, path + kids, new_stubs)
+        ends = np.array(runs, np.intc)
+        keep = np.concatenate((_run_ids(ends[:, 0], ends[:, 1]),
+                               np.array([c for c in kids if c >= 0],
+                                        np.intc)))
+        explored._cut(u, answer == TARGET_LARGER, keep, new_stubs)
     return new_stubs
 
 
@@ -248,7 +332,7 @@ def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
     climb = walker.climb
     new_forks = 0
     node = anchor
-    anchor_depth = depth = len(explored.path_to_root(anchor)) - 1
+    anchor_depth = depth = explored.depth(anchor)
     while True:
         direction = None
         k = kind_of(node)
@@ -516,18 +600,20 @@ def _pick_frontier(explored, before, after):
 
 
 def _descend(walker, explored, src, dst):
-    """Walk the explored path from src down to its descendant dst."""
-    chain = explored.path_to_root(dst)
-    del chain[chain.index(src):]
-    parent = explored.parent
+    """Walk the explored path from src down to its descendant dst: one
+    move into each run (``ExploredTree.path_runs``) and one
+    ``Walker.follow`` down it."""
     lefts = explored.left
-    for node in reversed(chain):
-        p = parent[node]
-        if walker.kind_of(p) == FORK:
-            direction = DIR_LEFT if lefts[p] == node else DIR_RIGHT
-        else:
-            direction = DIR_ONLY
-        walker.move(direction)
+    for a, b in reversed(explored.path_runs(dst, src)):
+        if a != src:
+            p = walker.current
+            if walker.kind_of(p) == FORK:
+                direction = DIR_LEFT if lefts[p] == a else DIR_RIGHT
+            else:
+                direction = DIR_ONLY
+            walker.move(direction)
+        if b > a:
+            walker.follow(b - a)
 
 
 ALGORITHMS = {

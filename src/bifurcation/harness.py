@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 from dataclasses import dataclass, fields
@@ -102,7 +103,8 @@ def prepare_append(path):
     row): the header for a new or empty file, else nothing. A foreign header
     or a malformed row raises TreeError before the file is touched. Then a
     last line with no newline, as a kill part-way through writing a row
-    leaves it, is cut off.
+    leaves it, is cut off. A new file is not created here, but a folder
+    that is missing or not writable raises OSError now, before any work.
     """
     if os.path.exists(path):
         with open(path, "rb+") as fh:
@@ -114,6 +116,12 @@ def prepare_append(path):
                 fh.truncate(keep)
         if keep:
             return records, ""
+    else:
+        folder = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(errno.ENOENT, "no such folder", folder)
+        if not os.access(folder, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, "folder not writable", folder)
     return [], CSV_HEADER + "\n"
 
 
@@ -140,8 +148,10 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
     flushed as it is written; on resume a torn last row is dropped and run
     again, while a malformed row anywhere else raises. An unknown
     algorithm, family or target strategy, a psi below 1 or fewer than one
-    trial, or an empty axis, raises before the file is touched; a new file
-    gets its header along with its first row. Returns rows written.
+    trial, or an empty axis, raises before the file is touched, and an
+    output folder that is missing or not writable before any instance is
+    built; a new file gets its header along with its first row. Returns
+    rows written.
     """
     axes = dict(family=families, n=ns, t=ts, algorithm=algos, psi=psis)
     for name, axis in axes.items():

@@ -253,8 +253,10 @@ class Walker:
     unary with only child id + 1; every generated family is made of such
     runs. ``follow`` and ``climb`` walk many edges of one run in a call, at
     one step per edge, revealing and reporting exactly what the same single
-    moves would. The run flags behind them, 1 for every node of a run but
-    its last, are built once, here, before the root is reported. They stay
+    moves would; ``run_start`` finds where a run begins, for ``climb`` and
+    for the root paths of an explored tree, and moves nothing. The run
+    flags behind them, 1 for every node of a run but its last, are built
+    once, here, before the root is reported. They stay
     conservative when ``AdaptiveOracle._freeze`` rewrites the child arrays
     of a live walker: a freeze only touches forks, whose flag is 0; a
     demoted fork that keeps child id + 1 keeps its 0 too, so it only ends
@@ -376,6 +378,14 @@ class Walker:
                 hook(end, kind)
         return end, kind, self.tree.left[cur:end], self.tree.right[cur:end]
 
+    def run_start(self, v: int, lo: int = 0) -> int:
+        """First node of the run that ends at v, cut off at lo <= v: the
+        least id a >= lo such that every id from a to v - 1 is unary with
+        only child id + 1, so that a..v is a chain of ancestors of v. One
+        ``rfind`` over the run flags; nothing moves."""
+        j = self._run.rfind(0, lo, v)
+        return j + 1 if j >= 0 else lo
+
     def climb(self, k: int) -> int:
         """Walk up the current node's run for at most k edges.
 
@@ -387,9 +397,7 @@ class Walker:
         if k < 1 or k > self.tree.depth[cur]:
             raise WalkerError("cannot climb %r edges above node %d"
                               % (k, cur))
-        lo = max(cur - k, 0)
-        j = self._run.rfind(0, lo, cur)
-        top = j + 1 if j >= 0 else lo
+        top = self.run_start(cur, max(cur - k, 0))
         self.current = top
         self.steps += cur - top
         return top

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bifurcation import harness
 from bifurcation.cli import main
-from bifurcation.generators import FamilySpec
+from bifurcation.generators import FamilySpec, build_instance
 from bifurcation.model import InfeasibleInstanceError, TreeError
 from bifurcation.harness import (CSV_HEADER, ExperimentRecord,
                                  InsufficientGridError, _cell_seed,
@@ -210,6 +211,31 @@ def test_sweep_with_an_empty_axis_fails_before_touching_the_file(tmp_path,
         sweep(out, grid.pop("families"), grid.pop("ns"), grid.pop("ts"),
               grid.pop("algos"), trials=1, **grid)
     assert not out.exists()
+
+
+def test_sweep_checks_its_output_before_any_build(tmp_path, monkeypatch):
+    builds = []
+
+    def counting_build(spec):
+        builds.append(spec)
+        return build_instance(spec)
+
+    monkeypatch.setattr(harness, "build_instance", counting_build)
+    not_a_folder = tmp_path / "file"
+    not_a_folder.write_text("")
+    for out in (tmp_path / "missing" / "grid.csv", not_a_folder / "grid.csv"):
+        with pytest.raises(OSError):
+            sweep(out, ["random"], [16], [2], ["full"], trials=1)
+        assert builds == []
+    # a writable folder still gets no file until the first row
+    out = tmp_path / "grid.csv"
+    with pytest.raises(InfeasibleInstanceError):
+        sweep(out, ["random"], [64], [4], ["full"], trials=1,
+              target_strategy="fixed:999")
+    assert len(builds) == 1
+    assert not out.exists()
+    assert sweep(out, ["random"], [16], [2], ["full"], trials=1) == 1
+    assert out.read_text().startswith(CSV_HEADER + "\n")
 
 
 @pytest.mark.parametrize("option", ["--family", "--n", "--t", "--algo",

@@ -12,7 +12,7 @@ from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
                                TARGET_SMALLER, UNARY, InstrumentedOracle,
                                NodeIdError, TreeInstance, Walker,
                                WalkerError)
-from bifurcation.algorithms import ExploredTree, dfs_extend
+from bifurcation.algorithms import ExploredTree, dfs_extend, median_node, trim
 from bifurcation.generators import gen_complete_path, gen_random, place_target
 
 from helpers import (explored_kinds, inorder_compare, is_leaf, make_path,
@@ -387,3 +387,28 @@ def test_node_sized_state_stays_lean(make):
 
     tree = make()
     assert _held_bytes_per_node(tree, explore) <= 16
+
+
+@pytest.mark.parametrize("make", [lambda: gen_random(2048, 64, 3),
+                                  lambda: gen_complete_path(8, 64)],
+                         ids=["random", "complete_path"])
+def test_value_index_stays_lean(make):
+    """After a full-depth ``dfs_extend``, one rescan and one trim, the walker
+    and the explored tree hold the lean state plus the int32 slot index by
+    value. The index is an anonymous mapping, which tracemalloc does not
+    see, so its bytes are added; the values are the instance's ranks."""
+    tree = make()
+    tree.inorder_ranks()
+    made = []
+
+    def decimate():
+        w = Walker(tree)
+        explored = ExploredTree(w)
+        dfs_extend(explored, w, tree.n, tree.root)
+        trim(explored, median_node(explored), TARGET_LARGER)
+        assert explored.node_count < tree.size
+        made.append(explored)
+        return w, explored
+
+    held = _held_bytes_per_node(tree, decimate)
+    assert held + made[0]._slots.nbytes / tree.size <= 20
