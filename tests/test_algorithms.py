@@ -682,19 +682,13 @@ def _run_path(runs):
     return [v for a, b in runs for v in range(b, a - 1, -1)]
 
 
-def _check_path_runs(explored, seen):
+def _check_path_runs(explored):
     for v in explored_ids(explored):
         path = explored.path_to_root(v)
-        runs = explored.path_runs(v)
-        assert _run_path(runs) == path
+        assert _run_path(explored.path_runs(v)) == path
         assert explored.depth(v) == len(path) - 1
-        top = path[len(path) // 2]
-        assert _run_path(explored.path_runs(v, top)) == path[:len(path) // 2
-                                                             + 1]
-        # a run that ends on its own parent's next id: a fork or a
-        # demoted fork whose child is id + 1
-        if any(explored.parent[a] == a - 1 for a, _ in runs):
-            seen.add("consecutive run break")
+        mid = len(path) // 2
+        assert _run_path(explored.path_runs(v, path[mid])) == path[:mid + 1]
 
 
 @pytest.mark.parametrize("make", [lambda: gen_random(128, 16, seed=4),
@@ -708,7 +702,7 @@ def test_path_runs_match_the_node_by_node_path(make):
     tree = make()
     explored, _ = explore_fully(tree)
     assert explored.node_count == tree.size
-    _check_path_runs(explored, set())
+    _check_path_runs(explored)
     leaves = [v for v in range(tree.size) if is_leaf(tree, v)]
     with pytest.raises(TreeError, match="not below"):
         explored.path_runs(leaves[-1], leaves[-2])
@@ -718,7 +712,6 @@ def test_path_runs_after_a_freeze():
     """On the adversary arena a freeze demotes forks; one that keeps child
     id + 1 keeps its run flag of 0, so a run ends on it early, and the
     run-wise path still equals the node-by-node one."""
-    seen = set()
     for budget in (1, 4):
         tree = gen_complete_path(3, 16)
         forks = [f for f in range(tree.size)
@@ -729,5 +722,4 @@ def test_path_runs_after_a_freeze():
         kept = [f for f in forks if explored.parent[f + 1] == f
                 and tree.right[f] < 0 and walker.revealed[f]]
         assert kept  # demoted forks that kept id + 1
-        _check_path_runs(explored, seen)
-    assert seen == {"consecutive run break"}
+        _check_path_runs(explored)
