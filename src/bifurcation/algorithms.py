@@ -17,7 +17,8 @@ import numpy as np
 
 from .model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT, FORK, FOUND,
                     LEAF, LEFT, TARGET_LARGER, TARGET_SMALLER,
-                    InconsistentOracleError, TreeError, Walker, WalkerError)
+                    InconsistentOracleError, TreeError, TreeInstance, Walker,
+                    WalkerError)
 
 
 def _ceil_sqrt(x: int) -> int:
@@ -46,12 +47,14 @@ class ExploredTree:
     Arrays indexed by instance id, one slot per id: ``parent``, ``left``
     and ``right`` are ``array("i")`` of ids, ``-1`` for none; ``stub`` flags
     stubs. Membership is ``parent``: an id other than the root is explored
-    exactly when its ``parent`` is not ``-1``. Kinds are not copied but read
-    through the walker (``Walker.kind_of``), which revealed every explored
-    id. A stub is a node proven not to hold the target in its subtree;
-    stubs stay in place as markers but their explored subtrees are deleted.
-    ``node_count`` and ``leaf_count`` (non-stub nodes with no explored
-    children) exclude stubs and are kept current as the tree changes.
+    exactly when its ``parent`` is not ``-1``. ``walker`` is the one walker
+    that explores the tree; ``dfs_extend``, ``trim`` and ``_descend`` move
+    it, and kinds are not copied but read through it (``Walker.kind_of``),
+    as it revealed every explored id. A stub is a node proven not to hold
+    the target in its subtree; stubs stay in place as markers but their
+    explored subtrees are deleted. ``node_count`` and ``leaf_count``
+    (non-stub nodes with no explored children) exclude stubs and are kept
+    current as the tree changes.
 
     A node's value is its inorder rank (``Walker.values``). The values, and
     an int32 slot index by value that holds the explored ids (stubs
@@ -64,15 +67,15 @@ class ExploredTree:
     stays out of view. A cut takes the value slice on u's cut side, reads
     and clears the ids there by position, and writes ``-1`` into the links
     of the deleted ids only. Root paths are walked as id runs
-    (``path_runs``); ``path_to_root`` walks them node by node.
+    (``path_runs``).
     """
 
-    __slots__ = ("root", "parent", "left", "right", "stub", "node_count",
-                 "leaf_count", "_walker", "_values", "_slots", "_log")
+    __slots__ = ("parent", "left", "right", "stub", "node_count",
+                 "leaf_count", "walker", "_values", "_slots", "_log")
+    root = TreeInstance.root
 
     def __init__(self, walker: Walker):
         size = walker.tree.size
-        self.root = walker.tree.root
         none = array("i", [-1])
         self.parent = none * size
         self.left = none * size
@@ -80,7 +83,7 @@ class ExploredTree:
         self.stub = bytearray(size)
         self.node_count = 1
         self.leaf_count = 1
-        self._walker = walker
+        self.walker = walker
         self._values = None
         self._slots = None
         self._log = array("i")  # (first, last) runs of new ids
@@ -115,7 +118,7 @@ class ExploredTree:
         run's b."""
         if top is None:
             top = self.root
-        run_start = self._walker.run_start
+        run_start = self.walker.run_start
         parent = self.parent
         runs = []
         v = u
@@ -132,21 +135,11 @@ class ExploredTree:
         runs = self.path_runs(u)
         return sum(b - a for a, b in runs) + len(runs) - 1
 
-    def path_to_root(self, u: int):
-        """Ids from u up to the root, inclusive, walked node by node."""
-        path = [u]
-        parent = self.parent
-        p = parent[u]
-        while p >= 0:
-            path.append(p)
-            p = parent[p]
-        return path
-
     def _index(self):
         """The values and the slot index, with the log written in."""
         values = self._values
         if values is None:
-            values = np.frombuffer(self._walker.values(), np.intc)
+            values = np.frombuffer(self.walker.values(), np.intc)
             self._values = values
             # The index lives as long as the search, so it gets its own
             # anonymous mapping: from malloc it would sit between the
@@ -249,7 +242,7 @@ def trim(explored: ExploredTree, u: int, answer: str):
     below = [-1] + [a for a, _ in runs[:-1]]
     new_stubs = [c for c, d in zip(kids, below)
                  if c >= 0 and c != d and not stub[c]]
-    if not stub[u] and explored._walker.kind_of(u) == LEAF:
+    if not stub[u] and explored.walker.kind_of(u) == LEAF:
         new_stubs.append(u)
     if new_stubs:
         ends = np.array(runs, np.intc)
@@ -294,14 +287,14 @@ def halve(explored: ExploredTree, oracle, median=median_node):
     return answer, u, trim(explored, u, answer)
 
 
-def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
-               anchor: int) -> int:
+def dfs_extend(explored: ExploredTree, depth_limit: int, anchor: int) -> int:
     """Grow anchor's explored subtree to the depth limit by walking DFS.
 
-    The walker must stand at anchor, or TreeError is raised before any step.
-    Already explored edges are re-walked (each at most twice), stubs are
-    never entered, the walk turns back at the depth limit, and the walker
-    ends where it started. Returns the count of newly explored forks.
+    The explored tree's walker must stand at anchor, or TreeError is raised
+    before any step. Already explored edges are re-walked (each at most
+    twice), stubs are never entered, the walk turns back at the depth limit,
+    and the walker ends where it started. Returns the count of newly
+    explored forks.
 
     No stack is kept. The walk goes down, into the left child first, until
     it reaches the limit or a node with no child it may enter; then it
@@ -320,6 +313,7 @@ def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
     the moves, and every counter, are those of one move per edge. Kinds are
     read through ``Walker.kind_of``.
     """
+    walker = explored.walker
     if walker.current != anchor:
         raise TreeError("walker must start at the exploration anchor")
     stub = explored.stub
@@ -372,7 +366,7 @@ def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
             if s >= 0:
                 room = s - node - 1
             try:
-                end, _, ls, rs = follow(room)
+                end, ls, rs = follow(room)
             except WalkerError:  # node ends its run: one move takes the edge
                 pass
             else:
@@ -385,7 +379,7 @@ def dfs_extend(explored: ExploredTree, walker: Walker, depth_limit: int,
                 depth += end - node
                 node = end
                 continue
-        cid, _, cside = move(direction)
+        cid, cside = move(direction)
         if parents[cid] < 0:
             explored.add_child(node, cside, cid)
             if kind_of(cid) == FORK:
@@ -505,7 +499,7 @@ def bifurcation_search(tree, oracle, psi=None) -> SearchResult:
         depth_limit = i * params.depth_step
         steps_before = walker.steps
         calls_before = oracle.calls
-        new_forks = dfs_extend(explored, walker, depth_limit, tree.root)
+        new_forks = dfs_extend(explored, depth_limit, tree.root)
         found = None
         while True:
             if explored.leaf_count > leaf_cap:
@@ -541,7 +535,7 @@ def baseline_full(tree, oracle) -> SearchResult:
     walker = Walker(tree, oracle.on_reveal)
     explored = ExploredTree(walker)
     base_calls = oracle.calls
-    dfs_extend(explored, walker, tree.n, tree.root)
+    dfs_extend(explored, tree.n, tree.root)
     target = final_binary_search(explored, oracle)
     return SearchResult(target, walker.steps, oracle.calls - base_calls, ())
 
@@ -566,7 +560,7 @@ def baseline_rounds(tree, oracle) -> SearchResult:
         depth_limit = min(i * chunk, tree.n)
         steps_before = walker.steps
         calls_before = oracle.calls
-        new_forks = dfs_extend(explored, walker, depth_limit, frontier)
+        new_forks = dfs_extend(explored, depth_limit, frontier)
         cand = explored.inorder_below(frontier)
         found, gap = _bisect(cand, oracle)
         rounds.append(RoundStats(i, new_forks, oracle.calls - calls_before,
@@ -577,7 +571,7 @@ def baseline_rounds(tree, oracle) -> SearchResult:
         before = int(cand[gap - 1]) if gap > 0 else None
         after = int(cand[gap]) if gap < len(cand) else None
         nxt = _pick_frontier(explored, before, after)
-        _descend(walker, explored, frontier, nxt)
+        _descend(explored, frontier, nxt)
         frontier = nxt
         if i > tree.n + 2:
             raise InconsistentOracleError("round limit exceeded")
@@ -599,10 +593,11 @@ def _pick_frontier(explored, before, after):
     return after if explored.right[before] >= 0 else before
 
 
-def _descend(walker, explored, src, dst):
-    """Walk the explored path from src down to its descendant dst: one
-    move into each run (``ExploredTree.path_runs``) and one
-    ``Walker.follow`` down it."""
+def _descend(explored, src, dst):
+    """Walk the explored tree's walker down the explored path from src to
+    its descendant dst: one move into each run (``ExploredTree.path_runs``)
+    and one ``Walker.follow`` down it."""
+    walker = explored.walker
     lefts = explored.left
     for a, b in reversed(explored.path_runs(dst, src)):
         if a != src:

@@ -265,8 +265,8 @@ def place_target(tree: TreeInstance, strategy: str, seed: int = 0) -> int:
 
 
 def check_names(family: str, target_strategy: str) -> None:
-    """Raise the ValueError build_instance would for an unknown family or
-    target strategy, without building anything."""
+    """Raise ValueError for an unknown family or target strategy, without
+    building anything; build_instance calls it first."""
     if family not in FAMILIES:
         raise ValueError("unknown family %r" % (family,))
     if target_strategy.startswith("fixed:"):
@@ -278,12 +278,13 @@ def check_names(family: str, target_strategy: str) -> None:
 
 def build_instance(spec: FamilySpec) -> TreeInstance:
     """Generate the family instance and assign its target."""
+    check_names(spec.family, spec.target_strategy)
     fam = spec.family
     if fam == "random":
         tree = gen_random(spec.n, spec.t, mix_seed(spec.seed, 1))
     elif fam == "comb":
         tree = gen_comb(spec.n, spec.t, mix_seed(spec.seed, 1))
-    elif fam == "complete_path":
+    else:  # complete_path
         h = math.isqrt(max(spec.t, 0))
         if h < 1 or h * h != spec.t:
             raise InfeasibleInstanceError(
@@ -294,8 +295,6 @@ def build_instance(spec: FamilySpec) -> TreeInstance:
                 "complete_path of height %d (t = %d) needs n >= %d, got %d"
                 % (h, spec.t, h, spec.n))
         tree = gen_complete_path(h, spec.n // h)
-    else:
-        raise ValueError("unknown family %r" % (fam,))
     tree.target = place_target(tree, spec.target_strategy, mix_seed(spec.seed, 2))
     return tree
 

@@ -123,18 +123,12 @@ class Transcript:
                                          s.range_lo, s.range_hi)
 
 
-def _allowed_queries(state: GameState):
+def _allowed(state: GameState):
+    """The allowed labels lo..hi: inside the open active range while it has
+    more than two labels, either endpoint once two remain."""
     if state.active_size == 2:
-        return [state.x, state.y]
-    return list(range(state.x + 1, state.y))
-
-
-def _validate_move(state: GameState, q: int):
-    if state.active_size > 2:
-        if not state.x < q < state.y:
-            raise GameRuleError("query %d outside the open active range" % q)
-    elif q not in (state.x, state.y):
-        raise GameRuleError("query %d outside the active pair" % q)
+        return state.x, state.y
+    return state.x + 1, state.y - 1
 
 
 def play_game(strategy: str, h: int, seed: int = 0) -> Transcript:
@@ -153,19 +147,19 @@ def play_game(strategy: str, h: int, seed: int = 0) -> Transcript:
     rng = random.Random(seed)
     steps = []
     while not state.over():
-        x, y = state.x, state.y
+        lo, hi = _allowed(state)
         if strategy == "balanced_bisect":
-            q = (x + y) // 2
+            q = (state.x + state.y) // 2
         elif strategy == "greedy_cheapest":
-            flanks = state.queried & {x - 1, y + 1}
-            q = min(_allowed_queries(state),
+            flanks = state.queried & {state.x - 1, state.y + 1}
+            q = min(range(lo, hi + 1),
                     key=lambda c: (query_price(c, flanks, h), c))
         elif strategy == "random":
-            q = (rng.randrange(x, y + 1) if state.active_size == 2
-                 else rng.randrange(x + 1, y))
+            q = rng.randrange(lo, hi + 1)
         else:
             raise GameRuleError("unknown strategy %r" % (strategy,))
-        _validate_move(state, q)
+        if not lo <= q <= hi:
+            raise GameRuleError("query %d outside %d..%d" % (q, lo, hi))
         answer, price, discarded = adversary_answer(state, q)
         steps.append(GameStep(len(steps) + 1, q, price, answer,
                               state.x, state.y, discarded))

@@ -62,20 +62,20 @@ class TreeInstance:
     Treated as immutable and shareable once generated; search algorithms may
     only learn its shape through a :class:`Walker`. ``target`` is the node the
     searches must discover. ``parent``, ``left``, ``right`` and ``depth`` are
-    ``array("i")`` indexed by node id; ranking needs root 0 and every parent
-    id below its child's, as every generator builds them.
+    ``array("i")`` indexed by node id. The root is node 0, as every generator
+    builds it, and ranking needs every other parent id below its child's.
     """
 
-    __slots__ = ("parent", "left", "right", "depth", "root", "n", "t",
-                 "target", "family", "_ranks")
+    __slots__ = ("parent", "left", "right", "depth", "n", "t", "target",
+                 "family", "_ranks")
+    root = 0
 
-    def __init__(self, parent, left, right, depth, n, t, root=0, target=0,
+    def __init__(self, parent, left, right, depth, n, t, target=0,
                  family="custom"):
         self.parent = parent
         self.left = left
         self.right = right
         self.depth = depth
-        self.root = root
         self.n = n
         self.t = t
         self.target = target
@@ -152,7 +152,7 @@ class TreeInstance:
         right = np.frombuffer(self.right, np.intc)
         ids = np.arange(size, dtype=np.intc)
         up = parent[1:]
-        if (self.root != 0 or not size or parent[0] >= 0
+        if (not size or parent[0] >= 0
                 or (up < 0).any() or (up >= ids[1:]).any()):
             raise TreeError("ranking needs root 0 and 0 <= parent[v] < v "
                             "for every other node v")
@@ -244,15 +244,16 @@ class TreeInstance:
 class Walker:
     """Cursor over a TreeInstance that charges one step per edge traversal.
 
-    The walker starts at the root, which counts as revealed. A node's kind is
-    disclosed the first time the walker enters it; entering a node that was
-    already revealed reports None for the kind. Downward moves also report the
-    side label of the edge just traversed.
+    The walker starts at the root, which counts as revealed. A node is
+    revealed the first time the walker enters it: ``on_reveal(node, kind)``
+    hears each node once, in the order they are revealed, and ``kind_of``
+    reads the kind of any revealed node. Downward moves report the side
+    label of the edge just traversed.
 
     A *run* is a maximal id range ``a..b`` in which every node but ``b`` is
     unary with only child id + 1; every generated family is made of such
     runs. ``follow`` and ``climb`` walk many edges of one run in a call, at
-    one step per edge, revealing and reporting exactly what the same single
+    one step per edge, revealing exactly what the same single
     moves would; ``run_start`` finds where a run begins, for ``climb`` and
     for the root paths of an explored tree, and moves nothing. The run
     flags behind them, 1 for every node of a run but its last, are built
@@ -298,8 +299,8 @@ class Walker:
     def move(self, direction: str):
         """Step to a neighboring node.
 
-        Returns ``(node id, kind or None, side or None)``; the kind is
-        reported only on first entry, the side only on downward moves.
+        Returns ``(node id, side or None)``; the side is reported only on
+        downward moves.
         """
         cur = self.current
         tree = self.tree
@@ -335,13 +336,11 @@ class Walker:
             raise WalkerError("unknown direction %r" % (direction,))
         self.current = nxt
         self.steps += 1
-        if self.revealed[nxt]:
-            return nxt, None, side
-        self.revealed[nxt] = 1
-        kind = tree.kind(nxt)
-        if self.on_reveal is not None:
-            self.on_reveal(nxt, kind)
-        return nxt, kind, side
+        if not self.revealed[nxt]:
+            self.revealed[nxt] = 1
+            if self.on_reveal is not None:
+                self.on_reveal(nxt, tree.kind(nxt))
+        return nxt, side
 
     def follow(self, k: int):
         """Walk down the current node's run for at most k edges.
@@ -350,9 +349,9 @@ class Walker:
         node whose child is not id + 1. Raises WalkerError before anything
         moves for k < 1 or when the current node is the last of its run.
         Fires ``on_reveal`` for every newly revealed node, in id order.
-        Returns ``(node id, kind or None, left, right)``: the node it ends
-        on, its kind on first entry, and the ``left``/``right`` entries of
-        the nodes it left, the side labels k single moves would report.
+        Returns ``(node id, left, right)``: the node it ends on and the
+        ``left``/``right`` entries of the nodes it left, the side labels k
+        single moves would report.
         """
         cur = self.current
         run = self._run
@@ -364,7 +363,6 @@ class Walker:
             end = cur + k
         self.current = end
         self.steps += end - cur
-        kind = None
         revealed = self.revealed
         new = revealed.find(0, cur + 1, end + 1)
         if new >= 0:
@@ -373,10 +371,8 @@ class Walker:
             if hook is not None:
                 for v in range(new, end):
                     hook(v, UNARY)
-            kind = self.tree.kind(end)
-            if hook is not None:
-                hook(end, kind)
-        return end, kind, self.tree.left[cur:end], self.tree.right[cur:end]
+                hook(end, self.tree.kind(end))
+        return end, self.tree.left[cur:end], self.tree.right[cur:end]
 
     def run_start(self, v: int, lo: int = 0) -> int:
         """First node of the run that ends at v, cut off at lo <= v: the

@@ -545,23 +545,36 @@ def explored_ids(explored):
 def explored_kinds(explored):
     """Kind of every explored id from the instance, ``None`` for any other
     id, as a list indexed by id."""
-    tree = explored._walker.tree
+    tree = explored.walker.tree
     kinds = [None] * tree.size
     for v in explored_ids(explored):
         kinds[v] = tree.kind(v)
     return kinds
 
 
-def reference_dfs_extend(explored, walker, depth_limit, anchor):
+def path_to_root(explored, u):
+    """Ids from u up to the root of an ExploredTree, inclusive, walked node
+    by node through the parent links."""
+    path = [u]
+    parent = explored.parent
+    p = parent[u]
+    while p >= 0:
+        path.append(p)
+        p = parent[p]
+    return path
+
+
+def reference_dfs_extend(explored, depth_limit, anchor):
     """The single-move ``dfs_extend`` that walked one edge per
     ``Walker.move`` call, kept to check the run-walking one against.
 
     Grow anchor's explored subtree to the depth limit by walking DFS.
 
-    The walker must stand at anchor, or TreeError is raised before any step.
-    Already explored edges are re-walked (each at most twice), stubs are
-    never entered, the walk turns back at the depth limit, and the walker
-    ends where it started. Returns the count of newly explored forks.
+    The explored tree's walker must stand at anchor, or TreeError is raised
+    before any step. Already explored edges are re-walked (each at most
+    twice), stubs are never entered, the walk turns back at the depth limit,
+    and the walker ends where it started. Returns the count of newly
+    explored forks.
 
     No stack is kept. The walk goes down, into the left child first, until
     it reaches the limit or a node with no child it may enter; then it
@@ -569,6 +582,7 @@ def reference_dfs_extend(explored, walker, depth_limit, anchor):
     it left by its left child and whose right child is no stub, or ends at
     the anchor.
     """
+    walker = explored.walker
     if walker.current != anchor:
         raise TreeError("walker must start at the exploration anchor")
     stub = explored.stub
@@ -579,7 +593,7 @@ def reference_dfs_extend(explored, walker, depth_limit, anchor):
     move = walker.move
     new_forks = 0
     node = anchor
-    depth = len(explored.path_to_root(anchor)) - 1
+    depth = len(path_to_root(explored, anchor)) - 1
     while True:
         direction = None
         k = kind_of(node)
@@ -608,12 +622,10 @@ def reference_dfs_extend(explored, walker, depth_limit, anchor):
                 c = rights[node]
                 if c < 0 or not stub[c]:
                     direction = DIR_RIGHT
-        cid, ckind, cside = move(direction)
+        cid, cside = move(direction)
         if parents[cid] < 0:
-            if ckind is None:
-                ckind = kind_of(cid)
             explored.add_child(node, cside, cid)
-            if ckind == FORK:
+            if kind_of(cid) == FORK:
                 new_forks += 1
         node = cid
         depth += 1
@@ -743,13 +755,13 @@ def reference_trim(explored, u, answer):
     stub = explored.stub
     new_stubs = []
     below = -1  # the path's child of v, the one child of v on the path
-    for v in explored.path_to_root(u):
+    for v in path_to_root(explored, u):
         c = take[v]
         if c >= 0 and c != below and not stub[c]:
             reference_mark_stub(explored, c)
             new_stubs.append(c)
         below = v
-    if explored._walker.kind_of(u) == LEAF and not stub[u]:
+    if explored.walker.kind_of(u) == LEAF and not stub[u]:
         reference_mark_stub(explored, u)
         new_stubs.append(u)
     return new_stubs

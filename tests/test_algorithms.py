@@ -19,14 +19,15 @@ from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
                                InstrumentedOracle, TreeError, Walker)
 
 from helpers import (child_side, explored_ids, forks_within_depth, grid_trees,
-                     is_leaf, make_path, nodes_within_depth, preorder_prefix,
-                     reference_mark_stub, slow_inorder, target_inside_stub)
+                     is_leaf, make_path, nodes_within_depth, path_to_root,
+                     preorder_prefix, reference_mark_stub, slow_inorder,
+                     target_inside_stub)
 
 
 def explore_fully(tree, walker=None):
     walker = walker or Walker(tree)
     explored = ExploredTree(walker)
-    dfs_extend(explored, walker, tree.n, tree.root)
+    dfs_extend(explored, tree.n, tree.root)
     return explored, walker
 
 
@@ -74,7 +75,7 @@ def test_maintained_counts_match_rescan():
         oracle = InstrumentedOracle(tree)
         step = 1 + rng.randrange(tree.n)
         for limit in range(step, tree.n + step, step):
-            dfs_extend(explored, walker, limit, tree.root)
+            dfs_extend(explored, limit, tree.root)
             _assert_counts_match_rescan(explored)
             u = rng.choice(explored.inorder_below(explored.root))
             answer = oracle.query(u)
@@ -262,7 +263,7 @@ def test_dfs_extend_full_depth_covers_instance():
     tree = gen_random(20, 5, seed=3)
     walker = Walker(tree)
     explored = ExploredTree(walker)
-    dfs_extend(explored, walker, tree.n, tree.root)
+    dfs_extend(explored, tree.n, tree.root)
     assert explored.node_count == tree.size
     assert walker.steps == 2 * (tree.size - 1)
     assert walker.current == tree.root
@@ -272,12 +273,12 @@ def test_dfs_extend_never_enters_stubs():
     tree = gen_complete_path(2, 3)
     walker = Walker(tree)
     explored = ExploredTree(walker)
-    dfs_extend(explored, walker, 3, tree.root)  # just past the first fork
+    dfs_extend(explored, 3, tree.root)  # just past the first fork
     root_fork = tree.root
     left = explored.left[root_fork]
     reference_mark_stub(explored, left)
     steps_before = walker.steps
-    dfs_extend(explored, walker, tree.n, tree.root)
+    dfs_extend(explored, tree.n, tree.root)
     # the stubbed side contributes no nodes and no walking
     for v in explored_ids(explored):
         assert not _under(tree, v, left) or v == left
@@ -300,7 +301,7 @@ def test_dfs_extend_stage_counts_match_instance():
     prev_forks = 1  # the root fork is revealed on arrival
     for i in (1, 2, 3):
         limit = 4 * i
-        new_forks = dfs_extend(explored, walker, limit, tree.root)
+        new_forks = dfs_extend(explored, limit, tree.root)
         want_nodes = nodes_within_depth(tree, limit)
         want_new_forks = forks_within_depth(tree, limit) - prev_forks
         assert explored.node_count == want_nodes
@@ -364,14 +365,14 @@ def test_dfs_extend_walks_twice_the_reachable_region():
         limits = [step, 2 * step, step // 2, tree.n, tree.n]
         for limit in limits:
             anchor = rng.choice(explored.inorder_below(tree.root))
-            _descend(walker, explored, tree.root, anchor)
+            _descend(explored, tree.root, anchor)
             if anchor != tree.root:
                 seen.add("non-root anchor")
             seen |= _stub_shapes(tree, explored, anchor, limit)
             before = set(explored_ids(explored))
             reach = _reach(tree, explored, anchor, limit)
             steps = walker.steps
-            new_forks = dfs_extend(explored, walker, limit, anchor)
+            new_forks = dfs_extend(explored, limit, anchor)
             assert walker.steps - steps == 2 * len(reach)
             assert set(explored_ids(explored)) == before | set(reach)
             assert new_forks == sum(1 for v in reach if v not in before
@@ -459,7 +460,7 @@ def test_bifurcation_round_budgets_hold():
         oracle2 = InstrumentedOracle(tree)
         found_early = False
         for rs in result.rounds:
-            dfs_extend(explored, walker, rs.depth_limit, tree.root)
+            dfs_extend(explored, rs.depth_limit, tree.root)
             for _ in range(200):
                 nodes, leaves = explored.inorder_nodes_and_leaves()
                 if len(leaves) > params.leaf_budget:
@@ -563,7 +564,7 @@ def test_pick_frontier_returns_the_deeper_neighbour():
         for depth_limit in (tree.n // 3, tree.n):
             walker = Walker(tree)
             explored = ExploredTree(walker)
-            dfs_extend(explored, walker, depth_limit, tree.root)
+            dfs_extend(explored, depth_limit, tree.root)
             for v in explored_ids(explored)[::5]:
                 cand = explored.inorder_below(v)
                 assert _pick_frontier(explored, None, cand[0]) == cand[0]
@@ -597,7 +598,7 @@ def test_dfs_extend_rejects_a_misplaced_walker():
     walker.move(DIR_ONLY)
     explored = ExploredTree(walker)
     with pytest.raises(TreeError, match="anchor"):
-        dfs_extend(explored, walker, tree.n, tree.root)
+        dfs_extend(explored, tree.n, tree.root)
     assert walker.steps == 1
     assert explored.node_count == 1
 
@@ -642,7 +643,7 @@ def _kinds_match_reveals(explored, reported):
     it had when it was entered; returns the number of ids checked."""
     ids = explored_ids(explored)
     for v in ids:
-        assert explored._walker.kind_of(v) == reported[v], v
+        assert explored.walker.kind_of(v) == reported[v], v
     return len(ids)
 
 
@@ -677,6 +678,61 @@ def test_explored_kinds_are_the_kinds_revealed(monkeypatch):
     assert checked > 30000
 
 
+def _shape_checked(monkeypatch, name, size, calls):
+    """Patch ``Walker.<name>`` to count its calls and check how many values
+    each call returns."""
+    original = getattr(Walker, name)
+
+    def checked(self, *args):
+        out = original(self, *args)
+        assert len(out) == size, (name, out)
+        calls[name] += 1
+        return out
+
+    monkeypatch.setattr(Walker, name, checked)
+
+
+def _arena():
+    """The adversary arena with an oracle that freezes after 4 forks."""
+    tree = gen_complete_path(3, 16)
+    return tree, AdaptiveOracle(tree, 4)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (gen_random(128, 16, seed=4), None),
+    lambda: (gen_comb(160, 9, seed=2), None),
+    lambda: (gen_complete_path(3, 5), None),
+    _arena,
+], ids=["random", "comb", "complete_path", "frozen_arena"])
+def test_kinds_reach_the_searches_through_one_channel(monkeypatch, make):
+    """A full-depth ``dfs_extend`` hears each revealed id once through
+    ``on_reveal``, with the kind ``Walker.kind_of`` reads; ``move`` returns
+    a node and a side, and ``follow`` a node and the side labels, no kind."""
+    calls = {"move": 0, "follow": 0}
+    _shape_checked(monkeypatch, "move", 2, calls)
+    _shape_checked(monkeypatch, "follow", 3, calls)
+    tree, oracle = make()
+    log = []
+
+    def hear(v, kind):
+        log.append((v, kind))
+        if oracle is not None:
+            oracle.on_reveal(v, kind)
+
+    walker = Walker(tree, hear)
+    explored = ExploredTree(walker)
+    dfs_extend(explored, tree.n, tree.root)
+    ids = [v for v, _ in log]
+    assert len(ids) == len(set(ids))
+    assert sorted(ids) == [v for v in range(tree.size) if walker.revealed[v]]
+    assert sorted(ids) == explored_ids(explored)
+    for v, kind in log:
+        assert walker.kind_of(v) == kind, v
+    assert calls["move"] and calls["follow"]
+    if oracle is not None:
+        assert oracle.froze
+
+
 def _run_path(runs):
     """The ids of ``ExploredTree.path_runs``' runs, from the bottom up."""
     return [v for a, b in runs for v in range(b, a - 1, -1)]
@@ -684,7 +740,7 @@ def _run_path(runs):
 
 def _check_path_runs(explored):
     for v in explored_ids(explored):
-        path = explored.path_to_root(v)
+        path = path_to_root(explored, v)
         assert _run_path(explored.path_runs(v)) == path
         assert explored.depth(v) == len(path) - 1
         mid = len(path) // 2

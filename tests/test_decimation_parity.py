@@ -35,7 +35,7 @@ from bifurcation.model import (DIR_PARENT, FOUND, TARGET_LARGER,
                                TARGET_SMALLER, InstrumentedOracle, TreeError,
                                Walker)
 
-from helpers import (explored_ids, explored_kinds,
+from helpers import (explored_ids, explored_kinds, path_to_root,
                      reference_explored_inorder, reference_mark_stub,
                      reference_nodes_and_leaves, reference_trim)
 
@@ -63,7 +63,7 @@ class _Side:
         w = self.walker
         while w.current != w.tree.root:
             w.move(DIR_PARENT)
-        _descend(w, self.explored, w.tree.root, anchor)
+        _descend(self.explored, w.tree.root, anchor)
 
 
 def _reference_median(explored, leaves):
@@ -108,12 +108,12 @@ def _step(new, ref, rng, seen):
         anchor = tree.root
         if live and rng.random() < 0.5:
             anchor = rng.choice(live)
-        depth = len(new.explored.path_to_root(anchor)) - 1
+        depth = len(path_to_root(new.explored, anchor)) - 1
         limit = depth + rng.randint(0, tree.n // 2 + 1)
         for side in (new, ref):
             side.go_to(anchor)
-        assert (dfs_extend(new.explored, new.walker, limit, anchor)
-                == dfs_extend(ref.explored, ref.walker, limit, anchor))
+        assert (dfs_extend(new.explored, limit, anchor)
+                == dfs_extend(ref.explored, limit, anchor))
         seen.add("explore")
     elif op < 0.5:
         return _halve(new, ref, rng.random() < 0.5, seen)
@@ -283,7 +283,7 @@ def test_values_are_read_only_at_held_ids(mode):
         for limit in range(step, tree.n + step, step):
             results = []
             for (walker, explored), oracle in zip(sides, oracles):
-                dfs_extend(explored, walker, limit, tree.root)
+                dfs_extend(explored, limit, tree.root)
                 out = []
                 for leaves in (True, False, True):
                     if walker is dirty:

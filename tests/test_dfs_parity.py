@@ -24,7 +24,8 @@ from bifurcation.lowerbound import AdaptiveOracle, adaptive_fork_adversary
 from bifurcation.model import (DIR_PARENT, FOUND, InstrumentedOracle,
                                TreeError, Walker)
 
-from helpers import explored_ids, explored_kinds, reference_dfs_extend
+from helpers import (explored_ids, explored_kinds, path_to_root,
+                     reference_dfs_extend)
 
 
 class _Side:
@@ -45,7 +46,7 @@ class _Side:
         w = self.walker
         while w.current != w.tree.root:
             w.move(DIR_PARENT)
-        _descend(w, self.explored, w.tree.root, anchor)
+        _descend(self.explored, w.tree.root, anchor)
 
 
 def _instances():
@@ -70,10 +71,10 @@ def _play(tree, rng, seen):
         anchor = rng.choice(live) if rng.random() < 0.5 else tree.root
         for side in (new, ref):
             side.go_to(anchor)
-        depth = len(explored.path_to_root(anchor)) - 1
+        depth = len(path_to_root(explored, anchor)) - 1
         limit = depth + rng.randint(-1, tree.n // 2 + 1)
-        got = dfs_extend(new.explored, new.walker, limit, anchor)
-        want = reference_dfs_extend(ref.explored, ref.walker, limit, anchor)
+        got = dfs_extend(new.explored, limit, anchor)
+        want = reference_dfs_extend(ref.explored, limit, anchor)
         assert (got, new.state()) == (want, ref.state())
         runs += 1
         seen.add("root" if anchor == tree.root else "inner anchor")

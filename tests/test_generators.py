@@ -157,6 +157,26 @@ def test_build_instance_families():
             assert tree.t == t
 
 
+def test_build_instance_refuses_unknown_names_before_building(monkeypatch):
+    """An unknown family or target strategy is refused before any generator
+    runs, with the message ``check_names`` gives."""
+    builds = []
+    for name in ("gen_random", "gen_comb", "gen_complete_path"):
+        def counted(*args, _gen=getattr(generators, name), _name=name):
+            builds.append(_name)
+            return _gen(*args)
+        monkeypatch.setattr(generators, name, counted)
+    for family in generators.FAMILIES:
+        with pytest.raises(ValueError,
+                           match="unknown target strategy 'bogus'"):
+            build_instance(FamilySpec(family, 64, 4, target_strategy="bogus"))
+    with pytest.raises(ValueError, match="unknown family 'bogus'"):
+        build_instance(FamilySpec("bogus", 64, 4))
+    assert builds == []
+    build_instance(FamilySpec("comb", 64, 4))
+    assert builds == ["gen_comb"]
+
+
 def test_build_instance_complete_path_requires_square():
     # 0 is a square, but of no height h >= 1
     for t in (12, 0, -4):
@@ -189,7 +209,7 @@ def test_validator_rejects_ids_out_of_parent_order(parent, left, depth, root):
     size = len(parent)
     tree = TreeInstance(array("i", parent), array("i", left),
                         array("i", [-1] * size), array("i", depth),
-                        n=size - 1, t=0, root=root, target=root)
+                        n=size - 1, t=0, target=root)
     with pytest.raises(InfeasibleInstanceError, match="parent id"):
         validate_instance(tree)
 

@@ -58,11 +58,10 @@ def test_ranks_match_walk_property(n, t, seed):
         _assert_matches_walk(tree)
 
 
-def _tree(parent, left, right, root=0):
+def _tree(parent, left, right):
     depth = array("i", [0] * len(parent))
     return TreeInstance(array("i", parent), array("i", left),
-                        array("i", right), depth, n=len(parent), t=0,
-                        root=root)
+                        array("i", right), depth, n=len(parent), t=0)
 
 
 @pytest.mark.parametrize("parent, left, right, root", [
@@ -76,7 +75,8 @@ def _tree(parent, left, right, root=0):
     ([-1, 0, 1], [1, 2, -1], [2, -1, -1], 0),
 ])
 def test_ranking_rejects_trees_out_of_id_order(parent, left, right, root):
-    tree = _tree(parent, left, right, root)
+    assert parent[root] < 0  # the root the case names has no parent
+    tree = _tree(parent, left, right)
     with pytest.raises(TreeError):
         tree._compute_inorder()
     with pytest.raises(TreeError):

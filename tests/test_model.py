@@ -22,20 +22,20 @@ from helpers import (explored_kinds, inorder_compare, is_leaf, make_path,
 def test_walker_single_edge():
     tree = make_path("L")
     w = Walker(tree)
-    node, kind, side = w.move(DIR_ONLY)
+    node, side = w.move(DIR_ONLY)
     assert node == 1
-    assert kind == LEAF
+    assert w.kind_of(node) == LEAF
     assert side == "left"
     assert w.steps == 1
 
 
 def test_walker_round_trip():
     tree = make_path("R")
-    w = Walker(tree)
+    w, log = _logged(tree)
     w.move(DIR_ONLY)
-    node, kind, _ = w.move(DIR_PARENT)
+    node, _ = w.move(DIR_PARENT)
     assert node == tree.root
-    assert kind is None  # root was revealed at the start
+    assert log == [(0, UNARY), (1, LEAF)]  # root was revealed at the start
     assert w.steps == 2
 
 
@@ -78,12 +78,12 @@ def test_walker_errors():
 
 def test_walker_reveal_once():
     tree = make_path("LR")
-    w = Walker(tree)
-    node, kind, _ = w.move(DIR_ONLY)
-    assert kind == UNARY
+    w, log = _logged(tree)
+    node, _ = w.move(DIR_ONLY)
+    assert log[-1] == (node, UNARY)
     w.move(DIR_PARENT)
-    node, kind, _ = w.move(DIR_ONLY)
-    assert kind is None
+    node, _ = w.move(DIR_ONLY)
+    assert len(log) == 2
     assert w.revealed[node]
     assert w.kind_of(node) == UNARY
 
@@ -250,21 +250,23 @@ def test_follow_equals_single_moves():
             for w in (a, b):
                 for _ in range(start):
                     w.move(DIR_ONLY)
-            end, kind, lefts, rights = a.follow(k)
+            end, lefts, rights = a.follow(k)
             for _ in range(k):
-                node, last_kind, _ = b.move(DIR_ONLY)
-            assert (end, kind) == (node, last_kind) == (start + k, kind)
+                node, _ = b.move(DIR_ONLY)
+            assert end == node == start + k
             assert _seen(a, log_a) == _seen(b, log_b)
             assert list(lefts) == list(tree.left[start:end])
             assert list(rights) == list(tree.right[start:end])
-    # a second pass over revealed nodes reports no kind and fires no hook
+    # a second pass over revealed nodes fires no hook
     a, log = _logged(tree)
     a.follow(5)
     a.move(DIR_PARENT)
     a.move(DIR_PARENT)
     calls = len(log)
-    assert a.follow(2)[:2] == (5, None)
-    assert a.follow(3)[:2] == (8, LEAF)
+    assert a.follow(2)[0] == 5
+    assert len(log) == calls
+    assert a.follow(3)[0] == 8
+    assert log[-1] == (8, LEAF)
     assert len(log) == calls + 3
 
 
@@ -284,9 +286,9 @@ def test_climb_equals_single_moves():
 def test_follow_stops_after_entering_a_fork_or_a_leaf():
     tree = _tree(**FORKED)
     w, log = _logged(tree)
-    assert w.follow(10)[:2] == (2, FORK)
+    assert w.follow(10)[0] == 2
     w.move(DIR_LEFT)
-    assert w.follow(10)[:2] == (4, LEAF)
+    assert w.follow(10)[0] == 4
     assert w.steps == 4
     assert log == [(0, UNARY), (1, UNARY), (2, FORK), (3, UNARY), (4, LEAF)]
     # a climb stops at the first node of its run: 3, below the fork
@@ -305,10 +307,12 @@ def test_follow_and_climb_refuse_before_anything_moves():
             call(k)
         assert _seen(w, log) == before
     w.move(DIR_ONLY)
-    assert w.follow(5)[:2] == (3, UNARY)  # 3's only child is 5
+    assert w.follow(5)[0] == 3  # 3's only child is 5
+    assert log[-1] == (3, UNARY)
     w.move(DIR_ONLY)
     w.move(DIR_LEFT)
-    assert w.follow(1)[:2] == (7, LEAF)
+    assert w.follow(1)[0] == 7
+    assert log[-1] == (7, LEAF)
     for call, k in ((w.follow, 1),  # a leaf
                     (w.climb, 6)):  # 7 is at depth 5
         before = _seen(w, log)
@@ -330,8 +334,8 @@ def test_dfs_extend_matches_reference_where_children_skip_ids():
         for dfs in (dfs_extend, reference_dfs_extend):
             w, log = _logged(tree)
             explored = ExploredTree(w)
-            forks = dfs(explored, w, limit, tree.root)
-            again = dfs(explored, w, limit + 1, tree.root)
+            forks = dfs(explored, limit, tree.root)
+            again = dfs(explored, limit + 1, tree.root)
             sides.append((forks, again, _seen(w, log),
                           explored_kinds(explored), list(explored.parent),
                           list(explored.left), list(explored.right),
@@ -350,7 +354,7 @@ def test_exploring_ranks_nothing_until_the_first_rescan(monkeypatch):
     tree = _tree(**SHUFFLED)
     w, _ = _logged(tree)
     explored = ExploredTree(w)
-    dfs_extend(explored, w, tree.n, tree.root)
+    dfs_extend(explored, tree.n, tree.root)
     assert explored.node_count == tree.size
     with pytest.raises(AssertionError, match="ranked"):
         explored.inorder_below(tree.root)
@@ -381,7 +385,7 @@ def test_node_sized_state_stays_lean(make):
     def explore():
         w = Walker(tree)
         explored = ExploredTree(w)
-        dfs_extend(explored, w, tree.n, tree.root)
+        dfs_extend(explored, tree.n, tree.root)
         assert explored.node_count == tree.size
         return w, explored
 
@@ -404,7 +408,7 @@ def test_value_index_stays_lean(make):
     def decimate():
         w = Walker(tree)
         explored = ExploredTree(w)
-        dfs_extend(explored, w, tree.n, tree.root)
+        dfs_extend(explored, tree.n, tree.root)
         trim(explored, median_node(explored), TARGET_LARGER)
         assert explored.node_count < tree.size
         made.append(explored)
