@@ -18,7 +18,7 @@ import numpy as np
 from .model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT, FORK, FOUND,
                     LEAF, LEFT, TARGET_LARGER, TARGET_SMALLER,
                     InconsistentOracleError, TreeError, TreeInstance, Walker,
-                    WalkerError)
+                    WalkerError, check_node_id)
 
 
 def _ceil_sqrt(x: int) -> int:
@@ -56,18 +56,18 @@ class ExploredTree:
     (non-stub nodes with no explored children) exclude stubs and are kept
     current as the tree changes.
 
-    A node's value is its inorder rank (``Walker.values``). The values, and
-    an int32 slot index by value that holds the explored ids (stubs
-    included), are allocated on the first rescan or cut, so exploring alone
-    ranks nothing. ``add_child`` and ``add_chain`` only log their new ids as
+    A node's value is its inorder rank (``Walker.values``). An int32 slot
+    index by value holds exactly the explored ids, stubs included, each at
+    its own value; the values and the index are allocated on the first
+    rescan or cut, so exploring alone ranks nothing. The constructor logs
+    the root, and ``add_child`` and ``add_chain`` their new ids, as
     ``(first, last)`` runs; the next rescan or cut writes the log into the
-    index, reading values only at logged ids the tree still holds. A rescan
-    compacts the index, or the value slice under ``top``, and keeps the
-    members that are no stubs, so an id deleted behind the index's back
-    stays out of view. A cut takes the value slice on u's cut side, reads
-    and clears the ids there by position, and writes ``-1`` into the links
-    of the deleted ids only. Root paths are walked as id runs
-    (``path_runs``).
+    index. Only ``trim`` deletes ids, through ``_cut``, which writes the log
+    in first. A rescan compacts the index, or the value slice under
+    ``top``, and drops the stubs. A cut takes the value slice on u's cut
+    side, reads and clears the ids there by position, and writes ``-1``
+    into the links of the deleted ids only. Root paths are walked as id
+    runs (``path_runs``).
     """
 
     __slots__ = ("parent", "left", "right", "stub", "node_count",
@@ -86,7 +86,7 @@ class ExploredTree:
         self.walker = walker
         self._values = None
         self._slots = None
-        self._log = array("i")  # (first, last) runs of new ids
+        self._log = array("i", (self.root, self.root))  # runs of new ids
 
     def add_child(self, parent: int, side: str, child: int):
         # the child is a new leaf; a childless parent stops being one
@@ -146,14 +146,12 @@ class ExploredTree:
             # short-lived node-sized temporaries and fragment the heap.
             slots = np.frombuffer(mmap.mmap(-1, values.nbytes), np.intc)
             slots.fill(-1)
-            slots[values[self.root]] = self.root
             self._slots = slots
         slots = self._slots
         if self._log:
             runs = np.frombuffer(self._log, np.intc)
             self._log = array("i")
             ids = _run_ids(runs[0::2], runs[1::2])
-            ids = ids[np.frombuffer(self.parent, np.intc)[ids] >= 0]
             slots[values[ids]] = ids
         return values, slots
 
@@ -169,13 +167,14 @@ class ExploredTree:
                 hi = self.right[hi]
             slots = slots[values[lo]:values[hi] + 1]
         ids = slots[slots >= 0]
-        held = np.frombuffer(self.parent, np.intc)[ids] >= 0
-        held |= ids == self.root
-        held &= ~np.frombuffer(self.stub, bool)[ids]
-        return ids[held]
+        return ids[~np.frombuffer(self.stub, bool)[ids]]
 
     def inorder_below(self, top: int):
-        """Non-stub ids of top's explored subtree, in inorder (np.intc)."""
+        """Non-stub ids of top's explored subtree, in inorder (np.intc).
+        Raises TreeError for an id the tree does not hold."""
+        check_node_id(top, len(self.parent))
+        if top != self.root and self.parent[top] < 0:
+            raise TreeError("node %d is not explored" % top)
         return self._inorder(top)
 
     def inorder_nodes_and_leaves(self):
@@ -200,7 +199,6 @@ class ExploredTree:
         left = np.frombuffer(self.left, np.intc)
         right = np.frombuffer(self.right, np.intc)
         stub = np.frombuffer(self.stub, bool)
-        gone = gone[parent[gone] >= 0]  # not deleted behind the index's back
         live = gone[~stub[gone]]
         stubs = np.array(stubs, np.intc)
         # stubs from now, non-stub nodes until now; a leaf has no child, so

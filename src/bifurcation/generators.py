@@ -114,7 +114,7 @@ class _Builder:
         """The empty side of a unary host, whose only child is host + 1."""
         return RIGHT if self.is_left[host + 1] else LEFT
 
-    def finish(self, n, t, family):
+    def finish(self, n, t):
         """The instance. The links are first written as if every node hung
         below the node before it, as inside a path, in branch-free passes
         over the side flags; then each path's first node moves below its
@@ -141,8 +141,7 @@ class _Builder:
         l[hosts[on_left]] = starts[on_left]
         r[hosts[~on_left]] = starts[~on_left]
         p[starts] = hosts
-        return TreeInstance(parent, left, right, self.depth,
-                            n=n, t=t, family=family)
+        return TreeInstance(parent, left, right, self.depth, n=n, t=t)
 
 
 def gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
@@ -193,7 +192,7 @@ def gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
         hosts.frombytes(
             np.arange(last - length + 1, last, dtype=np.intc).tobytes())
         placed += 1
-    return b.finish(n, t, "random")
+    return b.finish(n, t)
 
 
 def gen_complete_path(h: int, delta: int) -> TreeInstance:
@@ -212,7 +211,7 @@ def gen_complete_path(h: int, delta: int) -> TreeInstance:
             continue
         for side in (LEFT, RIGHT):
             stack.append((b.add_path(node, delta, side), level + 1))
-    return b.finish(h * delta, 2 ** h - 1, "complete_path")
+    return b.finish(h * delta, 2 ** h - 1)
 
 
 def gen_comb(n: int, t: int, seed: int = 0) -> TreeInstance:
@@ -233,7 +232,7 @@ def gen_comb(n: int, t: int, seed: int = 0) -> TreeInstance:
     for j in range(1, t + 1):
         host = j * spacing  # spine node ids equal their depths
         b.add_path(host, n - host, b.free_side(host), rng)
-    return b.finish(n, t, "comb")
+    return b.finish(n, t)
 
 
 def place_target(tree: TreeInstance, strategy: str, seed: int = 0) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import itertools
 import math
 import os
 from dataclasses import dataclass, fields
@@ -172,29 +173,24 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
     fh = None
     written = 0
     try:
-        for family in families:
-            for n in ns:
-                for t in ts:
-                    for psi in psis:
-                        for trial in range(trials):
-                            seed = _cell_seed(base_seed, family, n, t, psi,
-                                              trial)
-                            todo = [algo for algo in dict.fromkeys(algos)
-                                    if (family, algo, seed) not in done]
-                            if not todo:
-                                continue
-                            done.update((family, algo, seed) for algo in todo)
-                            spec = FamilySpec(family, n, t, seed,
-                                              target_strategy)
-                            tree = build_instance(spec)
-                            for algo in todo:
-                                rec = _run_on(tree, spec, algo, psi)
-                                if fh is None:
-                                    fh = open(out_path, "a", encoding="utf-8")
-                                    fh.write(header)
-                                fh.write(rec.csv_row() + "\n")
-                                fh.flush()
-                                written += 1
+        for family, n, t, psi, trial in itertools.product(
+                families, ns, ts, psis, range(trials)):
+            seed = _cell_seed(base_seed, family, n, t, psi, trial)
+            todo = [algo for algo in dict.fromkeys(algos)
+                    if (family, algo, seed) not in done]
+            if not todo:
+                continue
+            done.update((family, algo, seed) for algo in todo)
+            spec = FamilySpec(family, n, t, seed, target_strategy)
+            tree = build_instance(spec)
+            for algo in todo:
+                rec = _run_on(tree, spec, algo, psi)
+                if fh is None:
+                    fh = open(out_path, "a", encoding="utf-8")
+                    fh.write(header)
+                fh.write(rec.csv_row() + "\n")
+                fh.flush()
+                written += 1
     finally:
         if fh is not None:
             fh.close()

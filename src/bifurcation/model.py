@@ -67,11 +67,10 @@ class TreeInstance:
     """
 
     __slots__ = ("parent", "left", "right", "depth", "n", "t", "target",
-                 "family", "_ranks")
+                 "_ranks")
     root = 0
 
-    def __init__(self, parent, left, right, depth, n, t, target=0,
-                 family="custom"):
+    def __init__(self, parent, left, right, depth, n, t, target=0):
         self.parent = parent
         self.left = left
         self.right = right
@@ -79,7 +78,6 @@ class TreeInstance:
         self.n = n
         self.t = t
         self.target = target
-        self.family = family
         self._ranks = None
 
     @property
@@ -132,15 +130,6 @@ class TreeInstance:
         each subtree's first inorder slot, and a node's rank is that slot
         plus the size of its left subtree. Python-level work is O(levels),
         each level one set of numpy calls over all of its runs.
-
-        Measured on a 2-core shared VM (numpy 2.4, Python 3.11), best of
-        three, against the node-by-node walk this replaced: ``random``
-        8192/256 (247k nodes) 0.014 s against 0.085-0.15 s; ``comb``
-        16384/256 (2.14M nodes) 0.15 s against 0.69-0.89 s; the adversary
-        arena ``gen_complete_path(8, 512)`` 0.015 s against 0.09 s;
-        ``gen_complete_path(16, 2)`` 0.024-0.030 s against 0.10-0.13 s; and
-        ``gen_complete_path(20, 1)``, 2.1M nodes in 1.57M runs,
-        0.40 s against 0.88-1.0 s.
 
         Fills the rank cache and returns the subtree size of every node as a
         numpy array with one more entry, a 0 at index -1, so that indexing it

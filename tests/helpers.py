@@ -394,9 +394,9 @@ class _ReferenceBuilder:
                 self.right[parent] = v
         return v
 
-    def finish(self, n, t, family):
+    def finish(self, n, t):
         return TreeInstance(self.parent, self.left, self.right, self.depth,
-                            n=n, t=t, family=family)
+                            n=n, t=t)
 
 
 def reference_gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
@@ -451,7 +451,7 @@ def reference_gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
             if k < length - 1:
                 hosts.append(cur)
         placed += 1
-    return b.finish(n, t, "random")
+    return b.finish(n, t)
 
 
 def reference_gen_complete_path(h: int, delta: int) -> TreeInstance:
@@ -476,7 +476,7 @@ def reference_gen_complete_path(h: int, delta: int) -> TreeInstance:
             for _ in range(delta):
                 cur = b.new_node(cur, side)
             stack.append((cur, level + 1))
-    return b.finish(h * delta, 2 ** h - 1, "complete_path")
+    return b.finish(h * delta, 2 ** h - 1)
 
 
 def reference_gen_comb(n: int, t: int, seed: int = 0) -> TreeInstance:
@@ -503,7 +503,7 @@ def reference_gen_comb(n: int, t: int, seed: int = 0) -> TreeInstance:
         for k in range(n - b.depth[host]):
             side = free if k == 0 else (LEFT if rng.random() < 0.5 else RIGHT)
             cur = b.new_node(cur, side)
-    return b.finish(n, t, "comb")
+    return b.finish(n, t)
 
 
 def reference_place_target(tree, strategy, seed=0):
@@ -711,7 +711,10 @@ def reference_nodes_and_leaves(explored):
 def reference_mark_stub(explored, v):
     """The per-node deletion ``ExploredTree.mark_stub`` made before trims
     were one masked pass. Stub v and delete its explored subtree; a stub
-    stays as it is. Tests stub nodes directly through it."""
+    stays as it is. Tests stub nodes directly through it. The tree's slot
+    index holds exactly its explored ids, so it is written in first and
+    the deleted ids' slots are cleared."""
+    values, slots = explored._index()
     parent = explored.parent
     left = explored.left
     right = explored.right
@@ -735,6 +738,7 @@ def reference_mark_stub(explored, v):
         if w != v:
             parent[w] = -1
             stub[w] = 0
+            slots[values[w]] = -1
     stub[v] = 1
     explored.node_count -= nodes
     explored.leaf_count -= leaves

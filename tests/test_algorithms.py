@@ -16,7 +16,8 @@ from bifurcation.generators import (FamilySpec, build_instance, gen_comb,
 from bifurcation.lowerbound import AdaptiveOracle, adaptive_fork_adversary
 from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
                                FORK, FOUND, TARGET_LARGER, TARGET_SMALLER,
-                               InstrumentedOracle, TreeError, Walker)
+                               InstrumentedOracle, NodeIdError, TreeError,
+                               Walker)
 
 from helpers import (child_side, explored_ids, forks_within_depth, grid_trees,
                      is_leaf, make_path, nodes_within_depth, path_to_root,
@@ -125,6 +126,28 @@ def test_trim_removes_stub_children_from_view():
     for s in new:
         assert explored.parent[s] >= 0  # the marker itself stays
         assert explored.left[s] < 0 and explored.right[s] < 0
+
+
+def test_inorder_below_refuses_ids_the_tree_does_not_hold():
+    tree = gen_complete_path(3, 2)
+    explored = ExploredTree(Walker(tree))
+    dfs_extend(explored, 4, tree.root)
+    stubs = trim(explored, tree.left[tree.root], TARGET_LARGER)
+    assert stubs
+    held = explored_ids(explored)
+    for v in held:  # stubs are members
+        assert explored.inorder_below(v).tolist() == [
+            w for w in slow_inorder(tree)
+            if w in held and not explored.stub[w]
+            and v in path_to_root(explored, w)]
+    for v in (-1, tree.size, tree.size + 2):
+        with pytest.raises(NodeIdError):
+            explored.inorder_below(v)
+    gone = [v for v in range(tree.size) if v not in held]
+    assert gone
+    for v in gone:  # never explored, or deleted by the trim
+        with pytest.raises(TreeError, match="not explored"):
+            explored.inorder_below(v)
 
 
 def test_trim_found_is_a_contract_violation():

@@ -10,7 +10,10 @@ nodes with random answers, direct stubs and rescans: one copy through the
 package, the other through the references. After every operation the
 returned ids and stubs, and every array and count of the two explored
 trees, must match. Full searches, adversary runs with freezes included,
-must match searches that decimate through the references.
+must match searches that decimate through the references. After every
+operation on the package side, explores and trims inside those runs too,
+the explored tree's slot index holds exactly its explored ids, stubs
+included, each at its own value.
 
 The value contract is pinned here too: values of ids the explored tree
 does not hold may be anything, and every id handed out is an ``int``.
@@ -44,6 +47,22 @@ def _state(explored):
     return (explored_kinds(explored), explored.parent.tobytes(),
             explored.left.tobytes(), explored.right.tobytes(),
             bytes(explored.stub), explored.node_count, explored.leaf_count)
+
+
+def _assert_index_exact(explored):
+    values, slots = explored._index()
+    ids = explored_ids(explored)
+    assert slots[values[ids]].tolist() == ids
+    assert np.count_nonzero(slots >= 0) == len(ids)
+
+
+def _checked(fn):
+    """``fn``, then the exact-index check on the explored tree it took."""
+    def run(explored, *args):
+        out = fn(explored, *args)
+        _assert_index_exact(explored)
+        return out
+    return run
 
 
 def _ints(ids):
@@ -165,6 +184,7 @@ def test_decimation_matches_the_per_node_references():
             for _ in range(30):
                 going = _step(new, ref, rng, seen)
                 assert _state(new.explored) == _state(ref.explored)
+                _assert_index_exact(new.explored)
                 ops += 1
                 if not going:
                     break
@@ -195,11 +215,14 @@ class _ReferenceExploredTree(ExploredTree):
 
 
 def _report(monkeypatch, reference, n, t, player):
+    monkeypatch.undo()
     if reference:
         monkeypatch.setattr(algorithms, "ExploredTree", _ReferenceExploredTree)
         monkeypatch.setattr(algorithms, "trim", reference_trim)
     else:
-        monkeypatch.undo()
+        for name in ("dfs_extend", "trim"):
+            monkeypatch.setattr(algorithms, name,
+                                _checked(getattr(algorithms, name)))
     r = adaptive_fork_adversary(n, t, player)
     return (r.steps, r.oracle_calls, r.cost, r.target, r.revealed_forks,
             r.froze, r.transcript, r.tree.parent, r.tree.left, r.tree.right)

@@ -28,7 +28,7 @@ def _outcome(gen, *args, **kwargs):
     for name in ("parent", "left", "right", "depth"):
         assert getattr(tree, name).typecode == "i"
     return (tree.parent, tree.left, tree.right, tree.depth, tree.n, tree.t,
-            tree.family, tree.root)
+            tree.root)
 
 
 @pytest.mark.parametrize("gen, ref", [(gen_random, reference_gen_random),
