@@ -156,6 +156,7 @@ def gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
         raise InfeasibleInstanceError("need n >= 1")
     if t < 0:
         raise InfeasibleInstanceError("need t >= 0")
+    _check_size(1 + n + t)  # the root, the spine, and a node per fork
     rng = random.Random(mix_seed(seed, 17))
     b = _Builder()
     b.add_path(0, n, LEFT if rng.random() < 0.5 else RIGHT, rng)

@@ -56,6 +56,16 @@ def check_node_id(v: int, size: int) -> None:
         raise NodeIdError("node id %d is outside the instance" % v)
 
 
+def _root_path_sums(values, up):
+    """Add to each entry of ``values`` those of its ancestors, in place, by
+    pointer jumping: ``up[k]`` is k's parent, and the root is entry 0, with
+    ``up[0] == 0`` and ``values[0] == 0``."""
+    jump = up
+    while jump.any():
+        values += values[jump]
+        jump = jump[jump]
+
+
 class TreeInstance:
     """A concrete rooted tree with depth bound ``n`` and exactly ``t`` forks.
 
@@ -100,9 +110,13 @@ class TreeInstance:
         return self._ranks
 
     def inorder_sequence(self):
-        """Node ids sorted by inorder position, built on each call."""
+        """Node ids sorted by inorder position, built on each call by
+        placing each id at its rank."""
         ranks = np.frombuffer(self.inorder_ranks(), np.intc)
-        return array("i", ranks.argsort().astype(np.intc).tobytes())
+        seq = array("i", [0]) * len(ranks)
+        np.frombuffer(seq, np.intc)[ranks] = np.arange(len(ranks),
+                                                       dtype=np.intc)
+        return seq
 
     def subtree_spans(self):
         """Inorder interval ``(lo, hi)`` of every node's subtree, as two
@@ -115,21 +129,32 @@ class TreeInstance:
         return array("i", lo.tobytes()), array("i", hi.tobytes())
 
     def _compute_inorder(self):
-        """Rank every node in inorder without walking the tree node by node.
+        """Rank every node in inorder with numpy passes in id order.
 
         The pass relies on the id order every generator here produces: the
         root is node 0 and ``0 <= parent[v] < v`` for every other node ``v``;
-        a tree that breaks it raises :class:`TreeError`. A maximal run of
-        ids with ``parent[v] == v - 1`` is then a chain in which ``v + 1`` is
-        a child of ``v``, and a run's first node hangs below a host in an
-        earlier run. A run's level is the number of runs between it and the
-        root's run, found by pointer jumping over hosts. Going up the
-        levels, a segmented reverse cumsum over each run gives subtree
-        sizes, each node adding the sizes of its children off the run (up
-        to two at a run's end); going down, a segmented forward cumsum gives
-        each subtree's first inorder slot, and a node's rank is that slot
-        plus the size of its left subtree. Python-level work is O(levels),
-        each level one set of numpy calls over all of its runs.
+        a tree that breaks it raises :class:`TreeError`. A *run* is then a
+        maximal id range with ``parent[v] == v - 1``: a slice whose every
+        node but the last has child id + 1, and whose head hangs below a
+        host in an earlier run. Node-sized work is slice compares
+        (``left[:-1]`` and ``right[:-1]`` against the next ids give the
+        chain edges' sides) and arithmetic along the ids; only the run
+        heads, one per fork, are gathered. A run's level of nesting comes
+        from pointer jumping over hosts, and run totals, the subtree sizes
+        at the heads, are summed deepest level first.
+
+        Subtree sizes are a reverse cumsum of one plus the totals hung below
+        each node, less that sum past the run's end. A node's first inorder
+        slot is its run's base plus a cumsum of the moves down the run: a
+        right chain edge skips the node and its left subtree, a left one
+        nothing. A run's base is its host's slot, or one past the host and
+        its left subtree for a right head, summed from the root by pointer
+        jumping. A rank is the slot plus the size of the left subtree.
+
+        The prefix sums are int32 and wrap on a large, deep tree, which is
+        harmless: every step is an add, subtract or multiply, so each
+        result is exact modulo 2**32, and every final size and rank lies in
+        ``[0, size)``.
 
         Fills the rank cache and returns the subtree size of every node as a
         numpy array with one more entry, a 0 at index -1, so that indexing it
@@ -141,91 +166,74 @@ class TreeInstance:
         right = np.frombuffer(self.right, np.intc)
         ids = np.arange(size, dtype=np.intc)
         up = parent[1:]
+        # unsigned, a negative parent reads as past every id
         if (not size or parent[0] >= 0
-                or (up < 0).any() or (up >= ids[1:]).any()):
+                or (up.view(np.uintc) >= ids[1:].view(np.uintc)).any()):
             raise TreeError("ranking needs root 0 and 0 <= parent[v] < v "
                             "for every other node v")
-        is_right = right[up] == ids[1:]
-        if (not (is_right | (left[up] == ids[1:])).all()
+        head = up != ids[:-1]  # head[v - 1]: node v starts a run
+        down_l = left[:-1] == ids[1:]  # down_l[v]: v + 1 is v's left child
+        down_r = right[:-1] == ids[1:]
+        del ids
+        starts = np.flatnonzero(head).astype(np.intc)
+        starts += 1
+        hosts = parent[starts]
+        hung_r = right[hosts] == starts
+        hung_l = left[hosts] == starts
+        head |= down_l
+        head |= down_r
+        if (not head.all() or not (hung_l | hung_r).all()
                 or np.count_nonzero(left >= 0)
                 + np.count_nonzero(right >= 0) != size - 1):
             raise TreeError("the child arrays disagree with the parents")
+        del head
 
-        # runs, and their levels by pointer jumping over hosts
-        cut = np.empty(size, bool)
-        cut[0] = True
-        np.not_equal(up, ids[:-1], out=cut[1:])
-        run_of = np.cumsum(cut, dtype=np.intc)
-        run_of -= 1
-        starts = np.flatnonzero(cut).astype(np.intc)
+        # runs: run 0 starts at the root, run k > 0 at starts[k - 1]
+        starts = np.insert(starts, 0, 0)
         lengths = np.diff(starts, append=np.intc(size))
-        host = parent[starts]
-        host[0] = 0
-        host_run = run_of[host]
-        del cut, run_of
+        up_run = np.zeros(len(starts), np.intc)
+        up_run[1:] = np.searchsorted(starts, hosts, side="right") - 1
         level = np.ones(len(starts), np.intc)
         level[0] = 0
-        jump = host_run
-        while jump.any():
-            level += level[jump]
-            jump = jump[jump]
-
-        # runs grouped by level: perm[i] is the node at position i, each run
-        # contiguous and each level a contiguous slice
-        by_level = np.argsort(level).astype(np.intc)
+        _root_path_sums(level, up_run)
+        by_level = np.argsort(level, kind="stable")
         bounds = np.searchsorted(level[by_level],
-                                 np.arange(level.max() + 2, dtype=np.intc))
-        lengths = lengths[by_level]
-        pos = np.cumsum(lengths, dtype=np.intc)
-        pos -= lengths
-        shift = np.empty_like(pos)
-        shift[by_level] = pos
-        shift -= starts  # a node's position minus its id, per run
-        host_pos = host[by_level] + shift[host_run[by_level]]
-        perm = np.repeat(starts[by_level] - pos, lengths)
-        perm += ids
-        del ids, starts, host, host_run, level, jump, shift, by_level
-        levels = [(pos[a], pos[b - 1] + lengths[b - 1], a, b)
-                  for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+                                 np.arange(1, level.max() + 2)).tolist()
+        total = lengths.copy()
+        for a, b in reversed(list(zip(bounds[:-1], bounds[1:]))):
+            runs = by_level[a:b]
+            np.add.at(total, up_run[runs], total[runs])
+        below = total[1:]  # the subtree size at each head
 
-        # subtree sizes, deepest level first
-        sub = np.ones(size, np.intc)
-        for a, b, ra, rb in reversed(levels):
-            seg = sub[a:b]
-            suffix = np.empty(b - a + 1, np.intc)
-            suffix[-1] = 0
-            np.cumsum(seg[::-1], out=suffix[-2::-1])
-            ends = pos[ra:rb] + lengths[ra:rb] - a
-            np.subtract(suffix[:-1], np.repeat(suffix[ends], lengths[ra:rb]),
-                        out=seg)
-            if ra:
-                np.add.at(sub, host_pos[ra:rb], seg[pos[ra:rb] - a])
-        size_of = np.zeros(size + 1, np.intc)  # size_of[-1] == 0 for no child
-        size_of[perm] = sub
-        del sub, seg, suffix
-        lsize = size_of[left]
+        # subtree sizes
+        size_of = np.ones(size + 1, np.intc)  # size_of[-1] == 0 for no child
+        size_of[-1] = 0
+        sub = size_of[:-1]
+        np.add.at(sub, hosts, below)
+        np.cumsum(sub[::-1], out=sub[::-1])
+        ends = np.append(sub[starts[1:]], np.intc(0))
+        sub -= np.repeat(ends, lengths)
+        lsize = np.empty(size, np.intc)  # left subtree sizes
+        np.multiply(sub[1:], down_l, out=lsize[:-1])
+        lsize[-1] = 0
+        lsize[hosts[hung_l]] = below[hung_l]
+        del down_l
 
-        # first inorder slots, root level first: a right child's slot is one
-        # past its parent's left subtree and the parent, a left child's is
-        # its parent's
-        step = lsize[parent]
-        step += 1
-        step[1:] *= is_right
-        step[0] = 0
-        first = step[perm]
-        del step, is_right
-        for a, b, ra, rb in levels:
-            seg = first[a:b]
-            heads = pos[ra:rb] - a
-            base = first[host_pos[ra:rb]] + seg[heads]
-            np.cumsum(seg, out=seg)
-            base -= seg[heads]
-            seg += np.repeat(base, lengths[ra:rb])
-        first += lsize[perm]  # the ranks, in perm order
-        del lsize
-
+        # ranks: offsets within runs, then each run's base
         ranks = array("i", [0]) * size
-        np.frombuffer(ranks, np.intc)[perm] = first
+        rank = np.frombuffer(ranks, np.intc)
+        np.add(lsize[:-1], 1, out=rank[1:])
+        rank[1:] *= down_r
+        np.cumsum(rank, out=rank)
+        at_start = rank[starts]
+        base = np.zeros(len(starts), np.intc)
+        base[1:] = rank[hosts] - at_start[up_run[1:]]
+        base[1:] += hung_r * (lsize[hosts] + 1)
+        _root_path_sums(base, up_run)
+        rank += lsize
+        del lsize
+        base -= at_start
+        rank += np.repeat(base, lengths)
         self._ranks = ranks
         return size_of
 

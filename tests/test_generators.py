@@ -97,6 +97,28 @@ def test_node_cap_stops_a_branch_that_would_cross_it(monkeypatch):
     assert gen_random(300, 12, seed=4).size == size
 
 
+def test_random_refuses_a_fork_count_past_the_cap_before_building(
+        monkeypatch):
+    # every fork adds a node, so the root, the spine and t nodes already
+    # pass the cap; not one path is built
+    paths = []
+    add_path = generators._Builder.add_path
+
+    def counted(self, *args, **kwargs):
+        paths.append(args)
+        if len(paths) > 3:
+            raise AssertionError("built %d paths" % len(paths))
+        return add_path(self, *args, **kwargs)
+
+    monkeypatch.setattr(generators._Builder, "add_path", counted)
+    with pytest.raises(InfeasibleInstanceError, match="past the cap"):
+        gen_random(1000, generators.MAX_NODES - 1000, seed=0)
+    monkeypatch.setattr(generators, "MAX_NODES", 1 + 16 + 4 - 1)
+    with pytest.raises(InfeasibleInstanceError, match="past the cap"):
+        gen_random(16, 4, seed=0)
+    assert paths == []
+
+
 def test_comb_single_fork_mid_spine():
     tree = gen_comb(10, 1, seed=0)
     validate_instance(tree)

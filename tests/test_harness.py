@@ -334,6 +334,24 @@ def test_cli_search_out_follows_the_sweep_append_rules(tmp_path, capsys):
     assert other.read_text() == "a,b\n1,2"
 
 
+def test_cli_search_checks_its_output_before_any_build(tmp_path, capsys,
+                                                      monkeypatch):
+    builds = []
+
+    def counting_build(spec):
+        builds.append(spec)
+        return build_instance(spec)
+
+    monkeypatch.setattr(harness, "build_instance", counting_build)
+    assert main(["search", "--n", "16", "--t", "2", "--out",
+                 str(tmp_path / "missing" / "s.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert builds == []
+    assert main(["search", "--n", "16", "--t", "2", "--out",
+                 str(tmp_path / "s.csv")]) == 0
+    assert len(builds) == 1
+
+
 def test_cli_search_complete_path_by_height(capsys):
     assert main(["search", "--family", "complete_path", "--n", "12",
                  "--t", "9", "--algo", "rounds", "--seed", "1"]) == 0

@@ -396,6 +396,24 @@ def test_node_sized_state_stays_lean(make):
 @pytest.mark.parametrize("make", [lambda: gen_random(2048, 64, 3),
                                   lambda: gen_complete_path(8, 64)],
                          ids=["random", "complete_path"])
+def test_ranking_peak_stays_lean(make):
+    """Ranking peaks at 4.5 int32 a node, the rank cache it fills and the
+    subtree sizes it returns included: node-sized work is done in id
+    order, with no permuted copy of the tree."""
+    tree = make()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tree.inorder_ranks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 4 * tree.size
+
+
+@pytest.mark.parametrize("make", [lambda: gen_random(2048, 64, 3),
+                                  lambda: gen_complete_path(8, 64)],
+                         ids=["random", "complete_path"])
 def test_value_index_stays_lean(make):
     """After a full-depth ``dfs_extend``, one rescan and one trim, the walker
     and the explored tree hold the lean state plus the int32 slot index by
