@@ -9,7 +9,6 @@ knowledge lives in an ExploredTree mirroring the ids the walker has entered.
 from __future__ import annotations
 
 import math
-import mmap
 from array import array
 from dataclasses import dataclass
 
@@ -58,20 +57,20 @@ class ExploredTree:
 
     A node's value is its inorder rank (``Walker.values``). An int32 slot
     index by value holds exactly the explored ids, stubs included, each at
-    its own value; the values and the index are allocated on the first
-    rescan or cut, so exploring alone ranks nothing. The constructor logs
-    the root, and ``add_child`` and ``add_chain`` their new ids, as
-    ``(first, last)`` runs; the next rescan or cut writes the log into the
-    index. Only ``trim`` deletes ids, through ``_cut``, which writes the log
-    in first. A rescan compacts the index, or the value slice under
-    ``top``, and drops the stubs. A cut takes the value slice on u's cut
-    side, reads and clears the ids there by position, and writes ``-1``
-    into the links of the deleted ids only. Root paths are walked as id
-    runs (``path_runs``).
+    its own value; the index is allocated on the first rescan or cut, and
+    only then are the values read, so exploring alone ranks nothing. The
+    constructor logs the root, and ``add_child`` and ``add_chain`` their
+    new ids, as ``(first, last)`` runs; the next rescan or cut writes the
+    log into the index. Only ``trim`` deletes ids, through ``_cut``, which
+    writes the log in first. A rescan compacts the index, or the value
+    slice under ``top``, and drops the stubs. A cut takes the value slice
+    on u's cut side, reads and clears the ids there by position, and writes
+    ``-1`` into the links of the deleted ids only. Root paths are walked as
+    id runs (``path_runs``).
     """
 
     __slots__ = ("parent", "left", "right", "stub", "node_count",
-                 "leaf_count", "walker", "_values", "_slots", "_log")
+                 "leaf_count", "walker", "_slots", "_log")
     root = TreeInstance.root
 
     def __init__(self, walker: Walker):
@@ -84,7 +83,6 @@ class ExploredTree:
         self.node_count = 1
         self.leaf_count = 1
         self.walker = walker
-        self._values = None
         self._slots = None
         self._log = array("i", (self.root, self.root))  # runs of new ids
 
@@ -137,16 +135,9 @@ class ExploredTree:
 
     def _index(self):
         """The values and the slot index, with the log written in."""
-        values = self._values
-        if values is None:
-            values = np.frombuffer(self.walker.values(), np.intc)
-            self._values = values
-            # The index lives as long as the search, so it gets its own
-            # anonymous mapping: from malloc it would sit between the
-            # short-lived node-sized temporaries and fragment the heap.
-            slots = np.frombuffer(mmap.mmap(-1, values.nbytes), np.intc)
-            slots.fill(-1)
-            self._slots = slots
+        values = np.frombuffer(self.walker.values(), np.intc)
+        if self._slots is None:
+            self._slots = np.full(len(values), -1, np.intc)
         slots = self._slots
         if self._log:
             runs = np.frombuffer(self._log, np.intc)
@@ -180,9 +171,9 @@ class ExploredTree:
     def inorder_nodes_and_leaves(self):
         """Non-stub ids in inorder, plus the subset with no explored children."""
         nodes = self._inorder(self.root)
-        has_child = np.frombuffer(self.left, np.intc)[nodes] >= 0
-        has_child |= np.frombuffer(self.right, np.intc)[nodes] >= 0
-        return nodes, nodes[~has_child]
+        left = np.frombuffer(self.left, np.intc)
+        right = np.frombuffer(self.right, np.intc)
+        return nodes, nodes[(left[nodes] & right[nodes]) < 0]
 
     def _cut(self, u: int, larger: bool, keep, stubs):
         """Stub ``stubs`` and delete their explored subtrees: every explored

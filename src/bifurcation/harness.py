@@ -39,11 +39,12 @@ class ExperimentRecord:
                         for v in vals)
 
 
-# One CSV column per record field, in declaration order; bools read "true".
+# One CSV column per record field, in declaration order; bools are true/false.
 FIELDS = tuple(f.name for f in fields(ExperimentRecord))
 CSV_HEADER = ",".join(FIELDS)
 _PARSERS = tuple(
-    {"int": int, "str": str, "bool": lambda v: v == "true"}[f.type]
+    {"int": int, "str": str,
+     "bool": {"true": True, "false": False}.__getitem__}[f.type]
     for f in fields(ExperimentRecord))
 
 
@@ -88,12 +89,13 @@ def _parse_records(lines, path):
         line = line.strip()
         if not line:
             continue
-        vals = line.split(",")
-        if len(vals) != len(FIELDS):
+        try:
+            records.append(ExperimentRecord(
+                *(parse(v) for parse, v in zip(_PARSERS, line.split(","),
+                                               strict=True))))
+        except (KeyError, ValueError):
             raise TreeError("malformed row at line %d of %s"
-                            % (lineno, path))
-        records.append(ExperimentRecord(
-            *(parse(v) for parse, v in zip(_PARSERS, vals))))
+                            % (lineno, path)) from None
     return records
 
 

@@ -120,13 +120,17 @@ class TreeInstance:
 
     def subtree_spans(self):
         """Inorder interval ``(lo, hi)`` of every node's subtree, as two
-        ``array("i")`` indexed by node id. Ranks the tree once more on each
-        call and refreshes the rank cache with the same pass."""
+        ``array("i")`` indexed by node id and written in place, with no
+        numpy copy. Ranks the tree again, refreshing the rank cache."""
         size = self._compute_inorder()
         rank = np.frombuffer(self._ranks, np.intc)
-        lo = rank - size[np.frombuffer(self.left, np.intc)]
-        hi = rank + size[np.frombuffer(self.right, np.intc)]
-        return array("i", lo.tobytes()), array("i", hi.tobytes())
+        lo = array("i", [0]) * len(rank)
+        hi = array("i", [0]) * len(rank)
+        np.subtract(rank, size[np.frombuffer(self.left, np.intc)],
+                    out=np.frombuffer(lo, np.intc))
+        np.add(rank, size[np.frombuffer(self.right, np.intc)],
+               out=np.frombuffer(hi, np.intc))
+        return lo, hi
 
     def _compute_inorder(self):
         """Rank every node in inorder with numpy passes in id order.

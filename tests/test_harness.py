@@ -119,6 +119,24 @@ def test_sweep_resume_rejects_malformed_middle_row(tmp_path):
         sweep(out, ["random"], [16, 32], [2], ["full"], trials=2)
 
 
+@pytest.mark.parametrize("field, value", [("found", "maybe"),
+                                          ("steps", "1.5")])
+def test_sweep_resume_rejects_a_field_that_does_not_parse(tmp_path, field,
+                                                          value):
+    # a bool other than true/false, or an int that is no int, is malformed
+    out = tmp_path / "grid.csv"
+    sweep(out, ["random"], [16, 32], [2], ["full"], trials=2)
+    lines = out.read_text().splitlines()
+    vals = lines[2].split(",")
+    vals[CSV_HEADER.split(",").index(field)] = value
+    lines[2] = ",".join(vals)
+    out.write_text("\n".join(lines) + "\n")
+    before = out.read_bytes()
+    with pytest.raises(TreeError, match="malformed row at line 3 of"):
+        sweep(out, ["random"], [16, 32], [2], ["full"], trials=2)
+    assert out.read_bytes() == before
+
+
 def _rows(path):
     return sorted(path.read_text().splitlines()[1:])
 

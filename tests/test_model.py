@@ -414,14 +414,29 @@ def test_ranking_peak_stays_lean(make):
 @pytest.mark.parametrize("make", [lambda: gen_random(2048, 64, 3),
                                   lambda: gen_complete_path(8, 64)],
                          ids=["random", "complete_path"])
+def test_subtree_spans_peak_stays_lean(make):
+    """Spans peak at 6 int32 a node: the ranking, then each bound written
+    straight into its ``array("i")`` result, with no numpy copy beside it."""
+    tree = make()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tree.subtree_spans()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 4 * tree.size
+
+
+@pytest.mark.parametrize("make", [lambda: gen_random(2048, 64, 3),
+                                  lambda: gen_complete_path(8, 64)],
+                         ids=["random", "complete_path"])
 def test_value_index_stays_lean(make):
     """After a full-depth ``dfs_extend``, one rescan and one trim, the walker
     and the explored tree hold the lean state plus the int32 slot index by
-    value. The index is an anonymous mapping, which tracemalloc does not
-    see, so its bytes are added; the values are the instance's ranks."""
+    value; the values are the instance's ranks."""
     tree = make()
     tree.inorder_ranks()
-    made = []
 
     def decimate():
         w = Walker(tree)
@@ -429,8 +444,6 @@ def test_value_index_stays_lean(make):
         dfs_extend(explored, tree.n, tree.root)
         trim(explored, median_node(explored), TARGET_LARGER)
         assert explored.node_count < tree.size
-        made.append(explored)
         return w, explored
 
-    held = _held_bytes_per_node(tree, decimate)
-    assert held + made[0]._slots.nbytes / tree.size <= 20
+    assert _held_bytes_per_node(tree, decimate) <= 20
