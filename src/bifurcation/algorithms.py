@@ -1,7 +1,7 @@
 """Search procedures over implicit trees: trimming, halving, staged
 bounded-depth exploration, and two baselines, all instrumented.
 
-Each search builds its own Walker at the root, wired to the oracle's reveal
+Each search builds its own Walker at the root, wired to the oracle's fork
 hook; all movement goes through it (one step per edge), and all tree shape
 knowledge lives in an ExploredTree mirroring the ids the walker has entered.
 """
@@ -476,7 +476,7 @@ def bifurcation_search(tree, oracle, psi=None) -> SearchResult:
     budgets are ``SearchParams.for_instance(tree, psi)``.
     """
     params = SearchParams.for_instance(tree, psi)
-    walker = Walker(tree, oracle.on_reveal)
+    walker = Walker(tree, oracle.on_fork)
     explored = ExploredTree(walker)
     node_cap = params.node_cap
     leaf_cap = params.leaf_budget
@@ -521,7 +521,7 @@ def baseline_full(tree, oracle) -> SearchResult:
 
     Steps come to exactly twice the edge count.
     """
-    walker = Walker(tree, oracle.on_reveal)
+    walker = Walker(tree, oracle.on_fork)
     explored = ExploredTree(walker)
     base_calls = oracle.calls
     dfs_extend(explored, tree.n, tree.root)
@@ -537,7 +537,7 @@ def baseline_rounds(tree, oracle) -> SearchResult:
     isolate the inorder gap holding the target, and descends to the frontier
     node guarding that gap for the next round.
     """
-    walker = Walker(tree, oracle.on_reveal)
+    walker = Walker(tree, oracle.on_fork)
     explored = ExploredTree(walker)
     base_calls = oracle.calls
     chunk = max(1, _ceil_div(tree.n, max(1, _ceil_sqrt(tree.t))))

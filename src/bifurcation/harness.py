@@ -90,12 +90,16 @@ def _parse_records(lines, path):
         if not line:
             continue
         try:
-            records.append(ExperimentRecord(
+            rec = ExperimentRecord(
                 *(parse(v) for parse, v in zip(_PARSERS, line.split(","),
-                                               strict=True))))
+                                               strict=True)))
+            # only what csv_row writes: no 016, +2 or 1_6, no spaced name
+            if rec.csv_row() != line or line != "".join(line.split()):
+                raise ValueError(line)
         except (KeyError, ValueError):
             raise TreeError("malformed row at line %d of %s"
                             % (lineno, path)) from None
+        records.append(rec)
     return records
 
 

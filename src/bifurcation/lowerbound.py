@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .algorithms import ALGORITHMS, _ceil_div, _ceil_sqrt
 from .generators import gen_complete_path
-from .model import (FORK, FOUND, TARGET_LARGER, TARGET_SMALLER,
+from .model import (FOUND, TARGET_LARGER, TARGET_SMALLER,
                     InconsistentOracleError, TreeError, check_node_id)
 
 STRATEGIES = ("balanced_bisect", "greedy_cheapest", "random")
@@ -248,11 +248,11 @@ def minimax_price(h: int) -> int:
 class AdaptiveOracle:
     """Answers each query so the larger candidate side stays alive.
 
-    Candidates are one bool mask over inorder ranks. Once the player has
-    revealed its fork budget, every still-undiscovered fork is demoted to a
+    Candidates are one bool mask over inorder ranks. Once ``on_fork`` has
+    heard the fork budget, every still-undiscovered fork is demoted to a
     unary node by deleting the child subtree holding fewer surviving
-    candidates. The target is committed as the last surviving candidate, so
-    every answer ever given stays consistent with it.
+    candidates, which leaves no fork to reveal. The target is committed as
+    the last surviving candidate, so every answer given stays consistent.
     """
 
     def __init__(self, tree, fork_budget):
@@ -268,9 +268,7 @@ class AdaptiveOracle:
         self._cands = np.ones(tree.size, dtype=bool)
         self._revealed = set()
 
-    def on_reveal(self, node, kind):
-        if kind != FORK or self.froze:
-            return
+    def on_fork(self, node):
         self._revealed.add(node)
         self.revealed_forks += 1
         if self.revealed_forks >= self.fork_budget:

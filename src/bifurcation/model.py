@@ -246,10 +246,10 @@ class Walker:
     """Cursor over a TreeInstance that charges one step per edge traversal.
 
     The walker starts at the root, which counts as revealed. A node is
-    revealed the first time the walker enters it: ``on_reveal(node, kind)``
-    hears each node once, in the order they are revealed, and ``kind_of``
-    reads the kind of any revealed node. Downward moves report the side
-    label of the edge just traversed.
+    revealed the first time the walker enters it: ``on_fork(node)`` hears
+    each fork once, as it is revealed, and ``kind_of`` reads the kind of
+    any revealed node. Downward moves report the side label of the edge
+    just traversed.
 
     A *run* is a maximal id range ``a..b`` in which every node but ``b`` is
     unary with only child id + 1; every generated family is made of such
@@ -266,9 +266,9 @@ class Walker:
     drops can no longer be reached.
     """
 
-    __slots__ = ("tree", "current", "steps", "revealed", "on_reveal", "_run")
+    __slots__ = ("tree", "current", "steps", "revealed", "on_fork", "_run")
 
-    def __init__(self, tree: TreeInstance, on_reveal=None):
+    def __init__(self, tree: TreeInstance, on_fork=None):
         self.tree = tree
         left = np.frombuffer(tree.left, np.intc)
         right = np.frombuffer(tree.right, np.intc)
@@ -281,9 +281,9 @@ class Walker:
         self.steps = 0
         self.revealed = bytearray(tree.size)
         self.revealed[tree.root] = 1
-        self.on_reveal = on_reveal
-        if on_reveal is not None:
-            on_reveal(tree.root, tree.kind(tree.root))
+        self.on_fork = on_fork
+        if on_fork is not None and tree.kind(tree.root) == FORK:
+            on_fork(tree.root)
 
     def kind_of(self, v: int) -> str:
         """Kind of an already revealed node."""
@@ -339,8 +339,8 @@ class Walker:
         self.steps += 1
         if not self.revealed[nxt]:
             self.revealed[nxt] = 1
-            if self.on_reveal is not None:
-                self.on_reveal(nxt, tree.kind(nxt))
+            if self.on_fork is not None and tree.kind(nxt) == FORK:
+                self.on_fork(nxt)
         return nxt, side
 
     def follow(self, k: int):
@@ -349,7 +349,7 @@ class Walker:
         Stops after entering the run's last node, so at a fork, a leaf or a
         node whose child is not id + 1. Raises WalkerError before anything
         moves for k < 1 or when the current node is the last of its run.
-        Fires ``on_reveal`` for every newly revealed node, in id order.
+        Fires ``on_fork`` once, for ``end``, if it newly reveals a fork.
         Returns ``(node id, left, right)``: the node it ends on and the
         ``left``/``right`` entries of the nodes it left, the side labels k
         single moves would report.
@@ -368,11 +368,8 @@ class Walker:
         new = revealed.find(0, cur + 1, end + 1)
         if new >= 0:
             revealed[new:end + 1] = b"\x01" * (end + 1 - new)
-            hook = self.on_reveal
-            if hook is not None:
-                for v in range(new, end):
-                    hook(v, UNARY)
-                hook(end, self.tree.kind(end))
+            if self.on_fork is not None and self.tree.kind(end) == FORK:
+                self.on_fork(end)
         return end, self.tree.left[cur:end], self.tree.right[cur:end]
 
     def run_start(self, v: int, lo: int = 0) -> int:
@@ -408,7 +405,7 @@ class InstrumentedOracle:
     """
 
     __slots__ = ("calls", "_ranks", "_target_rank")
-    on_reveal = None  # watches no reveals, unlike the adaptive oracle
+    on_fork = None  # watches no forks, unlike the adaptive oracle
 
     def __init__(self, tree: TreeInstance):
         self.calls = 0

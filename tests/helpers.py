@@ -300,9 +300,8 @@ class ReferenceAdaptiveOracle:
         self.cands = set(range(tree.size))
         self.revealed = set()
 
-    def on_reveal(self, node, kind):
-        if kind != FORK or self.froze:
-            return
+    def on_fork(self, node):
+        assert not self.froze, "fork %d revealed after the freeze" % node
         self.revealed.add(node)
         self.revealed_forks += 1
         if self.revealed_forks >= self.fork_budget:

@@ -630,26 +630,26 @@ def test_dfs_extend_rejects_a_misplaced_walker():
 
 
 class _ReportingOracle(InstrumentedOracle):
-    """Records the kind ``on_reveal`` reports for every node entered."""
+    """Records every fork ``on_fork`` reports."""
 
     def __init__(self, tree):
         super().__init__(tree)
-        self.reported = {}
+        self.reported = set()
 
-    def on_reveal(self, node, kind):
+    def on_fork(self, node):
         assert node not in self.reported
-        self.reported[node] = kind
+        self.reported.add(node)
 
 
 class _ReportingAdaptiveOracle(AdaptiveOracle):
     def __init__(self, tree, fork_budget):
         super().__init__(tree, fork_budget)
-        self.reported = {}
+        self.reported = set()
 
-    def on_reveal(self, node, kind):
+    def on_fork(self, node):
         assert node not in self.reported
-        self.reported[node] = kind
-        super().on_reveal(node, kind)
+        self.reported.add(node)
+        super().on_fork(node)
 
 
 def _keeping(cls, into):
@@ -662,11 +662,12 @@ def _keeping(cls, into):
 
 
 def _kinds_match_reveals(explored, reported):
-    """Every explored id was revealed, and the walker still reports the kind
-    it had when it was entered; returns the number of ids checked."""
+    """Every explored id was revealed, and the walker reads a fork exactly
+    where one was reported when it was entered; returns the number of ids
+    checked."""
     ids = explored_ids(explored)
     for v in ids:
-        assert explored.walker.kind_of(v) == reported[v], v
+        assert (explored.walker.kind_of(v) == FORK) == (v in reported), v
     return len(ids)
 
 
@@ -728,29 +729,28 @@ def _arena():
     _arena,
 ], ids=["random", "comb", "complete_path", "frozen_arena"])
 def test_kinds_reach_the_searches_through_one_channel(monkeypatch, make):
-    """A full-depth ``dfs_extend`` hears each revealed id once through
-    ``on_reveal``, with the kind ``Walker.kind_of`` reads; ``move`` returns
-    a node and a side, and ``follow`` a node and the side labels, no kind."""
+    """A full-depth ``dfs_extend`` hears each revealed fork once through
+    ``on_fork``, and ``Walker.kind_of`` reads a fork at exactly those ids;
+    ``move`` returns a node and a side, and ``follow`` a node and the side
+    labels, no kind."""
     calls = {"move": 0, "follow": 0}
     _shape_checked(monkeypatch, "move", 2, calls)
     _shape_checked(monkeypatch, "follow", 3, calls)
     tree, oracle = make()
     log = []
 
-    def hear(v, kind):
-        log.append((v, kind))
+    def hear(v):
+        log.append(v)
         if oracle is not None:
-            oracle.on_reveal(v, kind)
+            oracle.on_fork(v)
 
     walker = Walker(tree, hear)
     explored = ExploredTree(walker)
     dfs_extend(explored, tree.n, tree.root)
-    ids = [v for v, _ in log]
-    assert len(ids) == len(set(ids))
-    assert sorted(ids) == [v for v in range(tree.size) if walker.revealed[v]]
-    assert sorted(ids) == explored_ids(explored)
-    for v, kind in log:
-        assert walker.kind_of(v) == kind, v
+    assert len(log) == len(set(log))
+    ids = [v for v in range(tree.size) if walker.revealed[v]]
+    assert ids == explored_ids(explored)
+    assert sorted(log) == [v for v in ids if walker.kind_of(v) == FORK]
     assert calls["move"] and calls["follow"]
     if oracle is not None:
         assert oracle.froze
@@ -796,7 +796,7 @@ def test_path_runs_after_a_freeze():
         forks = [f for f in range(tree.size)
                  if tree.left[f] >= 0 and tree.right[f] >= 0]
         oracle = AdaptiveOracle(tree, budget)
-        explored, walker = explore_fully(tree, Walker(tree, oracle.on_reveal))
+        explored, walker = explore_fully(tree, Walker(tree, oracle.on_fork))
         assert oracle.froze
         kept = [f for f in forks if explored.parent[f + 1] == f
                 and tree.right[f] < 0 and walker.revealed[f]]

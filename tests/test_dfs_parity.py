@@ -6,7 +6,7 @@ Two copies of one search state, each with its own walker and explored tree,
 take the same calls: ``dfs_extend`` on one and the reference on the other,
 from varied anchors and depth limits, with stubs made by real ``trim`` calls
 in between. After every call the whole state must match: the return value,
-the walker's position, steps and revealed bytes, the ``on_reveal`` calls,
+the walker's position, steps and revealed bytes, the ``on_fork`` calls,
 every ``ExploredTree`` array and both counts.
 """
 
@@ -31,7 +31,7 @@ from helpers import (explored_ids, explored_kinds, path_to_root,
 class _Side:
     def __init__(self, tree):
         self.log = []
-        self.walker = Walker(tree, lambda v, kind: self.log.append((v, kind)))
+        self.walker = Walker(tree, self.log.append)
         self.explored = ExploredTree(self.walker)
 
     def state(self):
@@ -130,15 +130,15 @@ def test_adversary_reports_match_the_reference(monkeypatch):
 
 
 class _Recording(AdaptiveOracle):
-    """An adaptive oracle that also remembers every node revealed."""
+    """An adaptive oracle that also remembers every fork revealed."""
 
     def __init__(self, tree, fork_budget):
         super().__init__(tree, fork_budget)
         self.seen = []
 
-    def on_reveal(self, node, kind):
+    def on_fork(self, node):
         self.seen.append(node)
-        super().on_reveal(node, kind)
+        super().on_fork(node)
 
 
 def _freeze_play(monkeypatch, dfs, budget, player):
@@ -147,10 +147,18 @@ def _freeze_play(monkeypatch, dfs, budget, player):
     forks = [f for f in range(tree.size)
              if tree.left[f] >= 0 and tree.right[f] >= 0]
     oracle = _Recording(tree, budget)
+    walkers = []
+
+    def build(*args):
+        walkers.append(Walker(*args))
+        return walkers[-1]
+
     monkeypatch.setattr(algorithms, "dfs_extend", dfs)
+    monkeypatch.setattr(algorithms, "Walker", build)
     result = ALGORITHMS[player](tree, oracle)
     # demoted forks that kept child id + 1 and that the walker entered
-    kept = [f for f in forks if f in oracle.seen and tree.right[f] < 0
+    [walker] = walkers
+    kept = [f for f in forks if walker.revealed[f] and tree.right[f] < 0
             and tree.left[f] == f + 1]
     return (result.found, result.steps, result.oracle_calls, oracle.calls,
             oracle.transcript, oracle.froze, oracle.seen, tree.parent,

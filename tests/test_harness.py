@@ -137,6 +137,30 @@ def test_sweep_resume_rejects_a_field_that_does_not_parse(tmp_path, field,
     assert out.read_bytes() == before
 
 
+_ROW = "random,16,2,2,full,0,38,6,true,14,134"
+
+
+@pytest.mark.parametrize("row", [
+    "random,1_6,2,2,full,0,38,6,true,14,134",
+    "random,16,+2,2,full,0,38,6,true,14,134",
+    "random,16,2,2, full ,0,38,6,true,14,134",
+    "random,016,2,2,full,0,38,6,true,14,134",
+], ids=["underscore", "sign", "spaces", "leading_zero"])
+def test_prepare_append_rejects_a_row_that_csv_row_never_writes(tmp_path,
+                                                                row):
+    # int() and str take these, but a resumed sweep would then count a
+    # hand-edited cell as done
+    out = tmp_path / "grid.csv"
+    out.write_text("%s\n%s\n" % (CSV_HEADER, _ROW))
+    records, header = harness.prepare_append(out)
+    assert [r.csv_row() for r in records] == [_ROW] and header == ""
+    out.write_text("%s\n%s\n%s\n" % (CSV_HEADER, _ROW, row))
+    before = out.read_bytes()
+    with pytest.raises(TreeError, match="malformed row at line 3 of"):
+        harness.prepare_append(out)
+    assert out.read_bytes() == before
+
+
 def _rows(path):
     return sorted(path.read_text().splitlines()[1:])
 

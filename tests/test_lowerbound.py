@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bifurcation import lowerbound
 from bifurcation.generators import gen_comb, gen_complete_path, gen_random
 from bifurcation.lowerbound import (_MINIMAX_CAP, AdaptiveOracle,
                                     GameRuleError, GameState, STRATEGIES,
@@ -272,6 +273,32 @@ def test_adaptive_freeze_demotes_unrevealed_forks():
         stack.extend(c for c in (l, r) if c >= 0)
     assert live_forks <= rep.revealed_forks
     assert rep.replay_consistent()
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_fork_hook_calls_are_the_forks_counted(monkeypatch, n):
+    """The adversary hears one ``on_fork`` call per fork it counts, and none
+    after its freeze, which would push the count past the budget of 64:
+    ``full`` freezes with 191 of the arena's 255 forks never revealed."""
+    calls = []
+
+    class Counting(AdaptiveOracle):
+        def on_fork(self, node):
+            calls.append(node)
+            super().on_fork(node)
+
+    monkeypatch.setattr(lowerbound, "AdaptiveOracle", Counting)
+    total = 0
+    for player in ("bifurcation", "full", "rounds"):
+        calls.clear()
+        rep = adaptive_fork_adversary(n, 64, player)
+        assert len(calls) == len(set(calls)) == rep.revealed_forks <= 64
+        assert rep.replay_consistent()
+        if player == "full":
+            assert rep.froze
+            assert 2 ** rep.h - 1 - len(calls) == 191
+        total += len(calls)
+    assert total == 64 + 64 + 8
 
 
 def test_replay_inconsistent_reports():

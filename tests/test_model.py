@@ -32,10 +32,12 @@ def test_walker_single_edge():
 def test_walker_round_trip():
     tree = make_path("R")
     w, log = _logged(tree)
+    assert w.revealed == b"\x01\x00"  # root was revealed at the start
     w.move(DIR_ONLY)
     node, _ = w.move(DIR_PARENT)
     assert node == tree.root
-    assert log == [(0, UNARY), (1, LEAF)]  # root was revealed at the start
+    assert w.revealed == b"\x01\x01"
+    assert log == []  # a path has no fork
     assert w.steps == 2
 
 
@@ -77,15 +79,16 @@ def test_walker_errors():
 
 
 def test_walker_reveal_once():
-    tree = make_path("LR")
+    tree = _tree(**FORKED)
     w, log = _logged(tree)
+    w.move(DIR_ONLY)
     node, _ = w.move(DIR_ONLY)
-    assert log[-1] == (node, UNARY)
+    assert log == [node]
     w.move(DIR_PARENT)
     node, _ = w.move(DIR_ONLY)
-    assert len(log) == 2
+    assert log == [node]
     assert w.revealed[node]
-    assert w.kind_of(node) == UNARY
+    assert w.kind_of(node) == FORK
 
 
 def test_steps_count_only_successful_moves():
@@ -234,7 +237,7 @@ SHUFFLED = dict(parent=[-1, 5, 0, 2, 1, 3, 5, 6],
 
 def _logged(tree):
     log = []
-    return Walker(tree, lambda v, kind: log.append((v, kind))), log
+    return Walker(tree, log.append), log
 
 
 def _seen(walker, log):
@@ -258,16 +261,15 @@ def test_follow_equals_single_moves():
             assert list(lefts) == list(tree.left[start:end])
             assert list(rights) == list(tree.right[start:end])
     # a second pass over revealed nodes fires no hook
-    a, log = _logged(tree)
-    a.follow(5)
+    a, log = _logged(_tree(**FORKED))
+    assert a.follow(1)[0] == 1
     a.move(DIR_PARENT)
-    a.move(DIR_PARENT)
-    calls = len(log)
-    assert a.follow(2)[0] == 5
-    assert len(log) == calls
-    assert a.follow(3)[0] == 8
-    assert log[-1] == (8, LEAF)
-    assert len(log) == calls + 3
+    assert log == []
+    assert a.follow(2)[0] == 2  # 1 was revealed, the fork 2 is new
+    assert log == [2]
+    assert a.climb(2) == 0
+    assert a.follow(2)[0] == 2
+    assert log == [2]
 
 
 def test_climb_equals_single_moves():
@@ -290,7 +292,8 @@ def test_follow_stops_after_entering_a_fork_or_a_leaf():
     w.move(DIR_LEFT)
     assert w.follow(10)[0] == 4
     assert w.steps == 4
-    assert log == [(0, UNARY), (1, UNARY), (2, FORK), (3, UNARY), (4, LEAF)]
+    assert log == [2]
+    assert w.revealed == b"\x01" * 5 + b"\x00" * 2
     # a climb stops at the first node of its run: 3, below the fork
     assert w.climb(4) == 3
     assert w.steps == 5
@@ -308,11 +311,12 @@ def test_follow_and_climb_refuse_before_anything_moves():
         assert _seen(w, log) == before
     w.move(DIR_ONLY)
     assert w.follow(5)[0] == 3  # 3's only child is 5
-    assert log[-1] == (3, UNARY)
+    assert log == []
     w.move(DIR_ONLY)
+    assert log == [5]
     w.move(DIR_LEFT)
     assert w.follow(1)[0] == 7
-    assert log[-1] == (7, LEAF)
+    assert log == [5]
     for call, k in ((w.follow, 1),  # a leaf
                     (w.climb, 6)):  # 7 is at depth 5
         before = _seen(w, log)
@@ -342,6 +346,45 @@ def test_dfs_extend_matches_reference_where_children_skip_ids():
                           explored.node_count, explored.leaf_count))
         assert sides[0] == sides[1]
     assert sides[0][2][1] == 4 * (tree.size - 1)  # two full walks
+
+
+@pytest.mark.parametrize("make", [lambda: gen_random(128, 16, seed=4),
+                                  lambda: gen_random(300, 40, seed=7),
+                                  lambda: gen_complete_path(3, 5)],
+                         ids=["random-128-16", "random-300-40",
+                              "complete_path"])
+def test_fork_hook_hears_each_revealed_fork_once_in_reveal_order(
+        monkeypatch, make):
+    """A full-depth ``dfs_extend`` calls the hook once for each fork it
+    reveals, as it reveals it, and for no other node. The reveal order is
+    read off the revealed bytes after every ``move`` and ``follow``: a call
+    reveals one node, or a chain in id order whose last node alone may be a
+    fork."""
+    tree = make()
+    w, log = _logged(tree)
+    seen = bytearray(w.revealed)
+    order = [v for v in range(tree.size) if seen[v] and tree.kind(v) == FORK]
+
+    def watched(name):
+        original = getattr(Walker, name)
+
+        def call(self, *args):
+            out = original(self, *args)
+            new = [v for v in range(tree.size)
+                   if self.revealed[v] and not seen[v]]
+            order.extend(v for v in new if tree.kind(v) == FORK)
+            seen[:] = self.revealed
+            return out
+        monkeypatch.setattr(Walker, name, call)
+
+    watched("move")
+    watched("follow")
+    dfs_extend(ExploredTree(w), tree.n, tree.root)
+    forks = [v for v in range(tree.size) if tree.kind(v) == FORK]
+    assert len(forks) == tree.t
+    assert all(w.revealed)
+    assert log == order
+    assert sorted(log) == forks
 
 
 def test_exploring_ranks_nothing_until_the_first_rescan(monkeypatch):
