@@ -45,15 +45,16 @@ class ExploredTree:
 
     Arrays indexed by instance id, one slot per id: ``parent``, ``left``
     and ``right`` are ``array("i")`` of ids, ``-1`` for none; ``stub`` flags
-    stubs. Membership is ``parent``: an id other than the root is explored
-    exactly when its ``parent`` is not ``-1``. ``walker`` is the one walker
-    that explores the tree; ``dfs_extend``, ``trim`` and ``_descend`` move
-    it, and kinds are not copied but read through it (``Walker.kind_of``),
-    as it revealed every explored id. A stub is a node proven not to hold
-    the target in its subtree; stubs stay in place as markers but their
-    explored subtrees are deleted. ``node_count`` and ``leaf_count``
-    (non-stub nodes with no explored children) exclude stubs and are kept
-    current as the tree changes.
+    stubs and has one trailing 0 byte, so ``stub[-1]`` reads no stub for a
+    missing child. Membership is ``parent``: an id other than the root is
+    explored exactly when its ``parent`` is not ``-1``. ``walker`` is the
+    one walker that explores the tree; ``dfs_extend``, ``trim`` and
+    ``_descend`` move it, and kinds are not copied but read through it
+    (``Walker.kind_of``), as it revealed every explored id. A stub is a
+    node proven not to hold the target in its subtree; stubs stay in place
+    as markers but their explored subtrees are deleted. ``node_count`` and
+    ``leaf_count`` (non-stub nodes with no explored children) exclude stubs
+    and are kept current as the tree changes.
 
     A node's value is its inorder rank (``Walker.values``). An int32 slot
     index by value holds exactly the explored ids, stubs included, each at
@@ -79,7 +80,7 @@ class ExploredTree:
         self.parent = none * size
         self.left = none * size
         self.right = none * size
-        self.stub = bytearray(size)
+        self.stub = bytearray(size + 1)
         self.node_count = 1
         self.leaf_count = 1
         self.walker = walker
@@ -127,11 +128,6 @@ class ExploredTree:
                 return runs
             v = parent[a]
         raise TreeError("node %d is not below node %d" % (u, top))
-
-    def depth(self, u: int) -> int:
-        """Edges from the root down to u, counted run by run."""
-        runs = self.path_runs(u)
-        return sum(b - a for a, b in runs) + len(runs) - 1
 
     def _index(self):
         """The values and the slot index, with the log written in."""
@@ -276,14 +272,14 @@ def halve(explored: ExploredTree, oracle, median=median_node):
     return answer, u, trim(explored, u, answer)
 
 
-def dfs_extend(explored: ExploredTree, depth_limit: int, anchor: int) -> int:
-    """Grow anchor's explored subtree to the depth limit by walking DFS.
+def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
+    """Grow the explored subtree below the walker to the depth limit by DFS.
 
-    The explored tree's walker must stand at anchor, or TreeError is raised
-    before any step. Already explored edges are re-walked (each at most
-    twice), stubs are never entered, the walk turns back at the depth limit,
-    and the walker ends where it started. Returns the count of newly
-    explored forks.
+    The walk starts where the explored tree's walker stands, its anchor; an
+    anchor the tree does not hold raises TreeError before any step. Already
+    explored edges are re-walked (each at most twice), stubs are never
+    entered, the walk turns back at the depth limit, and the walker ends
+    where it started. Returns the count of newly explored forks.
 
     No stack is kept. The walk goes down, into the left child first, until
     it reaches the limit or a node with no child it may enter; then it
@@ -299,58 +295,52 @@ def dfs_extend(explored: ExploredTree, depth_limit: int, anchor: int) -> int:
     written with slices: an explored chain is ancestor-closed, so they
     start at the first unexplored id. Going up, ``Walker.climb`` takes the
     walk to the top of its chain, and one move over the edge above it. So
-    the moves, and every counter, are those of one move per edge. Kinds are
-    read through ``Walker.kind_of``.
+    the moves, and every counter, are those of one move per edge. Depths
+    are ``Walker.depth``; kinds are read through ``Walker.kind_of``, once
+    for each node entered, where ``fresh`` marks a newly explored one.
     """
     walker = explored.walker
-    if walker.current != anchor:
-        raise TreeError("walker must start at the exploration anchor")
+    anchor = walker.current
+    parents = explored.parent
+    if anchor != explored.root and parents[anchor] < 0:
+        raise TreeError("node %d is not explored" % anchor)
     stub = explored.stub
     lefts = explored.left
     rights = explored.right
-    parents = explored.parent
     kind_of = walker.kind_of
     move = walker.move
     follow = walker.follow
     climb = walker.climb
     new_forks = 0
     node = anchor
-    anchor_depth = depth = explored.depth(anchor)
+    fresh = False
+    anchor_depth = walker.depth
     while True:
         direction = None
         k = kind_of(node)
-        if depth < depth_limit and k != LEAF:
-            c = lefts[node]
+        if fresh and k == FORK:
+            new_forks += 1
+        if walker.depth < depth_limit and k != LEAF:
             if k == FORK:
-                if c < 0 or not stub[c]:
+                if not stub[lefts[node]]:
                     direction = DIR_LEFT
-                else:
-                    c = rights[node]
-                    if c < 0 or not stub[c]:
-                        direction = DIR_RIGHT
-            else:
-                if c < 0:
-                    c = rights[node]
-                if c < 0 or not stub[c]:
-                    direction = DIR_ONLY
+                elif not stub[rights[node]]:
+                    direction = DIR_RIGHT
+            elif not stub[max(lefts[node], rights[node])]:  # one link is -1
+                direction = DIR_ONLY
         while direction is None:
             if node != anchor:
-                top = climb(depth - anchor_depth)
-                depth -= node - top
-                node = top
+                node = climb(walker.depth - anchor_depth)
             if node == anchor:
                 return new_forks
-            move(DIR_PARENT)
             back = node
-            node = parents[node]
-            depth -= 1
-            if lefts[node] == back and kind_of(node) == FORK:
-                c = rights[node]
-                if c < 0 or not stub[c]:
-                    direction = DIR_RIGHT
+            node, _ = move(DIR_PARENT)
+            if (lefts[node] == back and kind_of(node) == FORK
+                    and not stub[rights[node]]):
+                direction = DIR_RIGHT
         if direction == DIR_ONLY:
             # the child is no stub, so the cut looks past it
-            room = depth_limit - depth
+            room = depth_limit - walker.depth
             s = stub.find(1, node + 2, node + room + 1)
             if s >= 0:
                 room = s - node - 1
@@ -359,22 +349,18 @@ def dfs_extend(explored: ExploredTree, depth_limit: int, anchor: int) -> int:
             except WalkerError:  # node ends its run: one move takes the edge
                 pass
             else:
-                if parents[end] < 0:
+                fresh = parents[end] < 0
+                if fresh:
                     new = parents.index(-1, node + 1, end + 1)
                     explored.add_chain(new, end, ls[new - 1 - node:],
                                        rs[new - 1 - node:])
-                    if kind_of(end) == FORK:
-                        new_forks += 1
-                depth += end - node
                 node = end
                 continue
         cid, cside = move(direction)
-        if parents[cid] < 0:
+        fresh = parents[cid] < 0
+        if fresh:
             explored.add_child(node, cside, cid)
-            if kind_of(cid) == FORK:
-                new_forks += 1
         node = cid
-        depth += 1
 
 
 # Scales the staged search's node cap against the depth bound.
@@ -488,7 +474,7 @@ def bifurcation_search(tree, oracle, psi=None) -> SearchResult:
         depth_limit = i * params.depth_step
         steps_before = walker.steps
         calls_before = oracle.calls
-        new_forks = dfs_extend(explored, depth_limit, tree.root)
+        new_forks = dfs_extend(explored, depth_limit)
         found = None
         while True:
             if explored.leaf_count > leaf_cap:
@@ -524,7 +510,7 @@ def baseline_full(tree, oracle) -> SearchResult:
     walker = Walker(tree, oracle.on_fork)
     explored = ExploredTree(walker)
     base_calls = oracle.calls
-    dfs_extend(explored, tree.n, tree.root)
+    dfs_extend(explored, tree.n)
     target = final_binary_search(explored, oracle)
     return SearchResult(target, walker.steps, oracle.calls - base_calls, ())
 
@@ -541,7 +527,6 @@ def baseline_rounds(tree, oracle) -> SearchResult:
     explored = ExploredTree(walker)
     base_calls = oracle.calls
     chunk = max(1, _ceil_div(tree.n, max(1, _ceil_sqrt(tree.t))))
-    frontier = tree.root
     rounds = []
     i = 0
     while True:
@@ -549,8 +534,8 @@ def baseline_rounds(tree, oracle) -> SearchResult:
         depth_limit = min(i * chunk, tree.n)
         steps_before = walker.steps
         calls_before = oracle.calls
-        new_forks = dfs_extend(explored, depth_limit, frontier)
-        cand = explored.inorder_below(frontier)
+        new_forks = dfs_extend(explored, depth_limit)
+        cand = explored.inorder_below(walker.current)
         found, gap = _bisect(cand, oracle)
         rounds.append(RoundStats(i, new_forks, oracle.calls - calls_before,
                                  walker.steps - steps_before, depth_limit))
@@ -559,9 +544,7 @@ def baseline_rounds(tree, oracle) -> SearchResult:
                                 tuple(rounds))
         before = int(cand[gap - 1]) if gap > 0 else None
         after = int(cand[gap]) if gap < len(cand) else None
-        nxt = _pick_frontier(explored, before, after)
-        _descend(explored, frontier, nxt)
-        frontier = nxt
+        _descend(explored, _pick_frontier(explored, before, after))
         if i > tree.n + 2:
             raise InconsistentOracleError("round limit exceeded")
 
@@ -582,15 +565,16 @@ def _pick_frontier(explored, before, after):
     return after if explored.right[before] >= 0 else before
 
 
-def _descend(explored, src, dst):
-    """Walk the explored tree's walker down the explored path from src to
-    its descendant dst: one move into each run (``ExploredTree.path_runs``)
-    and one ``Walker.follow`` down it."""
+def _descend(explored, dst):
+    """Walk the explored tree's walker down the explored path to dst, a
+    descendant of the node it stands at: one move into each run
+    (``ExploredTree.path_runs``) and one ``Walker.follow`` down it. A dst
+    not below the walker raises TreeError before any step."""
     walker = explored.walker
     lefts = explored.left
-    for a, b in reversed(explored.path_runs(dst, src)):
-        if a != src:
-            p = walker.current
+    for a, b in reversed(explored.path_runs(dst, walker.current)):
+        p = walker.current
+        if a != p:
             if walker.kind_of(p) == FORK:
                 direction = DIR_LEFT if lefts[p] == a else DIR_RIGHT
             else:

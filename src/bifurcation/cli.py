@@ -8,7 +8,7 @@ import sys
 
 from .algorithms import ALGORITHMS
 from .generators import FamilySpec
-from .harness import (CSV_HEADER, fit_scaling, load_records,
+from .harness import (CSV_HEADER, check_folder, fit_scaling, load_records,
                       prepare_append, run_experiment, sweep)
 from .lowerbound import (STRATEGIES, adaptive_fork_adversary, minimax_price,
                          play_game)
@@ -99,6 +99,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_game(args):
+    if args.out:
+        check_folder(args.out)
     transcript = play_game(args.strategy, args.h, args.seed)
     rows = list(transcript.csv_rows())
     if args.out:

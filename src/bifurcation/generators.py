@@ -270,7 +270,8 @@ def check_names(family: str, target_strategy: str) -> None:
     if family not in FAMILIES:
         raise ValueError("unknown family %r" % (family,))
     if target_strategy.startswith("fixed:"):
-        int(target_strategy.split(":", 1)[1])
+        if int(target_strategy.split(":", 1)[1]) < 0:
+            raise ValueError("%r needs K >= 0" % (target_strategy,))
     elif target_strategy not in ("random_node", "random_leaf",
                                  "adversarial_deep"):
         raise ValueError("unknown target strategy %r" % (target_strategy,))

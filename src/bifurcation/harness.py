@@ -103,6 +103,18 @@ def _parse_records(lines, path):
     return records
 
 
+def check_folder(path):
+    """Raise OSError now, before any work, when path is a new file whose
+    folder is missing or not writable; create nothing."""
+    if os.path.exists(path):
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, "no such folder", folder)
+    if not os.access(folder, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, "folder not writable", folder)
+
+
 def prepare_append(path):
     """Ready a record CSV for appending rows.
 
@@ -110,9 +122,10 @@ def prepare_append(path):
     row): the header for a new or empty file, else nothing. A foreign header
     or a malformed row raises TreeError before the file is touched. Then a
     last line with no newline, as a kill part-way through writing a row
-    leaves it, is cut off. A new file is not created here, but a folder
-    that is missing or not writable raises OSError now, before any work.
+    leaves it, is cut off. A new file is not created here, but its folder
+    is checked (``check_folder``).
     """
+    check_folder(path)
     if os.path.exists(path):
         with open(path, "rb+") as fh:
             data = fh.read()
@@ -123,12 +136,6 @@ def prepare_append(path):
                 fh.truncate(keep)
         if keep:
             return records, ""
-    else:
-        folder = os.path.dirname(os.path.abspath(path))
-        if not os.path.isdir(folder):
-            raise FileNotFoundError(errno.ENOENT, "no such folder", folder)
-        if not os.access(folder, os.W_OK | os.X_OK):
-            raise PermissionError(errno.EACCES, "folder not writable", folder)
     return [], CSV_HEADER + "\n"
 
 

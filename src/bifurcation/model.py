@@ -245,11 +245,11 @@ class TreeInstance:
 class Walker:
     """Cursor over a TreeInstance that charges one step per edge traversal.
 
-    The walker starts at the root, which counts as revealed. A node is
-    revealed the first time the walker enters it: ``on_fork(node)`` hears
-    each fork once, as it is revealed, and ``kind_of`` reads the kind of
-    any revealed node. Downward moves report the side label of the edge
-    just traversed.
+    The walker starts at the root, which counts as revealed, and keeps the
+    ``depth`` of ``current`` beside ``steps``. A node is revealed the first
+    time the walker enters it: ``on_fork(node)`` hears each fork once, as
+    it is revealed, and ``kind_of`` reads the kind of any revealed node.
+    Downward moves report the side label of the edge just traversed.
 
     A *run* is a maximal id range ``a..b`` in which every node but ``b`` is
     unary with only child id + 1; every generated family is made of such
@@ -266,7 +266,8 @@ class Walker:
     drops can no longer be reached.
     """
 
-    __slots__ = ("tree", "current", "steps", "revealed", "on_fork", "_run")
+    __slots__ = ("tree", "current", "depth", "steps", "revealed", "on_fork",
+                 "_run")
 
     def __init__(self, tree: TreeInstance, on_fork=None):
         self.tree = tree
@@ -278,6 +279,7 @@ class Walker:
              & (left + right == np.arange(len(left), dtype=np.intc)))
             .tobytes())
         self.current = tree.root
+        self.depth = 0
         self.steps = 0
         self.revealed = bytearray(tree.size)
         self.revealed[tree.root] = 1
@@ -336,6 +338,7 @@ class Walker:
         else:
             raise WalkerError("unknown direction %r" % (direction,))
         self.current = nxt
+        self.depth += 1 if side else -1
         self.steps += 1
         if not self.revealed[nxt]:
             self.revealed[nxt] = 1
@@ -363,6 +366,7 @@ class Walker:
         if end < 0:
             end = cur + k
         self.current = end
+        self.depth += end - cur
         self.steps += end - cur
         revealed = self.revealed
         new = revealed.find(0, cur + 1, end + 1)
@@ -388,11 +392,12 @@ class Walker:
         the node's depth. Returns the node it ends on.
         """
         cur = self.current
-        if k < 1 or k > self.tree.depth[cur]:
+        if k < 1 or k > self.depth:
             raise WalkerError("cannot climb %r edges above node %d"
                               % (k, cur))
         top = self.run_start(cur, max(cur - k, 0))
         self.current = top
+        self.depth -= cur - top
         self.steps += cur - top
         return top
 

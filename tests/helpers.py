@@ -563,17 +563,19 @@ def path_to_root(explored, u):
     return path
 
 
-def reference_dfs_extend(explored, depth_limit, anchor):
+def reference_dfs_extend(explored, depth_limit):
     """The single-move ``dfs_extend`` that walked one edge per
-    ``Walker.move`` call, kept to check the run-walking one against.
+    ``Walker.move`` call, kept to check the run-walking one against. It
+    counts depths itself, from ``path_to_root``, not ``Walker.depth``.
 
-    Grow anchor's explored subtree to the depth limit by walking DFS.
+    Grow the explored subtree below the walker to the depth limit by
+    walking DFS.
 
-    The explored tree's walker must stand at anchor, or TreeError is raised
-    before any step. Already explored edges are re-walked (each at most
-    twice), stubs are never entered, the walk turns back at the depth limit,
-    and the walker ends where it started. Returns the count of newly
-    explored forks.
+    The walk starts where the explored tree's walker stands, its anchor; an
+    anchor the tree does not hold raises TreeError before any step. Already
+    explored edges are re-walked (each at most twice), stubs are never
+    entered, the walk turns back at the depth limit, and the walker ends
+    where it started. Returns the count of newly explored forks.
 
     No stack is kept. The walk goes down, into the left child first, until
     it reaches the limit or a node with no child it may enter; then it
@@ -582,8 +584,9 @@ def reference_dfs_extend(explored, depth_limit, anchor):
     the anchor.
     """
     walker = explored.walker
-    if walker.current != anchor:
-        raise TreeError("walker must start at the exploration anchor")
+    anchor = walker.current
+    if anchor != explored.root and explored.parent[anchor] < 0:
+        raise TreeError("node %d is not explored" % anchor)
     stub = explored.stub
     lefts = explored.left
     rights = explored.right

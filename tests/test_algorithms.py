@@ -28,7 +28,7 @@ from helpers import (child_side, explored_ids, forks_within_depth, grid_trees,
 def explore_fully(tree, walker=None):
     walker = walker or Walker(tree)
     explored = ExploredTree(walker)
-    dfs_extend(explored, tree.n, tree.root)
+    dfs_extend(explored, tree.n)
     return explored, walker
 
 
@@ -76,7 +76,7 @@ def test_maintained_counts_match_rescan():
         oracle = InstrumentedOracle(tree)
         step = 1 + rng.randrange(tree.n)
         for limit in range(step, tree.n + step, step):
-            dfs_extend(explored, limit, tree.root)
+            dfs_extend(explored, limit)
             _assert_counts_match_rescan(explored)
             u = rng.choice(explored.inorder_below(explored.root))
             answer = oracle.query(u)
@@ -131,7 +131,7 @@ def test_trim_removes_stub_children_from_view():
 def test_inorder_below_refuses_ids_the_tree_does_not_hold():
     tree = gen_complete_path(3, 2)
     explored = ExploredTree(Walker(tree))
-    dfs_extend(explored, 4, tree.root)
+    dfs_extend(explored, 4)
     stubs = trim(explored, tree.left[tree.root], TARGET_LARGER)
     assert stubs
     held = explored_ids(explored)
@@ -286,7 +286,7 @@ def test_dfs_extend_full_depth_covers_instance():
     tree = gen_random(20, 5, seed=3)
     walker = Walker(tree)
     explored = ExploredTree(walker)
-    dfs_extend(explored, tree.n, tree.root)
+    dfs_extend(explored, tree.n)
     assert explored.node_count == tree.size
     assert walker.steps == 2 * (tree.size - 1)
     assert walker.current == tree.root
@@ -296,12 +296,12 @@ def test_dfs_extend_never_enters_stubs():
     tree = gen_complete_path(2, 3)
     walker = Walker(tree)
     explored = ExploredTree(walker)
-    dfs_extend(explored, 3, tree.root)  # just past the first fork
+    dfs_extend(explored, 3)  # just past the first fork
     root_fork = tree.root
     left = explored.left[root_fork]
     reference_mark_stub(explored, left)
     steps_before = walker.steps
-    dfs_extend(explored, tree.n, tree.root)
+    dfs_extend(explored, tree.n)
     # the stubbed side contributes no nodes and no walking
     for v in explored_ids(explored):
         assert not _under(tree, v, left) or v == left
@@ -324,7 +324,7 @@ def test_dfs_extend_stage_counts_match_instance():
     prev_forks = 1  # the root fork is revealed on arrival
     for i in (1, 2, 3):
         limit = 4 * i
-        new_forks = dfs_extend(explored, limit, tree.root)
+        new_forks = dfs_extend(explored, limit)
         want_nodes = nodes_within_depth(tree, limit)
         want_new_forks = forks_within_depth(tree, limit) - prev_forks
         assert explored.node_count == want_nodes
@@ -388,14 +388,14 @@ def test_dfs_extend_walks_twice_the_reachable_region():
         limits = [step, 2 * step, step // 2, tree.n, tree.n]
         for limit in limits:
             anchor = rng.choice(explored.inorder_below(tree.root))
-            _descend(explored, tree.root, anchor)
+            _descend(explored, anchor)
             if anchor != tree.root:
                 seen.add("non-root anchor")
             seen |= _stub_shapes(tree, explored, anchor, limit)
             before = set(explored_ids(explored))
             reach = _reach(tree, explored, anchor, limit)
             steps = walker.steps
-            new_forks = dfs_extend(explored, limit, anchor)
+            new_forks = dfs_extend(explored, limit)
             assert walker.steps - steps == 2 * len(reach)
             assert set(explored_ids(explored)) == before | set(reach)
             assert new_forks == sum(1 for v in reach if v not in before
@@ -483,7 +483,7 @@ def test_bifurcation_round_budgets_hold():
         oracle2 = InstrumentedOracle(tree)
         found_early = False
         for rs in result.rounds:
-            dfs_extend(explored, rs.depth_limit, tree.root)
+            dfs_extend(explored, rs.depth_limit)
             for _ in range(200):
                 nodes, leaves = explored.inorder_nodes_and_leaves()
                 if len(leaves) > params.leaf_budget:
@@ -587,7 +587,7 @@ def test_pick_frontier_returns_the_deeper_neighbour():
         for depth_limit in (tree.n // 3, tree.n):
             walker = Walker(tree)
             explored = ExploredTree(walker)
-            dfs_extend(explored, depth_limit, tree.root)
+            dfs_extend(explored, depth_limit)
             for v in explored_ids(explored)[::5]:
                 cand = explored.inorder_below(v)
                 assert _pick_frontier(explored, None, cand[0]) == cand[0]
@@ -615,15 +615,61 @@ def test_all_algorithms_find_random_targets():
 
 
 def test_dfs_extend_rejects_a_misplaced_walker():
-    # the root of this instance is unary, so the walker steps to its child
-    tree = build_instance(FamilySpec("random", 64, 4, 3))
-    walker = Walker(tree)
-    walker.move(DIR_ONLY)
-    explored = ExploredTree(walker)
-    with pytest.raises(TreeError, match="anchor"):
-        dfs_extend(explored, tree.n, tree.root)
-    assert walker.steps == 1
-    assert explored.node_count == 1
+    """A walker off the explored tree is refused before any step. On the
+    second instance such a walk once grew a subtree detached from the
+    root, counted in ``node_count`` yet not held."""
+    # the roots of these instances are unary, so the walker steps to node 1
+    for tree in (build_instance(FamilySpec("random", 64, 4, 3)),
+                 gen_random(64, 4, seed=1)):
+        walker = Walker(tree)
+        explored = ExploredTree(walker)
+        walker.move(DIR_ONLY)
+        with pytest.raises(TreeError, match="node 1 is not explored"):
+            dfs_extend(explored, tree.n)
+        assert (walker.current, walker.steps) == (1, 1)
+        assert explored.node_count == 1
+
+
+def test_dfs_extend_reads_each_entered_node_kind_once(monkeypatch):
+    """A full-depth walk reads no node's kind twice without a move in
+    between: a newly explored node is read once, where the walk enters
+    it."""
+    reads = []
+    original = Walker.kind_of
+
+    def kind_of(self, v):
+        reads.append((v, self.steps))
+        return original(self, v)
+
+    monkeypatch.setattr(Walker, "kind_of", kind_of)
+    for tree in (gen_random(128, 16, seed=4), gen_comb(160, 9, seed=2),
+                 gen_complete_path(3, 5)):
+        del reads[:]
+        explored, walker = explore_fully(tree)
+        assert explored.node_count == tree.size
+        assert len(reads) == len(set(reads))
+        assert {v for v, _ in reads} >= {
+            v for v in range(tree.size) if tree.kind(v) == FORK}
+
+
+def test_descend_refuses_a_dst_not_below_the_walker():
+    tree = gen_random(64, 4, seed=1)
+    explored, walker = explore_fully(tree)
+    # nodes 0..14 are one run; from 14, its ancestors are refused like
+    # every other id outside its subtree
+    _descend(explored, 14)
+    assert (walker.current, walker.depth) == (14, 14)
+    below = set(explored.inorder_below(14).tolist())
+    refused = 0
+    for dst in range(tree.size):
+        if dst in below:
+            continue
+        steps = walker.steps
+        with pytest.raises(TreeError, match="not below"):
+            _descend(explored, dst)
+        assert (walker.current, walker.steps) == (14, steps)
+        refused += 1
+    assert refused > 14
 
 
 # ------------------------------------------- kinds read through the walker
@@ -746,7 +792,7 @@ def test_kinds_reach_the_searches_through_one_channel(monkeypatch, make):
 
     walker = Walker(tree, hear)
     explored = ExploredTree(walker)
-    dfs_extend(explored, tree.n, tree.root)
+    dfs_extend(explored, tree.n)
     assert len(log) == len(set(log))
     ids = [v for v in range(tree.size) if walker.revealed[v]]
     assert ids == explored_ids(explored)
@@ -765,7 +811,6 @@ def _check_path_runs(explored):
     for v in explored_ids(explored):
         path = path_to_root(explored, v)
         assert _run_path(explored.path_runs(v)) == path
-        assert explored.depth(v) == len(path) - 1
         mid = len(path) // 2
         assert _run_path(explored.path_runs(v, path[mid])) == path[:mid + 1]
 
@@ -776,8 +821,8 @@ def _check_path_runs(explored):
                          ids=["random", "comb", "complete_path"])
 def test_path_runs_match_the_node_by_node_path(make):
     """The run-wise root path (one ``Walker.run_start`` per run) gives the
-    ids and the depth of ``path_to_root`` at every explored id, and stops at
-    an ancestor given as top."""
+    ids of ``path_to_root`` at every explored id, and stops at an ancestor
+    given as top."""
     tree = make()
     explored, _ = explore_fully(tree)
     assert explored.node_count == tree.size

@@ -82,7 +82,7 @@ class _Side:
         w = self.walker
         while w.current != w.tree.root:
             w.move(DIR_PARENT)
-        _descend(self.explored, w.tree.root, anchor)
+        _descend(self.explored, anchor)
 
 
 def _reference_median(explored, leaves):
@@ -131,8 +131,8 @@ def _step(new, ref, rng, seen):
         limit = depth + rng.randint(0, tree.n // 2 + 1)
         for side in (new, ref):
             side.go_to(anchor)
-        assert (dfs_extend(new.explored, limit, anchor)
-                == dfs_extend(ref.explored, limit, anchor))
+        assert (dfs_extend(new.explored, limit)
+                == dfs_extend(ref.explored, limit))
         seen.add("explore")
     elif op < 0.5:
         return _halve(new, ref, rng.random() < 0.5, seen)
@@ -306,7 +306,7 @@ def test_values_are_read_only_at_held_ids(mode):
         for limit in range(step, tree.n + step, step):
             results = []
             for (walker, explored), oracle in zip(sides, oracles):
-                dfs_extend(explored, limit, tree.root)
+                dfs_extend(explored, limit)
                 out = []
                 for leaves in (True, False, True):
                     if walker is dirty:

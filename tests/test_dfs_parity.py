@@ -46,7 +46,7 @@ class _Side:
         w = self.walker
         while w.current != w.tree.root:
             w.move(DIR_PARENT)
-        _descend(self.explored, w.tree.root, anchor)
+        _descend(self.explored, anchor)
 
 
 def _instances():
@@ -73,8 +73,8 @@ def _play(tree, rng, seen):
             side.go_to(anchor)
         depth = len(path_to_root(explored, anchor)) - 1
         limit = depth + rng.randint(-1, tree.n // 2 + 1)
-        got = dfs_extend(new.explored, limit, anchor)
-        want = reference_dfs_extend(ref.explored, limit, anchor)
+        got = dfs_extend(new.explored, limit)
+        want = reference_dfs_extend(ref.explored, limit)
         assert (got, new.state()) == (want, ref.state())
         runs += 1
         seen.add("root" if anchor == tree.root else "inner anchor")

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifurcation import harness
+from bifurcation import cli, harness
 from bifurcation.cli import main
 from bifurcation.generators import FamilySpec, build_instance
+from bifurcation.lowerbound import play_game
 from bifurcation.model import InfeasibleInstanceError, TreeError
 from bifurcation.harness import (CSV_HEADER, ExperimentRecord,
                                  InsufficientGridError, _cell_seed,
@@ -280,6 +281,24 @@ def test_sweep_checks_its_output_before_any_build(tmp_path, monkeypatch):
     assert out.read_text().startswith(CSV_HEADER + "\n")
 
 
+def test_sweep_refuses_a_negative_fixed_target_before_any_build(
+        tmp_path, monkeypatch):
+    builds = []
+
+    def counting_build(spec):
+        builds.append(spec)
+        return build_instance(spec)
+
+    monkeypatch.setattr(harness, "build_instance", counting_build)
+    out = tmp_path / "grid.csv"
+    for target in ("fixed:-1", "fixed:-999"):
+        with pytest.raises(ValueError, match="K >= 0"):
+            sweep(out, ["random"], [64], [4], ["full"], trials=1,
+                  target_strategy=target)
+    assert builds == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option", ["--family", "--n", "--t", "--algo",
                                     "--psi"])
 def test_cli_sweep_with_an_empty_axis_exits_2(tmp_path, capsys, option):
@@ -460,6 +479,25 @@ def test_cli_game_and_minimax(capsys, tmp_path):
     assert os.path.getsize(out) > 0
     assert main(["minimax", "--h", "3"]) == 0
     assert capsys.readouterr().out.strip() == "7"
+
+
+def test_cli_game_checks_its_output_before_playing(tmp_path, capsys,
+                                                  monkeypatch):
+    games = []
+
+    def counting_play(*args):
+        games.append(args)
+        return play_game(*args)
+
+    monkeypatch.setattr(cli, "play_game", counting_play)
+    assert main(["game", "--h", "3", "--out",
+                 str(tmp_path / "missing" / "g.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert games == []
+    out = tmp_path / "g.csv"
+    assert main(["game", "--h", "3", "--out", str(out)]) == 0
+    assert len(games) == 1
+    assert out.read_text().startswith("step,query,price")
 
 
 def test_cli_rejects_abbreviated_options(capsys):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import tracemalloc
 from array import array
 
@@ -13,7 +14,9 @@ from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
                                NodeIdError, TreeInstance, Walker,
                                WalkerError)
 from bifurcation.algorithms import ExploredTree, dfs_extend, median_node, trim
-from bifurcation.generators import gen_complete_path, gen_random, place_target
+from bifurcation.generators import (gen_comb, gen_complete_path, gen_random,
+                                    place_target)
+from bifurcation.lowerbound import AdaptiveOracle
 
 from helpers import (explored_kinds, inorder_compare, is_leaf, make_path,
                      reference_dfs_extend, slow_inorder)
@@ -241,7 +244,8 @@ def _logged(tree):
 
 
 def _seen(walker, log):
-    return walker.current, walker.steps, bytes(walker.revealed), list(log)
+    return (walker.current, walker.steps, bytes(walker.revealed), list(log),
+            walker.depth)
 
 
 def test_follow_equals_single_moves():
@@ -331,6 +335,47 @@ def test_follow_and_climb_refuse_before_anything_moves():
     assert _seen(w, log) == before
 
 
+def _arena():
+    """The adversary arena with an oracle that freezes after 4 forks."""
+    tree = gen_complete_path(3, 16)
+    return tree, AdaptiveOracle(tree, 4).on_fork
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (gen_random(128, 16, seed=4), None),
+    lambda: (gen_comb(160, 9, seed=2), None),
+    lambda: (gen_complete_path(3, 5), None),
+    _arena,
+], ids=["random", "comb", "complete_path", "frozen_arena"])
+def test_walker_depth_is_the_instance_depth(make):
+    """After every ``move``, ``follow`` and ``climb`` of random walks, the
+    walker's own depth count equals the instance's depth of the node it
+    stands at, past a freeze too; a refused call leaves it as it was."""
+    tree, on_fork = make()
+    rng = random.Random(7)
+    refused = set()
+    for _ in range(20):
+        w = Walker(tree, on_fork)
+        for _ in range(300):
+            before = (w.current, w.depth)
+            op = rng.choice(("follow", "climb", "down", "down", "up"))
+            try:
+                if op == "follow":
+                    w.follow(rng.randint(-1, 12))
+                elif op == "climb":
+                    w.climb(rng.randint(-1, w.depth + 2))
+                else:
+                    w.move(DIR_PARENT if op == "up" else rng.choice(
+                        (DIR_ONLY, DIR_LEFT, DIR_RIGHT)))
+            except WalkerError:
+                assert (w.current, w.depth) == before
+                refused.add(op)
+            assert w.depth == tree.depth[w.current]
+    assert refused == {"follow", "climb", "down", "up"}
+    if on_fork is not None:
+        assert on_fork.__self__.froze
+
+
 def test_dfs_extend_matches_reference_where_children_skip_ids():
     tree = _tree(**SHUFFLED)
     for limit in range(7):
@@ -338,8 +383,8 @@ def test_dfs_extend_matches_reference_where_children_skip_ids():
         for dfs in (dfs_extend, reference_dfs_extend):
             w, log = _logged(tree)
             explored = ExploredTree(w)
-            forks = dfs(explored, limit, tree.root)
-            again = dfs(explored, limit + 1, tree.root)
+            forks = dfs(explored, limit)
+            again = dfs(explored, limit + 1)
             sides.append((forks, again, _seen(w, log),
                           explored_kinds(explored), list(explored.parent),
                           list(explored.left), list(explored.right),
@@ -379,7 +424,7 @@ def test_fork_hook_hears_each_revealed_fork_once_in_reveal_order(
 
     watched("move")
     watched("follow")
-    dfs_extend(ExploredTree(w), tree.n, tree.root)
+    dfs_extend(ExploredTree(w), tree.n)
     forks = [v for v in range(tree.size) if tree.kind(v) == FORK]
     assert len(forks) == tree.t
     assert all(w.revealed)
@@ -397,7 +442,7 @@ def test_exploring_ranks_nothing_until_the_first_rescan(monkeypatch):
     tree = _tree(**SHUFFLED)
     w, _ = _logged(tree)
     explored = ExploredTree(w)
-    dfs_extend(explored, tree.n, tree.root)
+    dfs_extend(explored, tree.n)
     assert explored.node_count == tree.size
     with pytest.raises(AssertionError, match="ranked"):
         explored.inorder_below(tree.root)
@@ -428,7 +473,7 @@ def test_node_sized_state_stays_lean(make):
     def explore():
         w = Walker(tree)
         explored = ExploredTree(w)
-        dfs_extend(explored, tree.n, tree.root)
+        dfs_extend(explored, tree.n)
         assert explored.node_count == tree.size
         return w, explored
 
@@ -484,7 +529,7 @@ def test_value_index_stays_lean(make):
     def decimate():
         w = Walker(tree)
         explored = ExploredTree(w)
-        dfs_extend(explored, tree.n, tree.root)
+        dfs_extend(explored, tree.n)
         trim(explored, median_node(explored), TARGET_LARGER)
         assert explored.node_count < tree.size
         return w, explored
