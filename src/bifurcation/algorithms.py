@@ -114,7 +114,10 @@ class ExploredTree:
         """The explored path from u up to its ancestor top (the root by
         default) as id runs ``(a, b)``, u's run first: each run is the chain
         a..b (``Walker.run_start``), and each a is a child of the next
-        run's b."""
+        run's b. Raises TreeError for a u the tree does not hold."""
+        check_node_id(u, len(self.parent))
+        if u != self.root and self.parent[u] < 0:
+            raise TreeError("node %d is not explored" % u)
         if top is None:
             top = self.root
         run_start = self.walker.run_start
@@ -276,10 +279,11 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
     """Grow the explored subtree below the walker to the depth limit by DFS.
 
     The walk starts where the explored tree's walker stands, its anchor; an
-    anchor the tree does not hold raises TreeError before any step. Already
-    explored edges are re-walked (each at most twice), stubs are never
-    entered, the walk turns back at the depth limit, and the walker ends
-    where it started. Returns the count of newly explored forks.
+    anchor the tree does not hold, or a stub, raises TreeError before any
+    step. Already explored edges are re-walked (each at most twice), stubs
+    are never entered, the walk turns back at the depth limit, and the
+    walker ends where it started. Returns the count of newly explored
+    forks.
 
     No stack is kept. The walk goes down, into the left child first, until
     it reaches the limit or a node with no child it may enter; then it
@@ -305,6 +309,8 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
     if anchor != explored.root and parents[anchor] < 0:
         raise TreeError("node %d is not explored" % anchor)
     stub = explored.stub
+    if stub[anchor]:
+        raise TreeError("node %d is a stub" % anchor)
     lefts = explored.left
     rights = explored.right
     kind_of = walker.kind_of

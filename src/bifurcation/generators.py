@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,35 +80,49 @@ class _Builder:
 
     A path is a chain of new nodes with contiguous ids, each the only child
     of the one before; its first node hangs below a host created earlier.
-    The builder keeps one side flag and the depth of every node, so a
-    host's depth and the side of its child are O(1) reads. Random sides come
-    from ``_draw_left`` (the even Mersenne words below 2**31, at most
-    _DRAW_CHUNK per call), and the links are written in whole-array passes;
-    the instances are byte-identical to those of one ``rng.random()`` draw
-    and one link write per node.
+    The builder keeps one side flag per node, so the side of a host's child
+    is an O(1) read, and per path its first id, its host and its ``lift``,
+    the first node's depth less its id; a node's depth is its id plus the
+    lift of its path, found by bisecting the first ids, and the root's lift
+    is 0. Random sides come from ``_draw_left`` (the even Mersenne words
+    below 2**31, at most _DRAW_CHUNK per call), and ``_link`` writes the
+    links in whole-array passes; the instances are byte-identical to those
+    of one ``rng.random()`` draw and one link write per node.
     """
 
     def __init__(self):
         self.hosts = array("i")
         self.starts = array("i")
+        self.lift = array("i", [0])  # the root's, then one per path
         self.is_left = bytearray(1)  # per node; the root's flag is unused
-        self.depth = array("i", [0])
+
+    def depth(self, v):
+        return v + self.lift[bisect_right(self.starts, v)]
+
+    def shallowest(self, pool):
+        """Index in ``pool`` of its shallowest node, the least id among
+        equals, by one numpy pass over the pool."""
+        ids = np.frombuffer(pool, np.intc)
+        key = ids + np.frombuffer(self.lift, np.intc)[np.searchsorted(
+            np.frombuffer(self.starts, np.intc), ids, side="right")]
+        key = key.astype(np.int64)
+        key <<= 32  # depth first, then id
+        key |= ids
+        return int(key.argmin())
 
     def add_path(self, host, length, side, rng=None):
         """Hang a chain of ``length`` new nodes below ``host`` and return the
         id of its last node. The first node goes on ``side``; every later
         one goes on a side drawn from ``rng``, or on ``side`` without one."""
-        start = len(self.depth)
+        start = len(self.is_left)
         _check_size(start + length)
         first = side == LEFT
+        self.lift.append(self.depth(host) + 1 - start)
         self.hosts.append(host)
         self.starts.append(start)
         self.is_left.append(first)
         self.is_left += (_draw_left(rng, length - 1).tobytes()
                          if rng is not None else bytes([first]) * (length - 1))
-        head = self.depth[host] + 1
-        self.depth.frombytes(
-            np.arange(head, head + length, dtype=np.intc).tobytes())
         return start + length - 1
 
     def free_side(self, host):
@@ -115,33 +130,37 @@ class _Builder:
         return RIGHT if self.is_left[host + 1] else LEFT
 
     def finish(self, n, t):
-        """The instance. The links are first written as if every node hung
-        below the node before it, as inside a path, in branch-free passes
-        over the side flags; then each path's first node moves below its
-        host."""
-        size = len(self.depth)
-        parent, left, right = (array("i", [-1]) * size for _ in range(3))
-        p, l, r = (np.frombuffer(a, np.intc) for a in (parent, left, right))
-        is_left = np.frombuffer(self.is_left, bool)
-        starts = np.frombuffer(self.starts, np.intc)
-        hosts = np.frombuffer(self.hosts, np.intc)
-        ids = np.arange(1, size, dtype=np.intc)
-        # as if node v hung below v - 1: left[v - 1] is v if v goes left
-        # and -1 if not, or (v + 1) * is_left[v] - 1, and right[v - 1] is
-        # v - 1 - left[v - 1]
-        np.multiply(ids + 1, is_left[1:], out=l[:-1])
-        l[:-1] -= 1
-        np.subtract(ids, l[:-1], out=r[:-1])
-        r[:-1] -= 1
-        ids -= 1
-        p[1:] = ids
-        # a path's first node s hangs below its host, not below s - 1
-        l[starts - 1] = r[starts - 1] = -1
-        on_left = is_left[starts]
-        l[hosts[on_left]] = starts[on_left]
-        r[hosts[~on_left]] = starts[~on_left]
-        p[starts] = hosts
-        return TreeInstance(parent, left, right, self.depth, n=n, t=t)
+        return _link(np.frombuffer(self.is_left, bool),
+                     np.frombuffer(self.starts, np.intc),
+                     np.frombuffer(self.hosts, np.intc), n, t)
+
+
+def _link(is_left, starts, hosts, n, t):
+    """The instance whose path k starts at ``starts[k]`` below ``hosts[k]``,
+    every node v > 0 on the side ``is_left[v]`` of its parent. The links
+    are first written as if every node hung below the node before it, as
+    inside a path, in branch-free passes over the side flags; then each
+    path's first node moves below its host."""
+    size = len(is_left)
+    parent, left, right = (array("i", [-1]) * size for _ in range(3))
+    p, l, r = (np.frombuffer(a, np.intc) for a in (parent, left, right))
+    ids = np.arange(1, size, dtype=np.intc)
+    # as if node v hung below v - 1: left[v - 1] is v if v goes left
+    # and -1 if not, or (v + 1) * is_left[v] - 1, and right[v - 1] is
+    # v - 1 - left[v - 1]
+    np.multiply(ids + 1, is_left[1:], out=l[:-1])
+    l[:-1] -= 1
+    np.subtract(ids, l[:-1], out=r[:-1])
+    r[:-1] -= 1
+    ids -= 1
+    p[1:] = ids
+    # a path's first node s hangs below its host, not below s - 1
+    l[starts - 1] = r[starts - 1] = -1
+    on_left = is_left[starts]
+    l[hosts[on_left]] = starts[on_left]
+    r[hosts[~on_left]] = starts[~on_left]
+    p[starts] = hosts
+    return TreeInstance(parent, left, right, n=n, t=t)
 
 
 def gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
@@ -174,10 +193,9 @@ def gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
         # pool from the shallowest host when it would otherwise starve
         need_growth = (t - placed) > len(hosts)
         if need_growth:
-            idx = min(range(len(hosts)),
-                      key=lambda i: (b.depth[hosts[i]], hosts[i]))
+            idx = b.shallowest(hosts)
             host = hosts[idx]
-            room = n - b.depth[host]
+            room = n - b.depth(host)
             if room < 2:
                 raise InfeasibleInstanceError(
                     "cannot place %d forks within depth %d" % (t, n))
@@ -185,7 +203,7 @@ def gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
         else:
             idx = rng.randrange(len(hosts))
             host = hosts[idx]
-            room = n - b.depth[host]
+            room = n - b.depth(host)
             length = 1 + min(int(rng.expovariate(1.0 / lam)), room - 1)
         hosts[idx] = hosts[-1]
         hosts.pop()
@@ -198,21 +216,35 @@ def gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
 
 def gen_complete_path(h: int, delta: int) -> TreeInstance:
     """Complete binary tree of height h with every edge stretched into a path
-    of delta edges: depth bound h*delta, 2**h - 1 forks, 2**h leaves."""
+    of delta edges: depth bound h*delta, 2**h - 1 forks, 2**h leaves.
+
+    Built level by level, in O(h) numpy passes, with the ids of a
+    depth-first build that hangs each fork's two paths, left then right,
+    and goes on into the right one first. So paths come in pairs of
+    consecutive id ranges, left then right; the pair of a fork at level k
+    that starts at c is followed by the right subtree's pairs, from
+    c + 2 * delta, and then the left subtree's, from
+    c + 2 * delta * 2**(h - k - 1)."""
     if h < 1 or delta < 1:
         raise InfeasibleInstanceError("need h >= 1 and delta >= 1")
     if h > 20:
         raise InfeasibleInstanceError("2**%d leaves is past desk scale" % h)
     _check_size((2 ** (h + 1) - 1) + (2 ** (h + 1) - 2) * (delta - 1))
-    b = _Builder()
-    stack = [(0, 0)]
-    while stack:
-        node, level = stack.pop()
-        if level == h:
-            continue
-        for side in (LEFT, RIGHT):
-            stack.append((b.add_path(node, delta, side), level + 1))
-    return b.finish(h * delta, 2 ** h - 1)
+    pairs = 2 ** h - 1  # one per fork
+    size = 1 + 2 * delta * pairs
+    is_left = np.frombuffer(bytes(1) + (b"\x01" * delta + bytes(delta))
+                            * pairs, bool)
+    hosts = np.empty(2 * pairs, np.intc)  # path k starts at 1 + k * delta
+    forks = np.zeros(1, np.intc)  # the forks of level k
+    c = np.ones(1, np.intc)  # and where their pairs start
+    for k in range(h):
+        path = (c - 1) // delta
+        hosts[path] = hosts[path + 1] = forks
+        forks = np.concatenate((c + (delta - 1), c + (2 * delta - 1)))
+        c += 2 * delta
+        c = np.concatenate((c + 2 * delta * (2 ** (h - k - 1) - 1), c))
+    return _link(is_left, np.arange(1, size, delta, dtype=np.intc), hosts,
+                 h * delta, pairs)
 
 
 def gen_comb(n: int, t: int, seed: int = 0) -> TreeInstance:
@@ -257,7 +289,7 @@ def place_target(tree: TreeInstance, strategy: str, seed: int = 0) -> int:
                 & (np.frombuffer(tree.right, np.intc) < 0))
         return int(rng.choice(np.flatnonzero(leaf)))
     if strategy == "adversarial_deep":
-        depth = np.frombuffer(tree.depth, np.intc)
+        depth = tree.depths()
         deepest = np.flatnonzero(depth == depth.max())  # all of them leaves
         ranks = np.frombuffer(tree.inorder_ranks(), np.intc)
         return int(deepest[ranks[deepest].argmax()])
@@ -302,18 +334,15 @@ def build_instance(spec: FamilySpec) -> TreeInstance:
 
 def validate_instance(tree: TreeInstance) -> None:
     """Check structural invariants, raising InfeasibleInstanceError on
-    failure; the id order and the links are the ranking pass's checks."""
+    failure; the id order and the links are checked by ``depths()``, with
+    the checks ranking makes."""
     try:
-        tree._compute_inorder()
+        depth = tree.depths()
     except TreeError as exc:
         raise InfeasibleInstanceError(
             "expected root 0, every parent id below its child's and child "
             "links that match the parents: %s" % exc) from exc
-    parent, left, right, depth = (np.frombuffer(a, np.intc) for a in (
-        tree.parent, tree.left, tree.right, tree.depth))
-    bad = np.flatnonzero(depth[1:] != depth[parent[1:]] + 1)
-    if bad.size:
-        raise InfeasibleInstanceError("depth mismatch at %d" % (bad[0] + 1))
+    left, right = (np.frombuffer(a, np.intc) for a in (tree.left, tree.right))
     bad = np.flatnonzero((left < 0) & (right < 0) & (depth > tree.n))
     if bad.size:
         raise InfeasibleInstanceError("leaf %d at depth %d exceeds bound %d"

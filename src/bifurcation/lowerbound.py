@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .algorithms import ALGORITHMS, _ceil_div, _ceil_sqrt
 from .generators import gen_complete_path
@@ -183,10 +182,14 @@ def _rank_table(h: int):
 
 
 def _diagonal(table, row, col, rows, cols):
-    """Read-only view v[i, j] = table[row - i, col + i + j]."""
+    """Read-only view v[i, j] = table[row - i, col + i + j]; numpy refuses
+    a view that reaches outside the table's buffer."""
     down, across = table.strides
-    return as_strided(table[row, col:], shape=(rows, cols),
-                      strides=(across - down, across), writeable=False)
+    view = np.ndarray((rows, cols), table.dtype, buffer=table,
+                      offset=row * down + col * across,
+                      strides=(across - down, across))
+    view.flags.writeable = False
+    return view
 
 
 def minimax_price(h: int) -> int:

@@ -71,20 +71,19 @@ class TreeInstance:
 
     Treated as immutable and shareable once generated; search algorithms may
     only learn its shape through a :class:`Walker`. ``target`` is the node the
-    searches must discover. ``parent``, ``left``, ``right`` and ``depth`` are
-    ``array("i")`` indexed by node id. The root is node 0, as every generator
-    builds it, and ranking needs every other parent id below its child's.
+    searches must discover. ``parent``, ``left`` and ``right`` are
+    ``array("i")`` indexed by node id; depths follow from them
+    (``depths``). The root is node 0, as every generator builds it, and
+    ranking and depths need every other parent id below its child's.
     """
 
-    __slots__ = ("parent", "left", "right", "depth", "n", "t", "target",
-                 "_ranks")
+    __slots__ = ("parent", "left", "right", "n", "t", "target", "_ranks")
     root = 0
 
-    def __init__(self, parent, left, right, depth, n, t, target=0):
+    def __init__(self, parent, left, right, n, t, target=0):
         self.parent = parent
         self.left = left
         self.right = right
-        self.depth = depth
         self.n = n
         self.t = t
         self.target = target
@@ -132,20 +131,79 @@ class TreeInstance:
                out=np.frombuffer(hi, np.intc))
         return lo, hi
 
-    def _compute_inorder(self):
-        """Rank every node in inorder with numpy passes in id order.
+    def depths(self):
+        """Depth of every node, by id, as an int32 numpy array derived on
+        each call from the id runs (``_runs``): a node's offset in its run
+        plus its run head's depth, one more than its host's, summed from
+        the root by pointer jumping. Raises :class:`TreeError`, as ranking
+        does, on a tree out of id order, such as one a freeze has cut."""
+        starts, lengths, hosts, up_run, _, _ = self._runs()
+        head = np.zeros(len(starts), np.intc)  # below the host run's head
+        head[1:] = hosts - starts[up_run[1:]] + 1
+        _root_path_sums(head, up_run)
+        depth = np.arange(len(self.parent), dtype=np.intc)
+        depth += np.repeat(head - starts, lengths)
+        return depth
 
-        The pass relies on the id order every generator here produces: the
-        root is node 0 and ``0 <= parent[v] < v`` for every other node ``v``;
-        a tree that breaks it raises :class:`TreeError`. A *run* is then a
-        maximal id range with ``parent[v] == v - 1``: a slice whose every
-        node but the last has child id + 1, and whose head hangs below a
-        host in an earlier run. Node-sized work is slice compares
-        (``left[:-1]`` and ``right[:-1]`` against the next ids give the
-        chain edges' sides) and arithmetic along the ids; only the run
-        heads, one per fork, are gathered. A run's level of nesting comes
-        from pointer jumping over hosts, and run totals, the subtree sizes
-        at the heads, are summed deepest level first.
+    def _runs(self):
+        """Check the id order and the links, and split the ids into runs.
+
+        Ranking and depths rely on the id order every generator here
+        produces: the root is node 0 and ``0 <= parent[v] < v`` for every
+        other node ``v``; a tree that breaks it, or whose child links
+        disagree with its parents, raises :class:`TreeError`. A *run* is
+        then a maximal id range with ``parent[v] == v - 1``: a slice whose
+        every node but the last has child id + 1, and whose head hangs
+        below a host in an earlier run.
+
+        Returns ``(starts, lengths, hosts, up_run, down_l, down_r)``: run k
+        holds the ``lengths[k]`` ids from ``starts[k]``, run 0 the root's;
+        run k > 0 hangs below ``hosts[k - 1]``, a node of run
+        ``up_run[k]``; and ``down_l[v]`` (``down_r[v]``) tells whether
+        v + 1 is v's left (right) child.
+        """
+        size = len(self.parent)
+        parent = np.frombuffer(self.parent, np.intc)
+        left = np.frombuffer(self.left, np.intc)
+        right = np.frombuffer(self.right, np.intc)
+        ids = np.arange(size, dtype=np.intc)
+        up = parent[1:]
+        # unsigned, a negative parent reads as past every id
+        if (not size or parent[0] >= 0
+                or (up.view(np.uintc) >= ids[1:].view(np.uintc)).any()):
+            raise TreeError("id runs need root 0 and 0 <= parent[v] < v "
+                            "for every other node v")
+        head = up != ids[:-1]  # head[v - 1]: node v starts a run
+        down_l = left[:-1] == ids[1:]  # down_l[v]: v + 1 is v's left child
+        down_r = right[:-1] == ids[1:]
+        del ids
+        starts = np.flatnonzero(head).astype(np.intc)
+        starts += 1
+        hosts = parent[starts]
+        hung = (left[hosts] == starts) | (right[hosts] == starts)
+        head |= down_l
+        head |= down_r
+        if (not head.all() or not hung.all()
+                or np.count_nonzero(left >= 0)
+                + np.count_nonzero(right >= 0) != size - 1):
+            raise TreeError("the child arrays disagree with the parents")
+        del head
+        starts = np.insert(starts, 0, 0)
+        lengths = np.diff(starts, append=np.intc(size))
+        up_run = np.zeros(len(starts), np.intc)
+        up_run[1:] = np.searchsorted(starts, hosts, side="right") - 1
+        return starts, lengths, hosts, up_run, down_l, down_r
+
+    def _compute_inorder(self):
+        """Rank every node in inorder with numpy passes over the id runs
+        (``_runs``, which checks the id order first).
+
+        Node-sized work is slice compares (``left[:-1]`` and ``right[:-1]``
+        against the next ids give the chain edges' sides) and arithmetic
+        along the ids; only the run heads, one per fork, are gathered. A
+        run's level of nesting comes from pointer jumping over hosts, and
+        run totals, the subtree sizes at the heads, are summed deepest
+        level first.
 
         Subtree sizes are a reverse cumsum of one plus the totals hung below
         each node, less that sum past the run's end. A node's first inorder
@@ -164,39 +222,13 @@ class TreeInstance:
         numpy array with one more entry, a 0 at index -1, so that indexing it
         with a child array reads 0 for no child.
         """
+        starts, lengths, hosts, up_run, down_l, down_r = self._runs()
         size = len(self.parent)
-        parent = np.frombuffer(self.parent, np.intc)
         left = np.frombuffer(self.left, np.intc)
         right = np.frombuffer(self.right, np.intc)
-        ids = np.arange(size, dtype=np.intc)
-        up = parent[1:]
-        # unsigned, a negative parent reads as past every id
-        if (not size or parent[0] >= 0
-                or (up.view(np.uintc) >= ids[1:].view(np.uintc)).any()):
-            raise TreeError("ranking needs root 0 and 0 <= parent[v] < v "
-                            "for every other node v")
-        head = up != ids[:-1]  # head[v - 1]: node v starts a run
-        down_l = left[:-1] == ids[1:]  # down_l[v]: v + 1 is v's left child
-        down_r = right[:-1] == ids[1:]
-        del ids
-        starts = np.flatnonzero(head).astype(np.intc)
-        starts += 1
-        hosts = parent[starts]
-        hung_r = right[hosts] == starts
-        hung_l = left[hosts] == starts
-        head |= down_l
-        head |= down_r
-        if (not head.all() or not (hung_l | hung_r).all()
-                or np.count_nonzero(left >= 0)
-                + np.count_nonzero(right >= 0) != size - 1):
-            raise TreeError("the child arrays disagree with the parents")
-        del head
-
-        # runs: run 0 starts at the root, run k > 0 at starts[k - 1]
-        starts = np.insert(starts, 0, 0)
-        lengths = np.diff(starts, append=np.intc(size))
-        up_run = np.zeros(len(starts), np.intc)
-        up_run[1:] = np.searchsorted(starts, hosts, side="right") - 1
+        heads = starts[1:]
+        hung_r = right[hosts] == heads
+        hung_l = left[hosts] == heads
         level = np.ones(len(starts), np.intc)
         level[0] = 0
         _root_path_sums(level, up_run)
@@ -215,7 +247,7 @@ class TreeInstance:
         sub = size_of[:-1]
         np.add.at(sub, hosts, below)
         np.cumsum(sub[::-1], out=sub[::-1])
-        ends = np.append(sub[starts[1:]], np.intc(0))
+        ends = np.append(sub[heads], np.intc(0))
         sub -= np.repeat(ends, lengths)
         lsize = np.empty(size, np.intc)  # left subtree sizes
         np.multiply(sub[1:], down_l, out=lsize[:-1])

@@ -60,18 +60,16 @@ def make_path(sides):
     parent = array("i", [-1])
     left = array("i", [-1])
     right = array("i", [-1])
-    depth = array("i", [0])
     for k, s in enumerate(sides):
         v = k + 1
         parent.append(k)
         left.append(-1)
         right.append(-1)
-        depth.append(v)
         if s == "L":
             left[k] = v
         else:
             right[k] = v
-    return TreeInstance(parent, left, right, depth, n=len(sides), t=0)
+    return TreeInstance(parent, left, right, n=len(sides), t=0)
 
 
 def slow_inorder(tree):
@@ -135,13 +133,29 @@ def target_inside_stub(tree, explored):
     return False
 
 
+def reference_depths(tree):
+    """Depth of every node, by id, counted down the child links from the
+    root one node at a time; -1 for a node the root does not reach."""
+    depth = [-1] * tree.size
+    depth[tree.root] = 0
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        for c in (tree.left[v], tree.right[v]):
+            if c >= 0:
+                depth[c] = depth[v] + 1
+                stack.append(c)
+    return depth
+
+
 def nodes_within_depth(tree, limit):
-    return sum(1 for v in range(tree.size) if tree.depth[v] <= limit)
+    return sum(1 for d in reference_depths(tree) if d <= limit)
 
 
 def forks_within_depth(tree, limit):
+    depth = reference_depths(tree)
     return sum(1 for v in range(tree.size)
-               if tree.depth[v] <= limit
+               if depth[v] <= limit
                and tree.left[v] >= 0 and tree.right[v] >= 0)
 
 
@@ -266,8 +280,8 @@ def reference_subtree_spans(tree):
     lo = array("i", ranks)
     hi = array("i", ranks)
     parent = tree.parent
-    for v in sorted(range(tree.size), key=lambda u: tree.depth[u],
-                    reverse=True):
+    depth = reference_depths(tree)
+    for v in sorted(range(tree.size), key=lambda u: depth[u], reverse=True):
         p = parent[v]
         if p >= 0:
             if lo[v] < lo[p]:
@@ -348,9 +362,10 @@ class ReferenceAdaptiveOracle:
     def _freeze(self):
         self.froze = True
         tree = self.tree
+        depth = reference_depths(tree)
         forks = sorted((v for v in range(tree.size)
                         if tree.left[v] >= 0 and tree.right[v] >= 0),
-                       key=lambda v: tree.depth[v])
+                       key=lambda v: depth[v])
         for f in forks:
             if f in self.revealed or not self._attached(f):
                 continue
@@ -394,8 +409,7 @@ class _ReferenceBuilder:
         return v
 
     def finish(self, n, t):
-        return TreeInstance(self.parent, self.left, self.right, self.depth,
-                            n=n, t=t)
+        return TreeInstance(self.parent, self.left, self.right, n=n, t=t)
 
 
 def reference_gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
@@ -522,11 +536,12 @@ def reference_place_target(tree, strategy, seed=0):
         return rng.choice(leaves)
     if strategy == "adversarial_deep":
         ranks = reference_inorder(tree)[0]
+        depth = reference_depths(tree)
         best = tree.root
         best_key = (-1, -1)
         for v in range(tree.size):
             if is_leaf(tree, v):
-                key = (tree.depth[v], ranks[v])
+                key = (depth[v], ranks[v])
                 if key > best_key:
                     best_key = key
                     best = v

@@ -337,25 +337,26 @@ def test_dfs_extend_stage_counts_match_instance():
     assert prev_nodes == tree.size
 
 
-def _reach(tree, explored, anchor, limit):
+def _reach(tree, depth, explored, anchor, limit):
     """Non-anchor nodes under anchor at depth <= limit with no stub between
-    anchor (exclusive) and themselves (inclusive), read off the instance."""
+    anchor (exclusive) and themselves (inclusive), read off the instance
+    and its ``depths()``."""
     out = []
     stack = [anchor]
     while stack:
         v = stack.pop()
         for c in (tree.left[v], tree.right[v]):
-            if c >= 0 and tree.depth[c] <= limit and not explored.stub[c]:
+            if c >= 0 and depth[c] <= limit and not explored.stub[c]:
                 out.append(c)
                 stack.append(c)
     return out
 
 
-def _stub_shapes(tree, explored, anchor, limit):
+def _stub_shapes(tree, depth, explored, anchor, limit):
     """Which stub layouts the walk from anchor meets above the limit."""
     shapes = set()
-    for v in [anchor] + _reach(tree, explored, anchor, limit):
-        if tree.depth[v] >= limit:
+    for v in [anchor] + _reach(tree, depth, explored, anchor, limit):
+        if depth[v] >= limit:
             continue
         kids = [c for c in (tree.left[v], tree.right[v]) if c >= 0]
         stubbed = [bool(explored.stub[c]) for c in kids]
@@ -373,6 +374,7 @@ def test_dfs_extend_walks_twice_the_reachable_region():
     trees = list(grid_trees(seed=3)) + [gen_complete_path(3, 2)]
     seen = set()
     for i, tree in enumerate(trees * 4):
+        depth = tree.depths()
         walker = Walker(tree)
         if i % 2:
             # reveal a few nodes the explored tree will not know about
@@ -391,9 +393,9 @@ def test_dfs_extend_walks_twice_the_reachable_region():
             _descend(explored, anchor)
             if anchor != tree.root:
                 seen.add("non-root anchor")
-            seen |= _stub_shapes(tree, explored, anchor, limit)
+            seen |= _stub_shapes(tree, depth, explored, anchor, limit)
             before = set(explored_ids(explored))
-            reach = _reach(tree, explored, anchor, limit)
+            reach = _reach(tree, depth, explored, anchor, limit)
             steps = walker.steps
             new_forks = dfs_extend(explored, limit)
             assert walker.steps - steps == 2 * len(reach)
@@ -584,6 +586,7 @@ def test_pick_frontier_returns_the_deeper_neighbour():
     trees += [gen_complete_path(3, 3), gen_complete_path(4, 2)]
     checked = 0
     for tree in trees:
+        depth = tree.depths()
         for depth_limit in (tree.n // 3, tree.n):
             walker = Walker(tree)
             explored = ExploredTree(walker)
@@ -593,7 +596,7 @@ def test_pick_frontier_returns_the_deeper_neighbour():
                 assert _pick_frontier(explored, None, cand[0]) == cand[0]
                 assert _pick_frontier(explored, cand[-1], None) == cand[-1]
                 for before, after in zip(cand, cand[1:]):
-                    deeper = max(before, after, key=lambda u: tree.depth[u])
+                    deeper = max(before, after, key=lambda u: depth[u])
                     assert _pick_frontier(explored, before, after) == deeper
                     checked += 1
     assert checked > 1000
@@ -628,6 +631,41 @@ def test_dfs_extend_rejects_a_misplaced_walker():
             dfs_extend(explored, tree.n)
         assert (walker.current, walker.steps) == (1, 1)
         assert explored.node_count == 1
+
+
+def test_dfs_extend_refuses_to_start_at_a_stub():
+    """A walk started at a stub once grew the stub's deleted subtree back,
+    since a stub's explored links read as children still to walk."""
+    tree = gen_complete_path(2, 2)
+    explored, walker = explore_fully(tree)
+    assert trim(explored, 3, TARGET_LARGER) == [1]
+    _descend(explored, 1)
+    steps = walker.steps
+    assert explored.node_count == 7
+    with pytest.raises(TreeError, match="node 1 is a stub"):
+        dfs_extend(explored, tree.n)
+    assert (walker.current, walker.steps) == (1, steps)
+    assert explored.node_count == 7
+    assert (explored.left[1], explored.right[1]) == (-1, -1)
+
+
+def test_walks_to_an_unexplored_id_are_refused():
+    """``path_runs`` and ``_descend`` refuse an id the explored tree does
+    not hold before any step; the run flags alone once let ``_descend``
+    walk the walker down to it."""
+    tree = gen_random(64, 4, seed=1)
+    walker = Walker(tree)
+    explored = ExploredTree(walker)
+    assert explored.parent[5] < 0
+    with pytest.raises(TreeError, match="node 5 is not explored"):
+        explored.path_runs(5)
+    with pytest.raises(TreeError, match="node 5 is not explored"):
+        _descend(explored, 5)
+    for v in (-1, tree.size):
+        with pytest.raises(NodeIdError):
+            _descend(explored, v)
+    assert (walker.current, walker.steps) == (0, 0)
+    assert explored.node_count == 1
 
 
 def test_dfs_extend_reads_each_entered_node_kind_once(monkeypatch):

@@ -25,10 +25,9 @@ def _outcome(gen, *args, **kwargs):
         tree = gen(*args, **kwargs)
     except InfeasibleInstanceError as exc:
         return type(exc)
-    for name in ("parent", "left", "right", "depth"):
+    for name in ("parent", "left", "right"):
         assert getattr(tree, name).typecode == "i"
-    return (tree.parent, tree.left, tree.right, tree.depth, tree.n, tree.t,
-            tree.root)
+    return (tree.parent, tree.left, tree.right, tree.n, tree.t, tree.root)
 
 
 @pytest.mark.parametrize("gen, ref", [(gen_random, reference_gen_random),
@@ -46,12 +45,17 @@ def test_seeded_families_match_reference(gen, ref):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("gen, ref, n, t",
                          [(gen_random, reference_gen_random, 2048, 64),
-                          (gen_comb, reference_gen_comb, 1024, 16)])
+                          (gen_comb, reference_gen_comb, 1024, 16),
+                          # t > n: the pool of hosts runs short and grows
+                          # from its shallowest host
+                          (gen_random, reference_gen_random, 64, 300),
+                          (gen_random, reference_gen_random, 200, 900),
+                          (gen_random, reference_gen_random, 1024, 5000)])
 def test_larger_seeded_instances_match_reference(gen, ref, n, t, seed):
     assert _outcome(gen, n, t, seed=seed) == _outcome(ref, n, t, seed=seed)
 
 
-# sha256 of parent, left, right and depth (little-endian int32) and the
+# sha256 of parent, left, right and depths() (little-endian int32) and the
 # target of each benchmark-scale spec below, as built with one
 # rng.random() side draw and one link write per node
 BENCHMARK_SCALE_DIGEST = (
@@ -66,7 +70,7 @@ def test_benchmark_scale_instances_keep_their_digest():
     digest = hashlib.sha256()
     for spec in specs:
         tree = build_instance(spec)
-        for a in (tree.parent, tree.left, tree.right, tree.depth):
+        for a in (tree.parent, tree.left, tree.right, tree.depths()):
             digest.update(np.frombuffer(a, np.intc).astype("<i4").tobytes())
         digest.update(b"%d;" % tree.target)
     assert digest.hexdigest() == BENCHMARK_SCALE_DIGEST

@@ -62,7 +62,7 @@ def test_complete_path_h2_d3():
     validate_instance(tree)
     assert tree.size == 7 + 6 * 2
     assert tree.n == 6
-    assert max(tree.depth) == 6
+    assert tree.depths().max() == 6
 
 
 def test_complete_path_h3_d4():
@@ -71,7 +71,8 @@ def test_complete_path_h3_d4():
     assert tree.t == 7
     leaves = [v for v in range(tree.size) if is_leaf(tree, v)]
     assert len(leaves) == 8
-    assert all(tree.depth[v] == 12 for v in leaves)
+    depth = tree.depths()
+    assert all(depth[v] == 12 for v in leaves)
 
 
 def test_complete_path_size_guard():
@@ -124,13 +125,14 @@ def test_comb_single_fork_mid_spine():
     validate_instance(tree)
     forks = [v for v in range(tree.size) if tree.kind(v) == "fork"]
     assert len(forks) == 1
-    assert tree.depth[forks[0]] == 5
+    assert tree.depths()[forks[0]] == 5
 
 
 def test_comb_spacing_and_validator():
     tree = gen_comb(24, 5, seed=3)
     validate_instance(tree)
-    forks = sorted(tree.depth[v] for v in range(tree.size)
+    depth = tree.depths()
+    forks = sorted(depth[v] for v in range(tree.size)
                    if tree.kind(v) == "fork")
     assert forks == [4, 8, 12, 16, 20]
 
@@ -152,7 +154,7 @@ def test_place_target_adversarial_deep():
     tree = gen_complete_path(2, 4)
     v = place_target(tree, "adversarial_deep")
     assert is_leaf(tree, v)
-    assert tree.depth[v] == tree.n
+    assert tree.depths()[v] == tree.n
 
 
 def test_place_target_random_leaf_roughly_uniform():
@@ -222,40 +224,38 @@ def test_build_instance_complete_path_refuses_n_below_its_height():
         build_instance(FamilySpec("complete_path", 1, 4, seed=0))
 
 
-@pytest.mark.parametrize("parent, left, depth, root", [
-    ([-1, 2, 0], [2, -1, 1], [0, 2, 1], 0),  # node 1 hangs below node 2
-    ([1, -1], [-1, 0], [1, 0], 1),  # the root is node 1
+@pytest.mark.parametrize("parent, left, root", [
+    ([-1, 2, 0], [2, -1, 1], 0),  # node 1 hangs below node 2
+    ([1, -1], [-1, 0], 1),  # the root is node 1
 ])
-def test_validator_rejects_ids_out_of_parent_order(parent, left, depth, root):
+def test_validator_rejects_ids_out_of_parent_order(parent, left, root):
     # each tree is a well-formed path except for its id order
     size = len(parent)
     tree = TreeInstance(array("i", parent), array("i", left),
-                        array("i", [-1] * size), array("i", depth),
+                        array("i", [-1] * size),
                         n=size - 1, t=0, target=root)
     with pytest.raises(InfeasibleInstanceError, match="parent id"):
         validate_instance(tree)
 
 
-def _fork_tree(depth=(0, 1, 1), n=1, t=1, target=0):
+def _fork_tree(n=1, t=1, target=0):
     """A root fork with two leaf children."""
     return TreeInstance(array("i", [-1, 0, 0]), array("i", [1, -1, -1]),
-                        array("i", [2, -1, -1]), array("i", depth), n=n, t=t,
-                        target=target)
+                        array("i", [2, -1, -1]), n=n, t=t, target=target)
 
 
 @pytest.mark.parametrize("tree, message", [
-    (_fork_tree(depth=(0, 1, 2), n=2), "depth mismatch at 2"),
     (_fork_tree(n=0), "leaf 1 at depth 1 exceeds bound 0"),
     (_fork_tree(t=2), "fork count 1 does not match declared 2"),
     (_fork_tree(target=3), "target out of range"),
     (_fork_tree(target=-1), "target out of range"),
     # node 0 links node 1 on both sides
     (TreeInstance(array("i", [-1, 0]), array("i", [1, -1]),
-                  array("i", [1, -1]), array("i", [0, 1]), n=1, t=1),
+                  array("i", [1, -1]), n=1, t=1),
      "child"),
     # node 1 names node 0 as its parent, but node 0 links no child
     (TreeInstance(array("i", [-1, 0]), array("i", [-1, -1]),
-                  array("i", [-1, -1]), array("i", [0, 1]), n=1, t=0),
+                  array("i", [-1, -1]), n=1, t=0),
      "child arrays disagree"),
 ])
 def test_validator_rejects_malformed_trees(tree, message):

@@ -1,4 +1,5 @@
-"""Ranking by id runs against the node-by-node inorder walk in helpers."""
+"""Ranking and depths by id runs against the node-by-node walks in
+helpers."""
 
 from array import array
 
@@ -6,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from bifurcation.generators import gen_comb, gen_complete_path, gen_random
+from bifurcation.lowerbound import AdaptiveOracle
 from bifurcation.model import InfeasibleInstanceError, TreeError, TreeInstance
 
-from helpers import (grid_trees, make_path, reference_inorder,
-                     reference_subtree_spans)
+from helpers import (grid_trees, make_path, reference_depths,
+                     reference_inorder, reference_subtree_spans)
 
 
 def _assert_matches_walk(tree):
@@ -24,6 +28,9 @@ def _assert_matches_walk(tree):
     sizes = tree._compute_inorder()
     assert sizes[-1] == 0
     assert sizes[:-1].tolist() == [h - l + 1 for l, h in zip(lo, hi)]
+    depth = tree.depths()
+    assert depth.dtype == np.intc
+    assert depth.tolist() == reference_depths(tree)
 
 
 def test_ranks_match_walk_on_generator_grid():
@@ -69,8 +76,7 @@ def _hand_tree(links):
         depth[v] = depth[p] + 1
         (left if side == "L" else right)[p] = v
     forks = sum(l >= 0 and r >= 0 for l, r in zip(left, right))
-    return TreeInstance(*(array("i", a) for a in (parent, left, right,
-                                                  depth)),
+    return TreeInstance(*(array("i", a) for a in (parent, left, right)),
                         n=max(depth), t=forks)
 
 
@@ -120,9 +126,8 @@ def test_ranks_match_walk_when_the_prefix_sums_wrap():
 
 
 def _tree(parent, left, right):
-    depth = array("i", [0] * len(parent))
     return TreeInstance(array("i", parent), array("i", left),
-                        array("i", right), depth, n=len(parent), t=0)
+                        array("i", right), n=len(parent), t=0)
 
 
 @pytest.mark.parametrize("parent, left, right, root", [
@@ -149,3 +154,21 @@ def test_ranking_rejects_trees_out_of_id_order(parent, left, right, root):
         tree._compute_inorder()
     with pytest.raises(TreeError):
         tree.inorder_ranks()
+    with pytest.raises(TreeError):
+        tree.depths()
+
+
+def test_depths_refuse_a_frozen_arena():
+    """A freeze drops subtrees by setting their heads' parent to -1, which
+    breaks the id order; depths, like ranks, must be read before it."""
+    tree = gen_complete_path(3, 4)
+    depth = tree.depths()
+    oracle = AdaptiveOracle(tree, 1)
+    oracle.on_fork(tree.root)
+    assert oracle.froze
+    with pytest.raises(TreeError):
+        tree.depths()
+    # a node still reachable keeps its depth; -1 marks the dropped ones
+    after = reference_depths(tree)
+    assert -1 in after
+    assert all(d in (-1, want) for d, want in zip(after, depth.tolist()))

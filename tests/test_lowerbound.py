@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,6 +214,16 @@ def test_minimax_height_cap():
 def test_minimax_matches_reference_dp():
     for h in range(1, 10):
         assert minimax_price(h) == reference_minimax(h)
+
+
+def test_diagonal_views_read_the_table_and_stay_inside_it():
+    table = np.arange(7 * 9, dtype=np.int8).reshape(7, 9)
+    view = lowerbound._diagonal(table, 5, 2, 4, 3)
+    assert view.tolist() == [[table[5 - i, 2 + i + j] for j in range(3)]
+                             for i in range(4)]
+    assert not view.flags.writeable
+    with pytest.raises(ValueError):  # row 5 - 6 lies before the table
+        lowerbound._diagonal(table, 5, 2, 7, 3)
 
 
 def test_minimax_pinned_values():

@@ -215,7 +215,8 @@ def test_walker_rejects_out_of_range_ids():
 
 
 def _tree(parent, left, right):
-    """A hand-built instance from its three link lists; depths follow."""
+    """A hand-built instance from its three link lists; its depth bound
+    follows."""
     depth = [0] * len(parent)
     for v in range(len(parent)):
         u = v
@@ -223,7 +224,7 @@ def _tree(parent, left, right):
             depth[v] += 1
             u = parent[u]
     return TreeInstance(array("i", parent), array("i", left),
-                        array("i", right), array("i", depth),
+                        array("i", right),
                         n=max(depth), t=sum(1 for a, b in zip(left, right)
                                             if a >= 0 and b >= 0))
 
@@ -352,6 +353,7 @@ def test_walker_depth_is_the_instance_depth(make):
     walker's own depth count equals the instance's depth of the node it
     stands at, past a freeze too; a refused call leaves it as it was."""
     tree, on_fork = make()
+    depth = tree.depths()  # a freeze changes no reachable node's depth
     rng = random.Random(7)
     refused = set()
     for _ in range(20):
@@ -370,7 +372,7 @@ def test_walker_depth_is_the_instance_depth(make):
             except WalkerError:
                 assert (w.current, w.depth) == before
                 refused.add(op)
-            assert w.depth == tree.depth[w.current]
+            assert w.depth == depth[w.current]
     assert refused == {"follow", "climb", "down", "up"}
     if on_fork is not None:
         assert on_fork.__self__.froze
@@ -458,6 +460,16 @@ def _held_bytes_per_node(tree, build):
         return (tracemalloc.get_traced_memory()[0] - before) / tree.size
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("make", [lambda: gen_random(2048, 64, 3),
+                                  lambda: gen_complete_path(8, 64)],
+                         ids=["random", "complete_path"])
+def test_built_instance_stays_lean(make):
+    """A built instance holds its three int32 link arrays and no depth
+    array beside them: depths are derived on demand."""
+    tree = make()
+    assert _held_bytes_per_node(tree, make) <= 12.5
 
 
 @pytest.mark.parametrize("make", [lambda: gen_random(2048, 64, 3),
