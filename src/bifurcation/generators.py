@@ -219,12 +219,9 @@ def gen_complete_path(h: int, delta: int) -> TreeInstance:
     of delta edges: depth bound h*delta, 2**h - 1 forks, 2**h leaves.
 
     Built level by level, in O(h) numpy passes, with the ids of a
-    depth-first build that hangs each fork's two paths, left then right,
-    and goes on into the right one first. So paths come in pairs of
-    consecutive id ranges, left then right; the pair of a fork at level k
-    that starts at c is followed by the right subtree's pairs, from
-    c + 2 * delta, and then the left subtree's, from
-    c + 2 * delta * 2**(h - k - 1)."""
+    depth-first build that goes right first: a level-k fork's paths start
+    at c (left) and c + delta (right), its right subtree at c + 2 * delta
+    and its left one at c + 2 * delta * 2**(h - k - 1)."""
     if h < 1 or delta < 1:
         raise InfeasibleInstanceError("need h >= 1 and delta >= 1")
     if h > 20:

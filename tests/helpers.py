@@ -133,12 +133,12 @@ def target_inside_stub(tree, explored):
     return False
 
 
-def reference_depths(tree):
+def reference_depths(tree, root=0):
     """Depth of every node, by id, counted down the child links from the
     root one node at a time; -1 for a node the root does not reach."""
     depth = [-1] * tree.size
-    depth[tree.root] = 0
-    stack = [tree.root]
+    depth[root] = 0
+    stack = [root]
     while stack:
         v = stack.pop()
         for c in (tree.left[v], tree.right[v]):

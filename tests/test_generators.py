@@ -7,9 +7,10 @@ from bifurcation import generators
 from bifurcation.generators import (FamilySpec, build_instance, gen_comb,
                                     gen_complete_path, gen_random,
                                     place_target, validate_instance)
-from bifurcation.model import InfeasibleInstanceError, TreeInstance
+from bifurcation.model import InfeasibleInstanceError, TreeError, TreeInstance
 
-from helpers import is_leaf, reference_gen_random, slow_inorder
+from helpers import (is_leaf, reference_depths, reference_gen_random,
+                     slow_inorder)
 
 
 def test_random_zero_forks_is_a_path():
@@ -224,16 +225,20 @@ def test_build_instance_complete_path_refuses_n_below_its_height():
         build_instance(FamilySpec("complete_path", 1, 4, seed=0))
 
 
-@pytest.mark.parametrize("parent, left, root", [
-    ([-1, 2, 0], [2, -1, 1], 0),  # node 1 hangs below node 2
-    ([1, -1], [-1, 0], 1),  # the root is node 1
+@pytest.mark.parametrize("parent, left, depth, root", [
+    ([-1, 2, 0], [2, -1, 1], [0, 2, 1], 0),  # node 1 hangs below node 2
+    ([1, -1], [-1, 0], [1, 0], 1),  # the root is node 1
 ])
-def test_validator_rejects_ids_out_of_parent_order(parent, left, root):
-    # each tree is a well-formed path except for its id order
+def test_validator_rejects_ids_out_of_parent_order(parent, left, depth, root):
+    # each tree is a well-formed path except for its id order, so its
+    # depths follow from the links but not from the id runs
     size = len(parent)
     tree = TreeInstance(array("i", parent), array("i", left),
                         array("i", [-1] * size),
                         n=size - 1, t=0, target=root)
+    assert reference_depths(tree, root) == depth
+    with pytest.raises(TreeError):
+        tree.depths()
     with pytest.raises(InfeasibleInstanceError, match="parent id"):
         validate_instance(tree)
 
@@ -245,6 +250,9 @@ def _fork_tree(n=1, t=1, target=0):
 
 
 @pytest.mark.parametrize("tree, message", [
+    # node 2 has no parent, as a freeze leaves a dropped subtree's head
+    (TreeInstance(array("i", [-1, 0, -1]), array("i", [1, -1, -1]),
+                  array("i", [-1, -1, -1]), n=1, t=0), "parent id"),
     (_fork_tree(n=0), "leaf 1 at depth 1 exceeds bound 0"),
     (_fork_tree(t=2), "fork count 1 does not match declared 2"),
     (_fork_tree(target=3), "target out of range"),
