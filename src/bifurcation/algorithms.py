@@ -474,6 +474,7 @@ def bifurcation_search(tree, oracle, psi=None) -> SearchResult:
     leaf_cap = params.leaf_budget
     base_calls = oracle.calls
     rounds = []
+    found = None
     i = 0
     while True:
         i += 1
@@ -481,7 +482,6 @@ def bifurcation_search(tree, oracle, psi=None) -> SearchResult:
         steps_before = walker.steps
         calls_before = oracle.calls
         new_forks = dfs_extend(explored, depth_limit)
-        found = None
         while True:
             if explored.leaf_count > leaf_cap:
                 median = median_leaf
@@ -498,13 +498,11 @@ def bifurcation_search(tree, oracle, psi=None) -> SearchResult:
                 break
         rounds.append(RoundStats(i, new_forks, oracle.calls - calls_before,
                                  walker.steps - steps_before, depth_limit))
-        if found is not None:
-            return SearchResult(found, walker.steps, oracle.calls - base_calls,
-                                tuple(rounds), params)
-        if depth_limit >= tree.n:
+        if found is not None or depth_limit >= tree.n:
             break
-    target = final_binary_search(explored, oracle)
-    return SearchResult(target, walker.steps, oracle.calls - base_calls,
+    if found is None:
+        found = final_binary_search(explored, oracle)
+    return SearchResult(found, walker.steps, oracle.calls - base_calls,
                         tuple(rounds), params)
 
 

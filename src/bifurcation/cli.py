@@ -39,6 +39,7 @@ def build_parser():
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--target", default="random_node")
     s.add_argument("--out", default=None, help="append the record to a CSV")
+    s.set_defaults(run=_cmd_search)
 
     w = sub.add_parser("sweep", allow_abbrev=False,
                        help="Cartesian grid of runs into a CSV")
@@ -51,6 +52,7 @@ def build_parser():
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--target", default="random_node")
     w.add_argument("--out", required=True)
+    w.set_defaults(run=_cmd_sweep)
 
     g = sub.add_parser("game", allow_abbrev=False,
                        help="play the leaf-isolation pricing game")
@@ -59,20 +61,24 @@ def build_parser():
     g.add_argument("--h", type=int, default=6)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default=None)
+    g.set_defaults(run=_cmd_game)
 
     m = sub.add_parser("minimax", allow_abbrev=False,
                        help="exact game value for height h")
     m.add_argument("--h", type=int, required=True)
+    m.set_defaults(run=_cmd_minimax)
 
     a = sub.add_parser("adversary", allow_abbrev=False,
                        help="run a player against the adaptive oracle")
     a.add_argument("--n", type=int, default=256)
     a.add_argument("--t", type=int, default=16)
     a.add_argument("--algo", default="bifurcation", choices=tuple(ALGORITHMS))
+    a.set_defaults(run=_cmd_adversary)
 
     f = sub.add_parser("fit", allow_abbrev=False,
                        help="log-log scaling exponents from a sweep CSV")
     f.add_argument("csv")
+    f.set_defaults(run=_cmd_fit)
     return p
 
 
@@ -133,20 +139,10 @@ def _cmd_fit(args):
     return 0
 
 
-_COMMANDS = {
-    "search": _cmd_search,
-    "sweep": _cmd_sweep,
-    "game": _cmd_game,
-    "minimax": _cmd_minimax,
-    "adversary": _cmd_adversary,
-    "fit": _cmd_fit,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (TreeError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

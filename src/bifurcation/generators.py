@@ -110,19 +110,17 @@ class _Builder:
         key |= ids
         return int(key.argmin())
 
-    def add_path(self, host, length, side, rng=None):
+    def add_path(self, host, length, side, rng):
         """Hang a chain of ``length`` new nodes below ``host`` and return the
         id of its last node. The first node goes on ``side``; every later
-        one goes on a side drawn from ``rng``, or on ``side`` without one."""
+        one goes on a side drawn from ``rng``."""
         start = len(self.is_left)
         _check_size(start + length)
-        first = side == LEFT
         self.lift.append(self.depth(host) + 1 - start)
         self.hosts.append(host)
         self.starts.append(start)
-        self.is_left.append(first)
-        self.is_left += (_draw_left(rng, length - 1).tobytes()
-                         if rng is not None else bytes([first]) * (length - 1))
+        self.is_left.append(side == LEFT)
+        self.is_left += _draw_left(rng, length - 1).tobytes()
         return start + length - 1
 
     def free_side(self, host):

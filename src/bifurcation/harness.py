@@ -6,7 +6,7 @@ import errno
 import itertools
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -34,14 +34,12 @@ class ExperimentRecord:
     cost_linear_decider: int
 
     def csv_row(self) -> str:
-        vals = (getattr(self, name) for name in FIELDS)
         return ",".join(str(v).lower() if isinstance(v, bool) else str(v)
-                        for v in vals)
+                        for v in astuple(self))
 
 
 # One CSV column per record field, in declaration order; bools are true/false.
-FIELDS = tuple(f.name for f in fields(ExperimentRecord))
-CSV_HEADER = ",".join(FIELDS)
+CSV_HEADER = ",".join(f.name for f in fields(ExperimentRecord))
 _PARSERS = tuple(
     {"int": int, "str": str,
      "bool": {"true": True, "false": False}.__getitem__}[f.type]
@@ -79,11 +77,12 @@ def load_records(path):
 
 
 def _parse_records(lines, path):
-    """Records from a record CSV's lines, header first."""
+    """Records from a record CSV's lines. Any lines must open with the
+    header, not a blank line; blank lines after it are skipped."""
     records = []
     lines = iter(lines)
-    header = next(lines, "").strip()
-    if header and header != CSV_HEADER:
+    header = next(lines, None)
+    if header is not None and header.strip() != CSV_HEADER:
         raise TreeError("unexpected header in %s" % path)
     for lineno, line in enumerate(lines, 2):
         line = line.strip()
@@ -119,11 +118,12 @@ def prepare_append(path):
     """Ready a record CSV for appending rows.
 
     Returns (records already there, text to write before the first new
-    row): the header for a new or empty file, else nothing. A foreign header
-    or a malformed row raises TreeError before the file is touched. Then a
-    last line with no newline, as a kill part-way through writing a row
-    leaves it, is cut off. A new file is not created here, but its folder
-    is checked (``check_folder``).
+    row): the header for a new or empty file, else nothing. A first line
+    that is not the header, blank or foreign, or a malformed row raises
+    TreeError before the file is touched. Then a last line with no
+    newline, as a kill part-way through writing a row leaves it, is cut
+    off. A new file is not created here, but its folder is checked
+    (``check_folder``).
     """
     check_folder(path)
     if os.path.exists(path):

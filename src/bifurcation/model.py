@@ -133,34 +133,37 @@ class TreeInstance:
 
     def depths(self):
         """Depth of every node, by id, as an int32 numpy array derived on
-        each call from the id runs (``_runs``): a node's offset in its run
-        plus its run head's depth, one more than its host's, summed from
-        the root by pointer jumping. Raises :class:`TreeError`, as ranking
-        does, on a tree out of id order, such as one a freeze has cut."""
-        starts, lengths, hosts, up_run, _, _ = self._runs()
-        head = np.zeros(len(starts), np.intc)  # below the host run's head
-        head[1:] = hosts - starts[up_run[1:]] + 1
-        _root_path_sums(head, up_run)
+        each call from the id segments (``_segments``): a node's offset in
+        its segment plus its segment head's depth, one more than its
+        host's, summed from the root by pointer jumping. Raises
+        :class:`TreeError`, as ranking does, on a tree out of id order,
+        such as one a freeze has cut."""
+        starts, lengths, hosts, up_seg, *_ = self._segments()
+        head = np.zeros(len(starts), np.intc)  # below the host segment's head
+        head[1:] = hosts - starts[up_seg[1:]] + 1
+        _root_path_sums(head, up_seg)
         depth = np.arange(len(self.parent), dtype=np.intc)
         depth += np.repeat(head - starts, lengths)
         return depth
 
-    def _runs(self):
-        """Check the id order and the links, and split the ids into runs.
+    def _segments(self):
+        """Check the id order and the links; split the ids into segments.
 
         Ranking and depths rely on the id order every generator here
         produces: the root is node 0 and ``0 <= parent[v] < v`` for every
         other node ``v``; a tree that breaks it, or whose child links
-        disagree with its parents, raises :class:`TreeError`. A *run* is
-        then a maximal id range with ``parent[v] == v - 1``: a slice whose
-        every node but the last has child id + 1, and whose head hangs
-        below a host in an earlier run.
+        disagree with its parents, raises :class:`TreeError`. A *segment*
+        is then a maximal id range with ``parent[v] == v - 1``: a slice
+        whose every node but the last has child id + 1, and whose head
+        hangs below a host in an earlier segment. Unlike a walker's run, a
+        segment may pass through a fork.
 
-        Returns ``(starts, lengths, hosts, up_run, down_l, down_r)``: run k
-        holds the ``lengths[k]`` ids from ``starts[k]``, run 0 the root's;
-        run k > 0 hangs below ``hosts[k - 1]``, a node of run
-        ``up_run[k]``; and ``down_l[v]`` (``down_r[v]``) tells whether
-        v + 1 is v's left (right) child.
+        Returns ``(starts, lengths, hosts, up_seg, down_l, down_r,
+        hung_r)``: segment k holds the ``lengths[k]`` ids from
+        ``starts[k]``, segment 0 the root's; segment k > 0 hangs below
+        ``hosts[k - 1]``, a node of segment ``up_seg[k]``, on its right
+        side if ``hung_r[k - 1]`` and else on its left; and ``down_l[v]``
+        (``down_r[v]``) tells whether v + 1 is v's left (right) child.
         """
         size = len(self.parent)
         parent = np.frombuffer(self.parent, np.intc)
@@ -173,14 +176,15 @@ class TreeInstance:
                 or (up.view(np.uintc) >= ids[1:].view(np.uintc)).any()):
             raise TreeError("id runs need root 0 and 0 <= parent[v] < v "
                             "for every other node v")
-        head = up != ids[:-1]  # head[v - 1]: node v starts a run
+        head = up != ids[:-1]  # head[v - 1]: node v starts a segment
         down_l = left[:-1] == ids[1:]  # down_l[v]: v + 1 is v's left child
         down_r = right[:-1] == ids[1:]
         del ids
         starts = np.flatnonzero(head).astype(np.intc)
         starts += 1
         hosts = parent[starts]
-        hung = (left[hosts] == starts) | (right[hosts] == starts)
+        hung_r = right[hosts] == starts
+        hung = hung_r | (left[hosts] == starts)
         head |= down_l
         head |= down_r
         if (not head.all() or not hung.all()
@@ -190,28 +194,29 @@ class TreeInstance:
         del head
         starts = np.insert(starts, 0, 0)
         lengths = np.diff(starts, append=np.intc(size))
-        up_run = np.zeros(len(starts), np.intc)
-        up_run[1:] = np.searchsorted(starts, hosts, side="right") - 1
-        return starts, lengths, hosts, up_run, down_l, down_r
+        up_seg = np.zeros(len(starts), np.intc)
+        up_seg[1:] = np.searchsorted(starts, hosts, side="right") - 1
+        return starts, lengths, hosts, up_seg, down_l, down_r, hung_r
 
     def _compute_inorder(self):
-        """Rank every node in inorder with numpy passes over the id runs
-        (``_runs``, which checks the id order first).
+        """Rank every node in inorder with numpy passes over the id
+        segments (``_segments``, which checks the id order first).
 
         Node-sized work is slice compares (``left[:-1]`` and ``right[:-1]``
         against the next ids give the chain edges' sides) and arithmetic
-        along the ids; only the run heads, one per fork, are gathered. A
-        run's level of nesting comes from pointer jumping over hosts, and
-        run totals, the subtree sizes at the heads, are summed deepest
-        level first.
+        along the ids; only the segment heads, one per fork, are gathered,
+        once, by ``_segments``. A segment's level of nesting comes from
+        pointer jumping over hosts, and segment totals, the subtree sizes
+        at the heads, are summed deepest level first.
 
         Subtree sizes are a reverse cumsum of one plus the totals hung below
-        each node, less that sum past the run's end. A node's first inorder
-        slot is its run's base plus a cumsum of the moves down the run: a
-        right chain edge skips the node and its left subtree, a left one
-        nothing. A run's base is its host's slot, or one past the host and
-        its left subtree for a right head, summed from the root by pointer
-        jumping. A rank is the slot plus the size of the left subtree.
+        each node, less that sum past the segment's end. A node's first
+        inorder slot is its segment's base plus a cumsum of the moves down
+        the segment: a right chain edge skips the node and its left
+        subtree, a left one nothing. A segment's base is its host's slot,
+        or one past the host and its left subtree for a right head, summed
+        from the root by pointer jumping. A rank is the slot plus the size
+        of the left subtree.
 
         The prefix sums are int32 and wrap on a large, deep tree, which is
         harmless: every step is an add, subtract or multiply, so each
@@ -222,23 +227,20 @@ class TreeInstance:
         numpy array with one more entry, a 0 at index -1, so that indexing it
         with a child array reads 0 for no child.
         """
-        starts, lengths, hosts, up_run, down_l, down_r = self._runs()
+        (starts, lengths, hosts, up_seg, down_l, down_r,
+         hung_r) = self._segments()
         size = len(self.parent)
-        left = np.frombuffer(self.left, np.intc)
-        right = np.frombuffer(self.right, np.intc)
         heads = starts[1:]
-        hung_r = right[hosts] == heads
-        hung_l = left[hosts] == heads
         level = np.ones(len(starts), np.intc)
         level[0] = 0
-        _root_path_sums(level, up_run)
+        _root_path_sums(level, up_seg)
         by_level = np.argsort(level, kind="stable")
         bounds = np.searchsorted(level[by_level],
                                  np.arange(1, level.max() + 2)).tolist()
         total = lengths.copy()
         for a, b in reversed(list(zip(bounds[:-1], bounds[1:]))):
-            runs = by_level[a:b]
-            np.add.at(total, up_run[runs], total[runs])
+            segs = by_level[a:b]
+            np.add.at(total, up_seg[segs], total[segs])
         below = total[1:]  # the subtree size at each head
 
         # subtree sizes
@@ -252,10 +254,10 @@ class TreeInstance:
         lsize = np.empty(size, np.intc)  # left subtree sizes
         np.multiply(sub[1:], down_l, out=lsize[:-1])
         lsize[-1] = 0
-        lsize[hosts[hung_l]] = below[hung_l]
+        lsize[hosts[~hung_r]] = below[~hung_r]
         del down_l
 
-        # ranks: offsets within runs, then each run's base
+        # ranks: offsets within segments, then each segment's base
         ranks = array("i", [0]) * size
         rank = np.frombuffer(ranks, np.intc)
         np.add(lsize[:-1], 1, out=rank[1:])
@@ -263,9 +265,9 @@ class TreeInstance:
         np.cumsum(rank, out=rank)
         at_start = rank[starts]
         base = np.zeros(len(starts), np.intc)
-        base[1:] = rank[hosts] - at_start[up_run[1:]]
+        base[1:] = rank[hosts] - at_start[up_seg[1:]]
         base[1:] += hung_r * (lsize[hosts] + 1)
-        _root_path_sums(base, up_run)
+        _root_path_sums(base, up_seg)
         rank += lsize
         del lsize
         base -= at_start
@@ -408,7 +410,7 @@ class Walker:
                 self.on_fork(end)
         return end, self.tree.left[cur:end], self.tree.right[cur:end]
 
-    def run_start(self, v: int, lo: int = 0) -> int:
+    def run_start(self, v: int, lo: int) -> int:
         """First node of the run that ends at v, cut off at lo <= v: the
         least id a >= lo such that every id from a to v - 1 is unary with
         only child id + 1, so that a..v is a chain of ancestors of v. One

@@ -16,8 +16,8 @@ from bifurcation.generators import (FamilySpec, build_instance, gen_comb,
 from bifurcation.lowerbound import AdaptiveOracle, adaptive_fork_adversary
 from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
                                FORK, FOUND, TARGET_LARGER, TARGET_SMALLER,
-                               InstrumentedOracle, NodeIdError, TreeError,
-                               Walker)
+                               InconsistentOracleError, InstrumentedOracle,
+                               NodeIdError, TreeError, Walker)
 
 from helpers import (child_side, explored_ids, forks_within_depth, grid_trees,
                      is_leaf, make_path, nodes_within_depth, path_to_root,
@@ -445,6 +445,21 @@ def test_final_search_random_bound():
         found = final_binary_search(explored, oracle)
         assert found == tree.target
         assert oracle.calls <= math.ceil(math.log2(tree.size)) + 1
+
+
+class _AlwaysLarger:
+    """An oracle that places the target past every node it is asked about."""
+
+    def query(self, q):
+        return TARGET_LARGER
+
+
+def test_final_search_refuses_an_oracle_that_rules_out_everything():
+    # final_binary_search's InconsistentOracleError once no candidate is left
+    explored, _ = explore_fully(make_path("RRR"))
+    with pytest.raises(InconsistentOracleError,
+                       match="binary search exhausted its candidates"):
+        final_binary_search(explored, _AlwaysLarger())
 
 
 # ------------------------------------------------------- bifurcation_search

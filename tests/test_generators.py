@@ -151,6 +151,12 @@ def test_place_target_fixed():
         place_target(tree, "fixed:%d" % tree.size)
 
 
+def test_place_target_refuses_an_unknown_strategy():
+    # place_target's own ValueError, reached without build_instance's check
+    with pytest.raises(ValueError, match="unknown target strategy 'bogus'"):
+        place_target(gen_random(12, 2, seed=8), "bogus")
+
+
 def test_place_target_adversarial_deep():
     tree = gen_complete_path(2, 4)
     v = place_target(tree, "adversarial_deep")

@@ -24,6 +24,16 @@ def test_run_experiment_path_full():
     assert rec.cost_linear_decider == rec.steps + 64 * rec.oracle_calls
 
 
+def test_run_experiment_refuses_an_unknown_algorithm_before_any_build(
+        monkeypatch):
+    # run_experiment's own TreeError, before build_instance is called
+    builds = []
+    monkeypatch.setattr(harness, "build_instance", builds.append)
+    with pytest.raises(TreeError, match="unknown algorithm 'psychic'"):
+        run_experiment(FamilySpec("random", 16, 2), "psychic")
+    assert builds == []
+
+
 def test_run_experiment_deterministic():
     spec = FamilySpec("random", 100, 9, seed=77)
     a = run_experiment(spec, "bifurcation")
@@ -160,6 +170,40 @@ def test_prepare_append_rejects_a_row_that_csv_row_never_writes(tmp_path,
     with pytest.raises(TreeError, match="malformed row at line 3 of"):
         harness.prepare_append(out)
     assert out.read_bytes() == before
+
+
+def test_load_records_skips_blank_lines_between_rows(tmp_path):
+    # _parse_records skips a blank line after the header
+    out = tmp_path / "grid.csv"
+    out.write_text("%s\n%s\n\n  \n%s\n\n" % (CSV_HEADER, _ROW, _ROW))
+    assert [r.csv_row() for r in load_records(out)] == [_ROW, _ROW]
+
+
+@pytest.mark.parametrize("text", [
+    "\n",
+    "\n%s\n" % CSV_HEADER,
+    "\n%s\n%s\n" % (CSV_HEADER, _ROW),
+], ids=["blank", "blank_then_header", "blank_then_header_and_row"])
+def test_a_record_csv_that_opens_with_a_blank_line_is_refused(tmp_path,
+                                                              capsys, text):
+    # a blank first line is no header: rows appended below it would have
+    # none above them, and a header below it is no row
+    out = tmp_path / "grid.csv"
+    out.write_text(text)
+    before = out.read_bytes()
+    with pytest.raises(TreeError, match="unexpected header in"):
+        load_records(out)
+    with pytest.raises(TreeError, match="unexpected header in"):
+        sweep(out, ["random"], [16], [2], ["full"], trials=1)
+    for argv in (["sweep", "--algo", "full", "--trials", "1"],
+                 ["search", "--algo", "full"]):
+        assert main(argv + ["--n", "16", "--t", "2", "--out", str(out)]) == 2
+        assert "unexpected header in" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    # an empty file is still a new one
+    out.write_text("")
+    assert sweep(out, ["random"], [16], [2], ["full"], trials=1) == 1
+    assert out.read_text().splitlines()[0] == CSV_HEADER
 
 
 def _rows(path):
@@ -343,6 +387,12 @@ def test_fit_recovers_planted_linear_law():
 def test_fit_takes_any_sequence_of_records():
     recs = _synthetic(lambda n, t: n * t)
     assert fit_scaling(tuple(recs)) == fit_scaling(recs)
+
+
+def test_fit_of_no_records_is_refused():
+    # fit_scaling's InsufficientGridError when no record is usable
+    with pytest.raises(InsufficientGridError, match="no usable records"):
+        fit_scaling([])
 
 
 def test_fit_requires_grid_richness():

@@ -61,6 +61,12 @@ def test_query_price_duplicate_rejected():
         query_price(1, {1}, 3)
 
 
+def test_query_price_out_of_range_rejected():
+    # query_price's own range check, on a first query
+    with pytest.raises(GameRuleError, match="out of range for height 3"):
+        query_price(8, set(), 3)
+
+
 @settings(max_examples=120, deadline=None)
 @given(h=st.integers(1, 6), data=st.data())
 def test_query_price_is_edge_increment(h, data):
@@ -73,6 +79,21 @@ def test_query_price_is_edge_increment(h, data):
 
 
 # ---------------------------------------------------------- adversary moves
+
+
+def test_game_state_needs_a_height():
+    # GameState's GameRuleError for h < 1
+    with pytest.raises(GameRuleError, match="need h >= 1"):
+        GameState(0)
+
+
+def test_adversary_refuses_a_finished_game():
+    # adversary_answer's GameRuleError once one label is left
+    state = GameState(1)
+    adversary_answer(state, 0)
+    with pytest.raises(GameRuleError, match="the game is already over"):
+        adversary_answer(state, 1)
+    assert state.queried == {0} and state.total_price == 1
 
 
 def test_adversary_pair_endgame():
@@ -102,6 +123,11 @@ def test_adversary_out_of_range_query():
     assert discarded is None
     assert (state.x, state.y) == (4, 6)
     assert price >= 1
+    # above the range: adversary_answer's truthful TARGET_SMALLER
+    state = GameState(3)
+    state.x, state.y = 0, 4
+    assert adversary_answer(state, 6) == (TARGET_SMALLER, 3, None)
+    assert (state.x, state.y) == (0, 4)
 
 
 def test_adversary_discard_bound_and_flanks():
@@ -205,6 +231,9 @@ def test_minimax_monotone():
 
 
 def test_minimax_height_cap():
+    # minimax_price's GameRuleError for h < 1, then the cap
+    with pytest.raises(GameRuleError, match="need h >= 1"):
+        minimax_price(0)
     with pytest.raises(GameRuleError):
         minimax_price(50)
     with pytest.raises(GameRuleError):
@@ -253,6 +282,13 @@ def test_subtree_spans_match_reference():
 
 
 # ------------------------------------------------------- adaptive adversary
+
+
+def test_adaptive_adversary_needs_depth_and_forks():
+    # adaptive_fork_adversary's GameRuleError for n < 1 or t < 1
+    for n, t in ((0, 4), (4, 0)):
+        with pytest.raises(GameRuleError, match="need n >= 1 and t >= 1"):
+            adaptive_fork_adversary(n, t)
 
 
 def test_adaptive_single_fork_costs_at_least_n():

@@ -81,6 +81,21 @@ def test_walker_errors():
     assert w2.steps == 2
 
 
+def test_kind_of_refuses_an_unrevealed_id():
+    # Walker.kind_of's WalkerError for a node the walker has not entered
+    w = Walker(make_path("L"))
+    with pytest.raises(WalkerError, match="node 1 has not been revealed"):
+        w.kind_of(1)
+
+
+def test_move_refuses_an_unknown_direction_before_moving():
+    # Walker.move's WalkerError for a direction that is none of the four
+    w = Walker(make_path("L"))
+    with pytest.raises(WalkerError, match="unknown direction 'sideways'"):
+        w.move("sideways")
+    assert (w.current, w.depth, w.steps) == (0, 0, 0)
+
+
 def test_walker_reveal_once():
     tree = _tree(**FORKED)
     w, log = _logged(tree)
