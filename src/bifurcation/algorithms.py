@@ -110,7 +110,7 @@ class ExploredTree:
         self.node_count += last + 1 - first  # last takes the leaf's place
         self._log.extend((first, last))
 
-    def path_runs(self, u: int, top=None):
+    def path_runs(self, u: int, top: int = root):
         """The explored path from u up to its ancestor top (the root by
         default) as id runs ``(a, b)``, u's run first: each run is the chain
         a..b (``Walker.run_start``), and each a is a child of the next
@@ -118,8 +118,6 @@ class ExploredTree:
         check_node_id(u, len(self.parent))
         if u != self.root and self.parent[u] < 0:
             raise TreeError("node %d is not explored" % u)
-        if top is None:
-            top = self.root
         run_start = self.walker.run_start
         parent = self.parent
         runs = []

@@ -85,10 +85,11 @@ def build_parser():
 def _cmd_search(args):
     spec = FamilySpec(args.family, args.n, args.t, args.seed, args.target)
     if args.out:
-        _, header = prepare_append(args.out)
+        _, header, keep = prepare_append(args.out)
     rec = run_experiment(spec, args.algo, args.psi)
     if args.out:
         with open(args.out, "a", encoding="utf-8") as fh:
+            fh.truncate(keep)
             fh.write(header + rec.csv_row() + "\n")
     print(CSV_HEADER)
     print(rec.csv_row())

@@ -76,7 +76,8 @@ def _draw_left(rng, k):
 
 
 class _Builder:
-    """An instance under construction, as a root plus a list of paths.
+    """An instance under construction, as a root plus a list of paths, the
+    first of them the root's depth-n spine on a side drawn from ``rng``.
 
     A path is a chain of new nodes with contiguous ids, each the only child
     of the one before; its first node hangs below a host created earlier.
@@ -90,11 +91,12 @@ class _Builder:
     of one ``rng.random()`` draw and one link write per node.
     """
 
-    def __init__(self):
+    def __init__(self, n, rng):
         self.hosts = array("i")
         self.starts = array("i")
         self.lift = array("i", [0])  # the root's, then one per path
         self.is_left = bytearray(1)  # per node; the root's flag is unused
+        self.add_path(0, n, LEFT if rng.random() < 0.5 else RIGHT, rng)
 
     def depth(self, v):
         return v + self.lift[bisect_right(self.starts, v)]
@@ -175,8 +177,7 @@ def gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
         raise InfeasibleInstanceError("need t >= 0")
     _check_size(1 + n + t)  # the root, the spine, and a node per fork
     rng = random.Random(mix_seed(seed, 17))
-    b = _Builder()
-    b.add_path(0, n, LEFT if rng.random() < 0.5 else RIGHT, rng)
+    b = _Builder(n, rng)
     # the pool of unary hosts, at first the spine minus its tip (depth
     # <= n - 1); a host leaves by swap-remove, a new path's nodes but its tip
     # join at the end
@@ -184,24 +185,19 @@ def gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
     lam = max(2.0, 2.0 * n / max(1.0, math.sqrt(t))) if t else 1.0
     placed = 0
     while placed < t:
-        if not hosts:
-            raise InfeasibleInstanceError(
-                "cannot place %d forks within depth %d" % (t, n))
         # a length-1 branch consumes a host without replacing it; grow the
-        # pool from the shallowest host when it would otherwise starve
+        # pool from the shallowest host when it would otherwise starve, so
+        # it holds a host while a fork is left
         need_growth = (t - placed) > len(hosts)
+        idx = b.shallowest(hosts) if need_growth else rng.randrange(len(hosts))
+        host = hosts[idx]
+        room = n - b.depth(host)
         if need_growth:
-            idx = b.shallowest(hosts)
-            host = hosts[idx]
-            room = n - b.depth(host)
             if room < 2:
                 raise InfeasibleInstanceError(
                     "cannot place %d forks within depth %d" % (t, n))
             length = room
         else:
-            idx = rng.randrange(len(hosts))
-            host = hosts[idx]
-            room = n - b.depth(host)
             length = 1 + min(int(rng.expovariate(1.0 / lam)), room - 1)
         hosts[idx] = hosts[-1]
         hosts.pop()
@@ -224,9 +220,9 @@ def gen_complete_path(h: int, delta: int) -> TreeInstance:
         raise InfeasibleInstanceError("need h >= 1 and delta >= 1")
     if h > 20:
         raise InfeasibleInstanceError("2**%d leaves is past desk scale" % h)
-    _check_size((2 ** (h + 1) - 1) + (2 ** (h + 1) - 2) * (delta - 1))
     pairs = 2 ** h - 1  # one per fork
     size = 1 + 2 * delta * pairs
+    _check_size(size)
     is_left = np.frombuffer(bytes(1) + (b"\x01" * delta + bytes(delta))
                             * pairs, bool)
     hosts = np.empty(2 * pairs, np.intc)  # path k starts at 1 + k * delta
@@ -255,8 +251,7 @@ def gen_comb(n: int, t: int, seed: int = 0) -> TreeInstance:
     # of n - j * spacing nodes for j = 1..t
     _check_size(1 + n + t * n - spacing * t * (t + 1) // 2)
     rng = random.Random(mix_seed(seed, 23))
-    b = _Builder()
-    b.add_path(0, n, LEFT if rng.random() < 0.5 else RIGHT, rng)
+    b = _Builder(n, rng)
     for j in range(1, t + 1):
         host = j * spacing  # spine node ids equal their depths
         b.add_path(host, n - host, b.free_side(host), rng)

@@ -50,6 +50,8 @@ def run_experiment(spec: FamilySpec, algo: str, psi=None) -> ExperimentRecord:
     """One instrumented run; bit-for-bit deterministic in (spec, algo, psi)."""
     if algo not in ALGORITHMS:
         raise TreeError("unknown algorithm %r" % (algo,))
+    if psi is not None:
+        check_psi(psi)
     return _run_on(build_instance(spec), spec, algo, psi)
 
 
@@ -115,28 +117,27 @@ def check_folder(path):
 
 
 def prepare_append(path):
-    """Ready a record CSV for appending rows.
+    """Read and check a record CSV that rows will be appended to, changing
+    nothing, so a run refused before its first row leaves it as it was.
 
     Returns (records already there, text to write before the first new
-    row): the header for a new or empty file, else nothing. A first line
-    that is not the header, blank or foreign, or a malformed row raises
-    TreeError before the file is touched. Then a last line with no
-    newline, as a kill part-way through writing a row leaves it, is cut
-    off. A new file is not created here, but its folder is checked
-    (``check_folder``).
+    row: the header for a new or empty file, else nothing, and ``keep``,
+    the end of the last complete line). The writer truncates the file to
+    ``keep`` as it opens it for its first row, which cuts a torn last row.
+    A first line that is not the header, blank or foreign, or a malformed
+    row raises TreeError. A new file is not created here, but its folder
+    is checked (``check_folder``).
     """
     check_folder(path)
     if os.path.exists(path):
-        with open(path, "rb+") as fh:
+        with open(path, "rb") as fh:
             data = fh.read()
-            keep = data.rfind(b"\n") + 1
-            records = _parse_records(
-                data[:keep].decode("utf-8").splitlines(), path)
-            if keep < len(data):
-                fh.truncate(keep)
+        keep = data.rfind(b"\n") + 1
+        records = _parse_records(
+            data[:keep].decode("utf-8").splitlines(), path)
         if keep:
-            return records, ""
-    return [], CSV_HEADER + "\n"
+            return records, "", keep
+    return [], CSV_HEADER + "\n", 0
 
 
 def _cell_seed(base_seed: int, family: str, n: int, t: int, psi,
@@ -162,10 +163,12 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
     flushed as it is written; on resume a torn last row is dropped and run
     again, while a malformed row anywhere else raises. An unknown
     algorithm, family or target strategy, a psi below 1 or fewer than one
-    trial, or an empty axis, raises before the file is touched, and an
+    trial, or an empty axis, raises before the file is read, and an
     output folder that is missing or not writable before any instance is
-    built; a new file gets its header along with its first row. Returns
-    rows written.
+    built. The file changes only when a row is written: the torn row is
+    cut and a new file gets its header along with the first row, so a
+    sweep that fails before it leaves the file byte for byte as it was.
+    Returns rows written.
     """
     axes = dict(family=families, n=ns, t=ts, algorithm=algos, psi=psis)
     for name, axis in axes.items():
@@ -181,7 +184,7 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
             check_psi(psi)
     if trials < 1:
         raise TreeError("need at least one trial, got %r" % (trials,))
-    existing, header = prepare_append(out_path)
+    existing, header, keep = prepare_append(out_path)
     done = {(rec.family, rec.algo, rec.seed) for rec in existing}
     fh = None
     written = 0
@@ -200,6 +203,7 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
                 rec = _run_on(tree, spec, algo, psi)
                 if fh is None:
                     fh = open(out_path, "a", encoding="utf-8")
+                    fh.truncate(keep)
                     fh.write(header)
                 fh.write(rec.csv_row() + "\n")
                 fh.flush()

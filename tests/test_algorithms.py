@@ -214,6 +214,14 @@ def test_median_tie_breaks_inorder_smaller():
     assert median_node(explored) == remaining[1]
 
 
+def test_median_refuses_a_tree_of_stubs_alone():
+    # a one-node tree whose root a larger answer stubs has no candidate
+    explored = ExploredTree(Walker(make_path("")))
+    assert trim(explored, 0, TARGET_LARGER) == [0]
+    with pytest.raises(TreeError, match="empty explored tree"):
+        median_node(explored)
+
+
 # ---------------------------------------------------------------- halve
 
 
@@ -447,19 +455,20 @@ def test_final_search_random_bound():
         assert oracle.calls <= math.ceil(math.log2(tree.size)) + 1
 
 
-class _AlwaysLarger:
+class _AlwaysLarger(InstrumentedOracle):
     """An oracle that places the target past every node it is asked about."""
 
     def query(self, q):
+        self.calls += 1
         return TARGET_LARGER
 
 
 def test_final_search_refuses_an_oracle_that_rules_out_everything():
     # final_binary_search's InconsistentOracleError once no candidate is left
-    explored, _ = explore_fully(make_path("RRR"))
+    explored, walker = explore_fully(make_path("RRR"))
     with pytest.raises(InconsistentOracleError,
                        match="binary search exhausted its candidates"):
-        final_binary_search(explored, _AlwaysLarger())
+        final_binary_search(explored, _AlwaysLarger(walker.tree))
 
 
 # ------------------------------------------------------- bifurcation_search
@@ -592,6 +601,13 @@ def test_rounds_single_fork_two_rounds():
     result = baseline_rounds(tree, oracle)
     assert result.found == tree.target
     assert len(result.rounds) <= 2
+
+
+def test_rounds_refuses_an_oracle_that_rules_out_everything():
+    # each answer puts the target past every candidate: no round finds it
+    tree = gen_random(8, 2, 1)
+    with pytest.raises(InconsistentOracleError, match="round limit exceeded"):
+        baseline_rounds(tree, _AlwaysLarger(tree))
 
 
 def test_pick_frontier_returns_the_deeper_neighbour():

@@ -31,6 +31,8 @@ def test_run_experiment_refuses_an_unknown_algorithm_before_any_build(
     monkeypatch.setattr(harness, "build_instance", builds.append)
     with pytest.raises(TreeError, match="unknown algorithm 'psychic'"):
         run_experiment(FamilySpec("random", 16, 2), "psychic")
+    with pytest.raises(TreeError, match="psi must be at least 1"):
+        run_experiment(FamilySpec("random", 16, 2), "bifurcation", psi=0)
     assert builds == []
 
 
@@ -163,13 +165,38 @@ def test_prepare_append_rejects_a_row_that_csv_row_never_writes(tmp_path,
     # hand-edited cell as done
     out = tmp_path / "grid.csv"
     out.write_text("%s\n%s\n" % (CSV_HEADER, _ROW))
-    records, header = harness.prepare_append(out)
+    records, header, keep = harness.prepare_append(out)
     assert [r.csv_row() for r in records] == [_ROW] and header == ""
+    assert keep == len(out.read_bytes())
     out.write_text("%s\n%s\n%s\n" % (CSV_HEADER, _ROW, row))
     before = out.read_bytes()
     with pytest.raises(TreeError, match="malformed row at line 3 of"):
         harness.prepare_append(out)
     assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--family", "bogus"],
+    ["search", "--target", "nowhere"],
+    ["search", "--psi", "0"],
+    ["search", "--family", "complete_path", "--t", "3"],
+    ["search", "--n", "16", "--t", "2", "--target", "fixed:999"],
+    ["sweep", "--family", "complete_path", "--n", "16", "--t", "3"],
+], ids=["family", "target", "psi", "complete_path", "fixed", "sweep"])
+def test_a_refused_run_leaves_a_torn_record_file_as_it_was(tmp_path, argv,
+                                                           capsys):
+    # the torn row is cut only as the first new row is written
+    out = tmp_path / "grid.csv"
+    whole = "%s\n%s\n" % (CSV_HEADER, _ROW)
+    out.write_text(whole + "random,16")
+    before = out.read_bytes()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert out.read_bytes() == before
+    capsys.readouterr()
+    assert main(["search", "--n", "16", "--t", "2", "--algo", "full",
+                 "--out", str(out)]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert out.read_text() == whole + row + "\n"
 
 
 def test_load_records_skips_blank_lines_between_rows(tmp_path):
