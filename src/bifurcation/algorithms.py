@@ -48,13 +48,14 @@ class ExploredTree:
     stubs and has one trailing 0 byte, so ``stub[-1]`` reads no stub for a
     missing child. Membership is ``parent``: an id other than the root is
     explored exactly when its ``parent`` is not ``-1``. ``walker`` is the
-    one walker that explores the tree; ``dfs_extend``, ``trim`` and
-    ``_descend`` move it, and kinds are not copied but read through it
-    (``Walker.kind_of``), as it revealed every explored id. A stub is a
-    node proven not to hold the target in its subtree; stubs stay in place
-    as markers but their explored subtrees are deleted. ``node_count`` and
-    ``leaf_count`` (non-stub nodes with no explored children) exclude stubs
-    and are kept current as the tree changes.
+    one walker that explores the tree; ``dfs_extend`` and ``_descend``
+    move it, ``trim`` only reads kinds and run starts through it, and kinds
+    are not copied but read through it (``Walker.kind_of``), as it revealed
+    every explored id. A stub is a node proven not to hold the target in
+    its subtree; stubs stay in place as markers but their explored subtrees
+    are deleted. ``node_count`` and ``leaf_count`` (non-stub nodes with no
+    explored children) exclude stubs and are kept current as the tree
+    changes.
 
     A node's value is its inorder rank (``Walker.values``). An int32 slot
     index by value holds exactly the explored ids, stubs included, each at
@@ -217,8 +218,8 @@ def trim(explored: ExploredTree, u: int, answer: str):
     new stub, and the kept ids are the runs' aranges plus those nodes'
     children.
     """
-    if answer == FOUND:
-        raise TreeError("trim is undefined for a found answer")
+    if answer not in (TARGET_LARGER, TARGET_SMALLER):
+        raise TreeError("trim needs a direction, got %r" % (answer,))
     take = explored.left if answer == TARGET_LARGER else explored.right
     stub = explored.stub
     runs = explored.path_runs(u)
@@ -372,8 +373,9 @@ TRIGGER_FACTOR = 4
 
 
 def check_psi(psi) -> None:
-    """Reject a staged-search call budget below 1."""
-    if psi < 1:
+    """Reject a staged-search call budget below 1; None, which asks for
+    the default, passes."""
+    if psi is not None and psi < 1:
         raise TreeError("psi must be at least 1, got %r" % (psi,))
 
 
@@ -395,10 +397,9 @@ class SearchParams:
     @classmethod
     def for_instance(cls, tree, psi=None) -> "SearchParams":
         t = tree.t
+        check_psi(psi)
         if psi is None:
             psi = _ceil_sqrt(t)
-        else:
-            check_psi(psi)
         psi = max(1, min(psi, t))
         leaf_budget = max(1, _ceil_div(t, psi))
         depth_step = max(1, _ceil_div(2 * tree.n, psi))
@@ -439,8 +440,10 @@ def _bisect(seq, oracle):
             return int(seq[mid]), mid
         if answer == TARGET_SMALLER:
             hi = mid - 1
-        else:
+        elif answer == TARGET_LARGER:
             lo = mid + 1
+        else:
+            raise InconsistentOracleError("unknown answer %r" % (answer,))
     return None, lo
 
 
@@ -528,11 +531,9 @@ def baseline_rounds(tree, oracle) -> SearchResult:
     walker = Walker(tree, oracle.on_fork)
     explored = ExploredTree(walker)
     base_calls = oracle.calls
-    chunk = max(1, _ceil_div(tree.n, max(1, _ceil_sqrt(tree.t))))
+    chunk = _ceil_div(tree.n, max(1, _ceil_sqrt(tree.t)))
     rounds = []
-    i = 0
-    while True:
-        i += 1
+    for i in range(1, tree.n + 4):
         depth_limit = min(i * chunk, tree.n)
         steps_before = walker.steps
         calls_before = oracle.calls
@@ -547,8 +548,7 @@ def baseline_rounds(tree, oracle) -> SearchResult:
         before = int(cand[gap - 1]) if gap > 0 else None
         after = int(cand[gap]) if gap < len(cand) else None
         _descend(explored, _pick_frontier(explored, before, after))
-        if i > tree.n + 2:
-            raise InconsistentOracleError("round limit exceeded")
+    raise InconsistentOracleError("round limit exceeded")
 
 
 def _pick_frontier(explored, before, after):

@@ -182,9 +182,8 @@ def gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
     # <= n - 1); a host leaves by swap-remove, a new path's nodes but its tip
     # join at the end
     hosts = array("i", range(n))
-    lam = max(2.0, 2.0 * n / max(1.0, math.sqrt(t))) if t else 1.0
-    placed = 0
-    while placed < t:
+    lam = max(2.0, 2.0 * n / max(1.0, math.sqrt(t)))
+    for placed in range(t):
         # a length-1 branch consumes a host without replacing it; grow the
         # pool from the shallowest host when it would otherwise starve, so
         # it holds a host while a fork is left
@@ -204,7 +203,6 @@ def gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
         last = b.add_path(host, length, b.free_side(host), rng)
         hosts.frombytes(
             np.arange(last - length + 1, last, dtype=np.intc).tobytes())
-        placed += 1
     return b.finish(n, t)
 
 
@@ -243,8 +241,8 @@ def gen_comb(n: int, t: int, seed: int = 0) -> TreeInstance:
     that reaches depth n."""
     if n < 1 or t < 0:
         raise InfeasibleInstanceError("need n >= 1 and t >= 0")
-    spacing = n // (t + 1) if t else n
-    if t and spacing < 1:
+    spacing = n // (t + 1)
+    if spacing < 1:
         raise InfeasibleInstanceError(
             "no room for %d forks on a spine of length %d" % (t, n))
     # the root, the spine, and below the fork at depth j * spacing a branch

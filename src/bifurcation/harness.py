@@ -50,8 +50,7 @@ def run_experiment(spec: FamilySpec, algo: str, psi=None) -> ExperimentRecord:
     """One instrumented run; bit-for-bit deterministic in (spec, algo, psi)."""
     if algo not in ALGORITHMS:
         raise TreeError("unknown algorithm %r" % (algo,))
-    if psi is not None:
-        check_psi(psi)
+    check_psi(psi)
     return _run_on(build_instance(spec), spec, algo, psi)
 
 
@@ -180,8 +179,7 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
     for family in families:
         check_names(family, target_strategy)
     for psi in psis:
-        if psi is not None:
-            check_psi(psi)
+        check_psi(psi)
     if trials < 1:
         raise TreeError("need at least one trial, got %r" % (trials,))
     existing, header, keep = prepare_append(out_path)

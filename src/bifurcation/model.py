@@ -205,9 +205,9 @@ class TreeInstance:
         Node-sized work is slice compares (``left[:-1]`` and ``right[:-1]``
         against the next ids give the chain edges' sides) and arithmetic
         along the ids; only the segment heads, one per fork, are gathered,
-        once, by ``_segments``. A segment's level of nesting comes from
-        pointer jumping over hosts, and segment totals, the subtree sizes
-        at the heads, are summed deepest level first.
+        once, by ``_segments``. Segment totals, the subtree sizes at the
+        heads, are summed in one pass from the last segment to the first,
+        as a host's segment comes before the segments hung below it.
 
         Subtree sizes are a reverse cumsum of one plus the totals hung below
         each node, less that sum past the segment's end. A node's first
@@ -231,17 +231,11 @@ class TreeInstance:
          hung_r) = self._segments()
         size = len(self.parent)
         heads = starts[1:]
-        level = np.ones(len(starts), np.intc)
-        level[0] = 0
-        _root_path_sums(level, up_seg)
-        by_level = np.argsort(level, kind="stable")
-        bounds = np.searchsorted(level[by_level],
-                                 np.arange(1, level.max() + 2)).tolist()
-        total = lengths.copy()
-        for a, b in reversed(list(zip(bounds[:-1], bounds[1:]))):
-            segs = by_level[a:b]
-            np.add.at(total, up_seg[segs], total[segs])
-        below = total[1:]  # the subtree size at each head
+        total = lengths.tolist()
+        up = up_seg.tolist()
+        for k in range(len(total) - 1, 0, -1):
+            total[up[k]] += total[k]
+        below = np.array(total[1:], np.intc)  # the subtree size at each head
 
         # subtree sizes
         size_of = np.ones(size + 1, np.intc)  # size_of[-1] == 0 for no child
@@ -439,14 +433,15 @@ class Walker:
 class InstrumentedOracle:
     """Counts comparison queries against the instance target.
 
-    Any node may be queried, since the target need not be a leaf; a node id
-    outside the instance is rejected before the counter moves.
+    Any node may be queried, since the target need not be a leaf; a query
+    or target outside the instance is rejected before the counter moves.
     """
 
     __slots__ = ("calls", "_ranks", "_target_rank")
     on_fork = None  # watches no forks, unlike the adaptive oracle
 
     def __init__(self, tree: TreeInstance):
+        check_node_id(tree.target, tree.size)
         self.calls = 0
         ranks = tree.inorder_ranks()
         self._ranks = ranks

@@ -471,6 +471,26 @@ def test_final_search_refuses_an_oracle_that_rules_out_everything():
         final_binary_search(explored, _AlwaysLarger(walker.tree))
 
 
+class _Bogus(InstrumentedOracle):
+    """An oracle whose every answer is none of the three."""
+
+    def query(self, q):
+        self.calls += 1
+        return "bogus"
+
+
+def test_an_answer_that_is_no_direction_is_refused():
+    # neither trim nor _bisect may read it as a direction
+    tree = gen_random(64, 4, 1)
+    explored, _ = explore_fully(tree)
+    before = (explored.node_count, bytes(explored.stub))
+    with pytest.raises(TreeError, match="needs a direction"):
+        trim(explored, median_node(explored), "bogus")
+    assert (explored.node_count, bytes(explored.stub)) == before
+    with pytest.raises(InconsistentOracleError, match="unknown answer"):
+        final_binary_search(explored, _Bogus(tree))
+
+
 # ------------------------------------------------------- bifurcation_search
 
 
@@ -603,11 +623,17 @@ def test_rounds_single_fork_two_rounds():
     assert len(result.rounds) <= 2
 
 
-def test_rounds_refuses_an_oracle_that_rules_out_everything():
-    # each answer puts the target past every candidate: no round finds it
-    tree = gen_random(8, 2, 1)
+@pytest.mark.parametrize("n, t, seed, calls", [
+    (8, 2, 1, 43), (16, 4, 3, 113), (32, 0, 2, 210)])
+def test_rounds_refuses_an_oracle_that_rules_out_everything(n, t, seed,
+                                                             calls):
+    # each answer puts the target past every candidate: no round finds it;
+    # the calls pin the raise after round n + 3
+    tree = gen_random(n, t, seed)
+    oracle = _AlwaysLarger(tree)
     with pytest.raises(InconsistentOracleError, match="round limit exceeded"):
-        baseline_rounds(tree, _AlwaysLarger(tree))
+        baseline_rounds(tree, oracle)
+    assert oracle.calls == calls
 
 
 def test_pick_frontier_returns_the_deeper_neighbour():

@@ -217,6 +217,16 @@ def test_oracle_rejects_out_of_range_ids():
     assert oracle.calls == 0
 
 
+def test_oracle_rejects_a_target_outside_the_instance():
+    # -1 would read the last node and tree.size past the ranks; both are
+    # refused as a TreeError, before any query
+    tree = gen_random(64, 4, 1)
+    for target in (-1, tree.size):
+        tree.target = target
+        with pytest.raises(NodeIdError):
+            InstrumentedOracle(tree)
+
+
 def test_walker_rejects_out_of_range_ids():
     tree = make_path("LR")
     w = Walker(tree)
