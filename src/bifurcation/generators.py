@@ -52,6 +52,43 @@ def _check_size(total: int) -> None:
             % (total, MAX_NODES))
 
 
+def check_cell(family: str, n: int, t: int) -> None:
+    """Raise InfeasibleInstanceError, without building anything, for a
+    known family's cell (n, t) that no instance fits: complete_path needs
+    t = h * h for a height 1 <= h <= 20 and n >= h, the others n >= 1 and
+    t >= 0, and comb room on its spine for the forks; no instance may pass
+    MAX_NODES nodes, counting at least 1 + n + t for random. The generators
+    and build_instance call it first, and sweep for every cell."""
+    if family == "complete_path":
+        h = math.isqrt(max(t, 0))
+        if h < 1 or h * h != t:
+            raise InfeasibleInstanceError(
+                "complete_path needs t = h * h for a height h >= 1, got t = %d"
+                % t)
+        if n < h:
+            raise InfeasibleInstanceError(
+                "complete_path of height %d (t = %d) needs n >= %d, got %d"
+                % (h, t, h, n))
+        if h > 20:
+            raise InfeasibleInstanceError("2**%d leaves is past desk scale" % h)
+        _check_size(1 + 2 * (n // h) * (2 ** h - 1))
+        return
+    if n < 1:
+        raise InfeasibleInstanceError("need n >= 1")
+    if t < 0:
+        raise InfeasibleInstanceError("need t >= 0")
+    if family == "comb":
+        spacing = n // (t + 1)
+        if spacing < 1:
+            raise InfeasibleInstanceError(
+                "no room for %d forks on a spine of length %d" % (t, n))
+        # the root, the spine, and below the fork at depth j * spacing a
+        # branch of n - j * spacing nodes for j = 1..t
+        _check_size(1 + n + t * n - spacing * t * (t + 1) // 2)
+    else:
+        _check_size(1 + n + t)  # the root, the spine, and a node per fork
+
+
 _DRAW_CHUNK = 1 << 16
 
 
@@ -171,11 +208,7 @@ def gen_random(n: int, t: int, seed: int = 0) -> TreeInstance:
     the depth budget, so richer fork counts carry proportionally more
     exploration mass. Exactly t forks, deterministic per seed.
     """
-    if n < 1:
-        raise InfeasibleInstanceError("need n >= 1")
-    if t < 0:
-        raise InfeasibleInstanceError("need t >= 0")
-    _check_size(1 + n + t)  # the root, the spine, and a node per fork
+    check_cell("random", n, t)
     rng = random.Random(mix_seed(seed, 17))
     b = _Builder(n, rng)
     # the pool of unary hosts, at first the spine minus its tip (depth
@@ -216,11 +249,9 @@ def gen_complete_path(h: int, delta: int) -> TreeInstance:
     and its left one at c + 2 * delta * 2**(h - k - 1)."""
     if h < 1 or delta < 1:
         raise InfeasibleInstanceError("need h >= 1 and delta >= 1")
-    if h > 20:
-        raise InfeasibleInstanceError("2**%d leaves is past desk scale" % h)
+    check_cell("complete_path", h * delta, h * h)
     pairs = 2 ** h - 1  # one per fork
     size = 1 + 2 * delta * pairs
-    _check_size(size)
     is_left = np.frombuffer(bytes(1) + (b"\x01" * delta + bytes(delta))
                             * pairs, bool)
     hosts = np.empty(2 * pairs, np.intc)  # path k starts at 1 + k * delta
@@ -239,21 +270,26 @@ def gen_complete_path(h: int, delta: int) -> TreeInstance:
 def gen_comb(n: int, t: int, seed: int = 0) -> TreeInstance:
     """Spine of length n with t evenly spaced forks, each sprouting a path
     that reaches depth n."""
-    if n < 1 or t < 0:
-        raise InfeasibleInstanceError("need n >= 1 and t >= 0")
+    check_cell("comb", n, t)
     spacing = n // (t + 1)
-    if spacing < 1:
-        raise InfeasibleInstanceError(
-            "no room for %d forks on a spine of length %d" % (t, n))
-    # the root, the spine, and below the fork at depth j * spacing a branch
-    # of n - j * spacing nodes for j = 1..t
-    _check_size(1 + n + t * n - spacing * t * (t + 1) // 2)
     rng = random.Random(mix_seed(seed, 23))
     b = _Builder(n, rng)
     for j in range(1, t + 1):
         host = j * spacing  # spine node ids equal their depths
         b.add_path(host, n - host, b.free_side(host), rng)
     return b.finish(n, t)
+
+
+def _fixed_rank(strategy: str):
+    """K of a ``fixed:K`` strategy, None for any other; ValueError unless K
+    is an integer >= 0 written in decimal digits alone."""
+    if not strategy.startswith("fixed:"):
+        return None
+    k = strategy[len("fixed:"):]
+    if not k.isdecimal():
+        raise ValueError("target strategy %r needs an integer K >= 0"
+                         % (strategy,))
+    return int(k)
 
 
 def place_target(tree: TreeInstance, strategy: str, seed: int = 0) -> int:
@@ -263,12 +299,11 @@ def place_target(tree: TreeInstance, strategy: str, seed: int = 0) -> int:
     inorder-last deepest leaf, maximizing exploration before discovery), and
     ``fixed:K`` for the K-th node in inorder.
     """
-    if strategy.startswith("fixed:"):
-        k = int(strategy.split(":", 1)[1])
-        if not 0 <= k < tree.size:
+    k = _fixed_rank(strategy)
+    if k is not None:
+        if k >= tree.size:
             raise InfeasibleInstanceError("fixed target %d out of range" % k)
-        return int(np.flatnonzero(
-            np.frombuffer(tree.inorder_ranks(), np.intc) == k)[0])
+        return tree.inorder_sequence()[k]
     rng = random.Random(mix_seed(seed, 31))
     if strategy == "random_node":
         return rng.randrange(tree.size)
@@ -289,32 +324,23 @@ def check_names(family: str, target_strategy: str) -> None:
     building anything; build_instance calls it first."""
     if family not in FAMILIES:
         raise ValueError("unknown family %r" % (family,))
-    if target_strategy.startswith("fixed:"):
-        if int(target_strategy.split(":", 1)[1]) < 0:
-            raise ValueError("%r needs K >= 0" % (target_strategy,))
-    elif target_strategy not in ("random_node", "random_leaf",
-                                 "adversarial_deep"):
+    if (_fixed_rank(target_strategy) is None
+            and target_strategy not in ("random_node", "random_leaf",
+                                        "adversarial_deep")):
         raise ValueError("unknown target strategy %r" % (target_strategy,))
 
 
 def build_instance(spec: FamilySpec) -> TreeInstance:
     """Generate the family instance and assign its target."""
     check_names(spec.family, spec.target_strategy)
+    check_cell(spec.family, spec.n, spec.t)
     fam = spec.family
     if fam == "random":
         tree = gen_random(spec.n, spec.t, mix_seed(spec.seed, 1))
     elif fam == "comb":
         tree = gen_comb(spec.n, spec.t, mix_seed(spec.seed, 1))
-    else:  # complete_path
-        h = math.isqrt(max(spec.t, 0))
-        if h < 1 or h * h != spec.t:
-            raise InfeasibleInstanceError(
-                "complete_path needs t = h * h for a height h >= 1, got t = %d"
-                % spec.t)
-        if spec.n < h:
-            raise InfeasibleInstanceError(
-                "complete_path of height %d (t = %d) needs n >= %d, got %d"
-                % (h, spec.t, h, spec.n))
+    else:  # complete_path, with t = h * h
+        h = math.isqrt(spec.t)
         tree = gen_complete_path(h, spec.n // h)
     tree.target = place_target(tree, spec.target_strategy, mix_seed(spec.seed, 2))
     return tree

@@ -11,7 +11,8 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .algorithms import ALGORITHMS, SearchParams, check_psi
-from .generators import FamilySpec, build_instance, check_names, mix_seed
+from .generators import (FamilySpec, build_instance, check_cell, check_names,
+                         mix_seed)
 from .model import InstrumentedOracle, TreeError
 
 
@@ -162,7 +163,8 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
     flushed as it is written; on resume a torn last row is dropped and run
     again, while a malformed row anywhere else raises. An unknown
     algorithm, family or target strategy, a psi below 1 or fewer than one
-    trial, or an empty axis, raises before the file is read, and an
+    trial, an empty axis, or a (family, n, t) cell that no instance fits
+    (``check_cell``), raises before the file is read, and an
     output folder that is missing or not writable before any instance is
     built. The file changes only when a row is written: the torn row is
     cut and a new file gets its header along with the first row, so a
@@ -178,6 +180,8 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
             raise TreeError("unknown algorithm %r" % (algo,))
     for family in families:
         check_names(family, target_strategy)
+    for family, n, t in itertools.product(families, ns, ts):
+        check_cell(family, n, t)
     for psi in psis:
         check_psi(psi)
     if trials < 1:

@@ -264,8 +264,15 @@ class AdaptiveOracle:
         self.revealed_forks = 0
         self.froze = False
         self.committed = None
-        self._sub_lo, self._sub_hi = tree.subtree_spans()
+        size = tree.subtree_sizes()
         self._ranks = tree.inorder_ranks()
+        left = np.frombuffer(tree.left, np.intc)
+        right = np.frombuffer(tree.right, np.intc)
+        forks = np.flatnonzero((left >= 0) & (right >= 0))
+        r = np.frombuffer(self._ranks, np.intc)[forks]
+        self._forks = list(zip(forks.tolist(),
+                               (r - size[left[forks]]).tolist(), r.tolist(),
+                               (r + size[right[forks]]).tolist()))
         self._cands = np.ones(tree.size, dtype=bool)
         self._revealed = set()
 
@@ -301,30 +308,28 @@ class AdaptiveOracle:
     def _freeze(self):
         """Demote every unrevealed fork still attached to the root, in id
         order, which puts every ancestor first. A fork is detached exactly
-        when its rank lies in the span of a subtree dropped before it."""
+        when its rank lies in the span of a subtree dropped before it. Each
+        fork f is listed as ``(f, lo, r, hi)``, its rank r and its subtree's
+        rank span, so its children's spans are lo..r - 1 and r + 1..hi."""
         self.froze = True
         tree = self.tree
-        left = np.frombuffer(tree.left, dtype=np.intc)
-        right = np.frombuffer(tree.right, dtype=np.intc)
-        forks = np.flatnonzero((left >= 0) & (right >= 0)).tolist()
         cands = self._cands
-        lo, hi = self._sub_lo, self._sub_hi
         dropped = np.zeros(tree.size, dtype=bool)
-        for f in forks:
-            if f in self._revealed or dropped[self._ranks[f]]:
+        for f, lo, r, hi in self._forks:
+            if f in self._revealed or dropped[r]:
                 continue
-            lc = tree.left[f]
-            rc = tree.right[f]
-            if (np.count_nonzero(cands[lo[lc]:hi[lc] + 1])
-                    >= np.count_nonzero(cands[lo[rc]:hi[rc] + 1])):
+            if (np.count_nonzero(cands[lo:r])
+                    >= np.count_nonzero(cands[r + 1:hi + 1])):
+                drop = tree.right[f]
                 tree.right[f] = -1
-                drop = rc
+                lo = r + 1
             else:
+                drop = tree.left[f]
                 tree.left[f] = -1
-                drop = lc
+                hi = r - 1
             tree.parent[drop] = -1
-            cands[lo[drop]:hi[drop] + 1] = False
-            dropped[lo[drop]:hi[drop] + 1] = True
+            cands[lo:hi + 1] = False
+            dropped[lo:hi + 1] = True
 
 
 @dataclass

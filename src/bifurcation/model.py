@@ -105,7 +105,7 @@ class TreeInstance:
     def inorder_ranks(self):
         """Inorder position of every node, indexed by node id."""
         if self._ranks is None:
-            self._compute_inorder()
+            self.subtree_sizes()
         return self._ranks
 
     def inorder_sequence(self):
@@ -116,20 +116,6 @@ class TreeInstance:
         np.frombuffer(seq, np.intc)[ranks] = np.arange(len(ranks),
                                                        dtype=np.intc)
         return seq
-
-    def subtree_spans(self):
-        """Inorder interval ``(lo, hi)`` of every node's subtree, as two
-        ``array("i")`` indexed by node id and written in place, with no
-        numpy copy. Ranks the tree again, refreshing the rank cache."""
-        size = self._compute_inorder()
-        rank = np.frombuffer(self._ranks, np.intc)
-        lo = array("i", [0]) * len(rank)
-        hi = array("i", [0]) * len(rank)
-        np.subtract(rank, size[np.frombuffer(self.left, np.intc)],
-                    out=np.frombuffer(lo, np.intc))
-        np.add(rank, size[np.frombuffer(self.right, np.intc)],
-               out=np.frombuffer(hi, np.intc))
-        return lo, hi
 
     def depths(self):
         """Depth of every node, by id, as an int32 numpy array derived on
@@ -198,9 +184,12 @@ class TreeInstance:
         up_seg[1:] = np.searchsorted(starts, hosts, side="right") - 1
         return starts, lengths, hosts, up_seg, down_l, down_r, hung_r
 
-    def _compute_inorder(self):
-        """Rank every node in inorder with numpy passes over the id
-        segments (``_segments``, which checks the id order first).
+    def subtree_sizes(self):
+        """Subtree size of every node, by id, as a numpy int32 array with
+        one more entry, a 0 at index -1, so that indexing it with a child
+        array reads 0 for no child. Ranks the tree again, by numpy passes
+        over the id segments (``_segments``, which checks the id order
+        first), and refreshes the rank cache.
 
         Node-sized work is slice compares (``left[:-1]`` and ``right[:-1]``
         against the next ids give the chain edges' sides) and arithmetic
@@ -222,10 +211,6 @@ class TreeInstance:
         harmless: every step is an add, subtract or multiply, so each
         result is exact modulo 2**32, and every final size and rank lies in
         ``[0, size)``.
-
-        Fills the rank cache and returns the subtree size of every node as a
-        numpy array with one more entry, a 0 at index -1, so that indexing it
-        with a child array reads 0 for no child.
         """
         (starts, lengths, hosts, up_seg, down_l, down_r,
          hung_r) = self._segments()

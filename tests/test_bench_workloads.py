@@ -38,3 +38,19 @@ def test_workload_ops_check_out_and_repeat(workload, steps, calls, cost):
     assert [o.key for o in again] == [o.key for o in first]
     assert (sum(o.steps for o in first), sum(o.calls for o in first),
             sum(o.cost for o in first)) == (steps, calls, cost)
+
+
+@pytest.mark.parametrize("player, steps, calls, forks, froze, target", [
+    ("bifurcation", 231_424, 18, 64, True, 6144),
+    ("full", 145_408, 17, 64, True, 1024),
+    ("rounds", 16_128, 152, 8, False, 8192),
+])
+def test_lowerbound_lab_full_size_freeze(player, steps, calls, forks, froze,
+                                         target):
+    """The lab's adversary at full size, where the budget of 64 forks is
+    reached and the freeze runs; at the small size nothing freezes."""
+    n, t = RUN.SIZES["full"]["adversary"]
+    rep = bifurcation.lowerbound.adaptive_fork_adversary(n, t, player)
+    assert rep.replay_consistent()
+    assert (rep.steps, rep.oracle_calls, rep.revealed_forks, rep.froze,
+            rep.target) == (steps, calls, forks, froze, target)

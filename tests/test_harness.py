@@ -362,12 +362,37 @@ def test_sweep_refuses_a_negative_fixed_target_before_any_build(
 
     monkeypatch.setattr(harness, "build_instance", counting_build)
     out = tmp_path / "grid.csv"
-    for target in ("fixed:-1", "fixed:-999"):
-        with pytest.raises(ValueError, match="K >= 0"):
+    for target in ("fixed:-1", "fixed:-999", "fixed:abc", "fixed:"):
+        with pytest.raises(ValueError, match="'%s' needs an integer K >= 0"
+                           % target):
             sweep(out, ["random"], [64], [4], ["full"], trials=1,
                   target_strategy=target)
     assert builds == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    (["--family", "random,complete_path", "--n", "16", "--t", "2,4"],
+     "complete_path needs t = h * h"),
+    (["--n", "16,0", "--t", "2"], "need n >= 1"),
+    (["--family", "complete_path", "--n", "4096,1024", "--t", "64,256"],
+     "past the cap"),
+], ids=["complete_path_square", "n", "node_cap"])
+def test_cli_sweep_refuses_an_infeasible_cell_before_the_first_row(
+        tmp_path, capsys, grid, message):
+    """A (family, n, t) cell that no instance fits is refused before the
+    file is read, even when feasible cells come first in the grid."""
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--algo", "full", "--trials", "1",
+            "--out", str(out)] + grid
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    out.write_text("%s\n%s\n" % (CSV_HEADER, _ROW))
+    before = out.read_bytes()
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert out.read_bytes() == before
 
 
 @pytest.mark.parametrize("option", ["--family", "--n", "--t", "--algo",

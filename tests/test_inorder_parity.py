@@ -24,8 +24,7 @@ def _assert_matches_walk(tree):
         assert got.typecode == "i"
         assert got.tobytes() == want.tobytes()
     lo, hi = reference_subtree_spans(tree)
-    assert tree.subtree_spans() == (lo, hi)
-    sizes = tree._compute_inorder()
+    sizes = tree.subtree_sizes()
     assert sizes[-1] == 0
     assert sizes[:-1].tolist() == [h - l + 1 for l, h in zip(lo, hi)]
     depth = tree.depths()
@@ -119,7 +118,7 @@ def test_ranks_match_walk_when_the_prefix_sums_wrap():
     for v in range(size - 1, 0, -1):
         want[tree.parent[v]] += want[v]
     assert sum(want) > 2 ** 32
-    sizes = tree._compute_inorder()
+    sizes = tree.subtree_sizes()
     assert sizes.tolist() == want + [0]
     assert tree.inorder_ranks().tobytes() == reference_inorder(
         tree)[0].tobytes()
@@ -151,7 +150,7 @@ def test_ranking_rejects_trees_out_of_id_order(parent, left, right, root):
     assert parent[root] < 0  # the root the case names has no parent
     tree = _tree(parent, left, right)
     with pytest.raises(TreeError):
-        tree._compute_inorder()
+        tree.subtree_sizes()
     with pytest.raises(TreeError):
         tree.inorder_ranks()
     with pytest.raises(TreeError):

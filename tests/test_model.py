@@ -465,7 +465,7 @@ def test_exploring_ranks_nothing_until_the_first_rescan(monkeypatch):
     def refuse(self):
         raise AssertionError("ranked")
 
-    monkeypatch.setattr(TreeInstance, "_compute_inorder", refuse)
+    monkeypatch.setattr(TreeInstance, "subtree_sizes", refuse)
     tree = _tree(**SHUFFLED)
     w, _ = _logged(tree)
     explored = ExploredTree(w)
@@ -536,21 +536,13 @@ def test_ranking_peak_stays_lean(make):
     assert peak <= 4.5 * 4 * tree.size
 
 
-@pytest.mark.parametrize("make", [lambda: gen_random(2048, 64, 3),
-                                  lambda: gen_complete_path(8, 64)],
-                         ids=["random", "complete_path"])
-def test_subtree_spans_peak_stays_lean(make):
-    """Spans peak at 6 int32 a node: the ranking, then each bound written
-    straight into its ``array("i")`` result, with no numpy copy beside it."""
-    tree = make()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        tree.subtree_spans()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6 * 4 * tree.size
+def test_adaptive_oracle_keeps_no_node_sized_spans():
+    """Built on a ranked arena, the adaptive oracle holds per node the
+    rank cache it refreshed (4 B) and its candidate mask (1 B), and one
+    span per fork, not two per node."""
+    tree = gen_complete_path(8, 512)
+    tree.inorder_ranks()
+    assert _held_bytes_per_node(tree, lambda: AdaptiveOracle(tree, 64)) <= 6
 
 
 @pytest.mark.parametrize("make", [lambda: gen_random(2048, 64, 3),
