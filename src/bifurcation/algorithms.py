@@ -116,9 +116,7 @@ class ExploredTree:
         default) as id runs ``(a, b)``, u's run first: each run is the chain
         a..b (``Walker.run_start``), and each a is a child of the next
         run's b. Raises TreeError for a u the tree does not hold."""
-        check_node_id(u, len(self.parent))
-        if u != self.root and self.parent[u] < 0:
-            raise TreeError("node %d is not explored" % u)
+        self._check_held(u)
         run_start = self.walker.run_start
         parent = self.parent
         runs = []
@@ -130,6 +128,12 @@ class ExploredTree:
                 return runs
             v = parent[a]
         raise TreeError("node %d is not below node %d" % (u, top))
+
+    def _check_held(self, v: int):
+        """Refuse an id the tree does not hold, or one past the instance."""
+        check_node_id(v, len(self.parent))
+        if v != self.root and self.parent[v] < 0:
+            raise TreeError("node %d is not explored" % v)
 
     def _index(self):
         """The values and the slot index, with the log written in."""
@@ -161,9 +165,7 @@ class ExploredTree:
     def inorder_below(self, top: int):
         """Non-stub ids of top's explored subtree, in inorder (np.intc).
         Raises TreeError for an id the tree does not hold."""
-        check_node_id(top, len(self.parent))
-        if top != self.root and self.parent[top] < 0:
-            raise TreeError("node %d is not explored" % top)
+        self._check_held(top)
         return self._inorder(top)
 
     def inorder_nodes_and_leaves(self):
@@ -304,9 +306,8 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
     """
     walker = explored.walker
     anchor = walker.current
+    explored._check_held(anchor)
     parents = explored.parent
-    if anchor != explored.root and parents[anchor] < 0:
-        raise TreeError("node %d is not explored" % anchor)
     stub = explored.stub
     if stub[anchor]:
         raise TreeError("node %d is a stub" % anchor)

@@ -44,21 +44,25 @@ class FamilySpec:
 MAX_NODES = 8_000_000
 
 
-def _check_size(total: int) -> None:
-    """Refuse an instance past MAX_NODES nodes before allocating it."""
+def _check_size(total: int) -> int:
+    """Refuse an instance past MAX_NODES nodes before allocating it;
+    return its node count."""
     if total > MAX_NODES:
         raise InfeasibleInstanceError(
             "instance would have %d nodes, past the cap of %d"
             % (total, MAX_NODES))
+    return total
 
 
-def check_cell(family: str, n: int, t: int) -> None:
+def check_cell(family: str, n: int, t: int):
     """Raise InfeasibleInstanceError, without building anything, for a
     known family's cell (n, t) that no instance fits: complete_path needs
     t = h * h for a height 1 <= h <= 20 and n >= h, the others n >= 1 and
     t >= 0, and comb room on its spine for the forks; no instance may pass
-    MAX_NODES nodes, counting at least 1 + n + t for random. The generators
-    and build_instance call it first, and sweep for every cell."""
+    MAX_NODES nodes, counting at least 1 + n + t for random. Returns the
+    node count of a comb or complete_path instance, and None for random,
+    whose count depends on the seed. The generators and build_instance
+    call it first, and sweep for every cell."""
     if family == "complete_path":
         h = math.isqrt(max(t, 0))
         if h < 1 or h * h != t:
@@ -71,8 +75,7 @@ def check_cell(family: str, n: int, t: int) -> None:
                 % (h, t, h, n))
         if h > 20:
             raise InfeasibleInstanceError("2**%d leaves is past desk scale" % h)
-        _check_size(1 + 2 * (n // h) * (2 ** h - 1))
-        return
+        return _check_size(1 + 2 * (n // h) * (2 ** h - 1))
     if n < 1:
         raise InfeasibleInstanceError("need n >= 1")
     if t < 0:
@@ -84,9 +87,8 @@ def check_cell(family: str, n: int, t: int) -> None:
                 "no room for %d forks on a spine of length %d" % (t, n))
         # the root, the spine, and below the fork at depth j * spacing a
         # branch of n - j * spacing nodes for j = 1..t
-        _check_size(1 + n + t * n - spacing * t * (t + 1) // 2)
-    else:
-        _check_size(1 + n + t)  # the root, the spine, and a node per fork
+        return _check_size(1 + n + t * n - spacing * t * (t + 1) // 2)
+    _check_size(1 + n + t)  # the root, the spine, and a node per fork
 
 
 _DRAW_CHUNK = 1 << 16
@@ -319,15 +321,17 @@ def place_target(tree: TreeInstance, strategy: str, seed: int = 0) -> int:
     raise ValueError("unknown target strategy %r" % (strategy,))
 
 
-def check_names(family: str, target_strategy: str) -> None:
+def check_names(family: str, target_strategy: str):
     """Raise ValueError for an unknown family or target strategy, without
-    building anything; build_instance calls it first."""
+    building anything; build_instance calls it first. Returns K of a
+    ``fixed:K`` strategy, None for any other."""
     if family not in FAMILIES:
         raise ValueError("unknown family %r" % (family,))
-    if (_fixed_rank(target_strategy) is None
-            and target_strategy not in ("random_node", "random_leaf",
-                                        "adversarial_deep")):
+    k = _fixed_rank(target_strategy)
+    if k is None and target_strategy not in ("random_node", "random_leaf",
+                                             "adversarial_deep"):
         raise ValueError("unknown target strategy %r" % (target_strategy,))
+    return k
 
 
 def build_instance(spec: FamilySpec) -> TreeInstance:

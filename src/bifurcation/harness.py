@@ -13,7 +13,7 @@ import numpy as np
 from .algorithms import ALGORITHMS, SearchParams, check_psi
 from .generators import (FamilySpec, build_instance, check_cell, check_names,
                          mix_seed)
-from .model import InstrumentedOracle, TreeError
+from .model import InfeasibleInstanceError, InstrumentedOracle, TreeError
 
 
 class InsufficientGridError(TreeError):
@@ -105,8 +105,10 @@ def _parse_records(lines, path):
 
 
 def check_folder(path):
-    """Raise OSError now, before any work, when path is a new file whose
-    folder is missing or not writable; create nothing."""
+    """Raise OSError now, before any work, when path is a folder, or a new
+    file whose folder is missing or not writable; create nothing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "is a folder", path)
     if os.path.exists(path):
         return
     folder = os.path.dirname(os.path.abspath(path))
@@ -164,12 +166,14 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
     again, while a malformed row anywhere else raises. An unknown
     algorithm, family or target strategy, a psi below 1 or fewer than one
     trial, an empty axis, or a (family, n, t) cell that no instance fits
-    (``check_cell``), raises before the file is read, and an
-    output folder that is missing or not writable before any instance is
-    built. The file changes only when a row is written: the torn row is
-    cut and a new file gets its header along with the first row, so a
-    sweep that fails before it leaves the file byte for byte as it was.
-    Returns rows written.
+    (``check_cell``), or a ``fixed:K`` target past a comb or
+    complete_path cell's node count, raises before the file is read (a
+    random cell's count is known only once it is built), and an output
+    path that is a folder, or whose folder is missing or not writable,
+    before any instance is built. The file changes only when a row is
+    written: the torn row is cut and a new file gets its header along with
+    the first row, so a sweep that fails before it leaves the file byte for
+    byte as it was. Returns rows written.
     """
     axes = dict(family=families, n=ns, t=ts, algorithm=algos, psi=psis)
     for name, axis in axes.items():
@@ -179,9 +183,11 @@ def sweep(out_path, families, ns, ts, algos, trials: int = 5, psis=(None,),
         if algo not in ALGORITHMS:
             raise TreeError("unknown algorithm %r" % (algo,))
     for family in families:
-        check_names(family, target_strategy)
+        k = check_names(family, target_strategy)
     for family, n, t in itertools.product(families, ns, ts):
-        check_cell(family, n, t)
+        count = check_cell(family, n, t)
+        if k is not None and count is not None and k >= count:
+            raise InfeasibleInstanceError("fixed target %d out of range" % k)
     for psi in psis:
         check_psi(psi)
     if trials < 1:

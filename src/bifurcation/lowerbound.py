@@ -384,7 +384,7 @@ def adaptive_fork_adversary(n: int, t: int,
     tree = gen_complete_path(h, step_len)
     oracle = AdaptiveOracle(tree, t)
     result = ALGORITHMS[player](tree, oracle)
-    if oracle.committed is None or result.found != oracle.committed:
+    if result.found != oracle.committed:
         raise InconsistentOracleError(
             "player finished without isolating the committed target")
     tree.target = oracle.committed

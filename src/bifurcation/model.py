@@ -185,11 +185,10 @@ class TreeInstance:
         return starts, lengths, hosts, up_seg, down_l, down_r, hung_r
 
     def subtree_sizes(self):
-        """Subtree size of every node, by id, as a numpy int32 array with
-        one more entry, a 0 at index -1, so that indexing it with a child
-        array reads 0 for no child. Ranks the tree again, by numpy passes
-        over the id segments (``_segments``, which checks the id order
-        first), and refreshes the rank cache.
+        """Subtree size of every node, by id, as a numpy int32 array. Ranks
+        the tree again, by numpy passes over the id segments
+        (``_segments``, which checks the id order first), and refreshes the
+        rank cache.
 
         Node-sized work is slice compares (``left[:-1]`` and ``right[:-1]``
         against the next ids give the chain edges' sides) and arithmetic
@@ -223,9 +222,7 @@ class TreeInstance:
         below = np.array(total[1:], np.intc)  # the subtree size at each head
 
         # subtree sizes
-        size_of = np.ones(size + 1, np.intc)  # size_of[-1] == 0 for no child
-        size_of[-1] = 0
-        sub = size_of[:-1]
+        sub = np.ones(size, np.intc)
         np.add.at(sub, hosts, below)
         np.cumsum(sub[::-1], out=sub[::-1])
         ends = np.append(sub[heads], np.intc(0))
@@ -252,7 +249,7 @@ class TreeInstance:
         base -= at_start
         rank += np.repeat(base, lengths)
         self._ranks = ranks
-        return size_of
+        return sub
 
 
 class Walker:
@@ -381,10 +378,9 @@ class Walker:
         self.current = end
         self.depth += end - cur
         self.steps += end - cur
-        revealed = self.revealed
-        new = revealed.find(0, cur + 1, end + 1)
-        if new >= 0:
-            revealed[new:end + 1] = b"\x01" * (end + 1 - new)
+        # a revealed node's ancestors are revealed, so end is new iff any is
+        if not self.revealed[end]:
+            self.revealed[cur + 1:end + 1] = b"\x01" * (end - cur)
             if self.on_fork is not None and self.tree.kind(end) == FORK:
                 self.on_fork(end)
         return end, self.tree.left[cur:end], self.tree.right[cur:end]

@@ -371,6 +371,28 @@ def test_sweep_refuses_a_negative_fixed_target_before_any_build(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family, first_n, last_n, t, nodes", [
+    ("comb", 128, 16, 2, 34), ("complete_path", 64, 8, 4, 25)])
+def test_sweep_refuses_a_fixed_target_past_a_later_cell_before_any_row(
+        tmp_path, capsys, monkeypatch, family, first_n, last_n, t, nodes):
+    # K = 100 fits the first cell's instance but not the last one's
+    assert build_instance(FamilySpec(family, last_n, t)).size == nodes
+    builds = []
+    monkeypatch.setattr(harness, "build_instance", builds.append)
+    argv = ["sweep", "--family", family, "--n", "%d,%d" % (first_n, last_n),
+            "--t", str(t), "--algo", "full", "--trials", "1",
+            "--target", "fixed:100"]
+    out = tmp_path / "s.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "fixed target 100 out of range" in capsys.readouterr().err
+    assert not out.exists()
+    out.write_text("%s\n%s\n" % (CSV_HEADER, _ROW))
+    before = out.read_bytes()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert out.read_bytes() == before
+    assert builds == []
+
+
 @pytest.mark.parametrize("grid, message", [
     (["--family", "random,complete_path", "--n", "16", "--t", "2,4"],
      "complete_path needs t = h * h"),
@@ -600,6 +622,23 @@ def test_cli_game_checks_its_output_before_playing(tmp_path, capsys,
     assert main(["game", "--h", "3", "--out", str(out)]) == 0
     assert len(games) == 1
     assert out.read_text().startswith("step,query,price")
+
+
+@pytest.mark.parametrize("argv", [
+    ["game", "--h", "3"],
+    ["search", "--n", "16", "--t", "2"],
+    ["sweep", "--n", "16", "--t", "2", "--trials", "1"],
+], ids=["game", "search", "sweep"])
+def test_cli_refuses_an_output_folder_before_any_work(tmp_path, capsys,
+                                                      monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("work started: %r" % (args,))
+
+    monkeypatch.setattr(cli, "play_game", refuse)
+    monkeypatch.setattr(harness, "build_instance", refuse)
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_rejects_abbreviated_options(capsys):

@@ -25,8 +25,7 @@ def _assert_matches_walk(tree):
         assert got.tobytes() == want.tobytes()
     lo, hi = reference_subtree_spans(tree)
     sizes = tree.subtree_sizes()
-    assert sizes[-1] == 0
-    assert sizes[:-1].tolist() == [h - l + 1 for l, h in zip(lo, hi)]
+    assert sizes.tolist() == [h - l + 1 for l, h in zip(lo, hi)]
     depth = tree.depths()
     assert depth.dtype == np.intc
     assert depth.tolist() == reference_depths(tree)
@@ -119,7 +118,7 @@ def test_ranks_match_walk_when_the_prefix_sums_wrap():
         want[tree.parent[v]] += want[v]
     assert sum(want) > 2 ** 32
     sizes = tree.subtree_sizes()
-    assert sizes.tolist() == want + [0]
+    assert sizes.tolist() == want
     assert tree.inorder_ranks().tobytes() == reference_inorder(
         tree)[0].tobytes()
 

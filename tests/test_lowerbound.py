@@ -279,7 +279,7 @@ def test_subtree_spans_match_reference():
     assert any(_unary_sides(t) == {"left", "right"} for t in trees[3:])
     for tree in trees:
         lo, hi = reference_subtree_spans(tree)
-        assert tree.subtree_sizes()[:-1].tolist() == [
+        assert tree.subtree_sizes().tolist() == [
             h - l + 1 for l, h in zip(lo, hi)]
 
 
