@@ -1,9 +1,9 @@
 """Search procedures over implicit trees: trimming, halving, staged
 bounded-depth exploration, and two baselines, all instrumented.
 
-Each search builds its own Walker at the root, wired to the oracle's fork
-hook; all movement goes through it (one step per edge), and all tree shape
-knowledge lives in an ExploredTree mirroring the ids the walker has entered.
+Each search builds one ExploredTree, which builds its Walker at the root,
+wired to the oracle's fork hook; all movement goes through that walker (one
+step per edge), and the explored tree holds what it has entered.
 """
 
 from __future__ import annotations
@@ -48,14 +48,15 @@ class ExploredTree:
     stubs and has one trailing 0 byte, so ``stub[-1]`` reads no stub for a
     missing child. Membership is ``parent``: an id other than the root is
     explored exactly when its ``parent`` is not ``-1``. ``walker`` is the
-    one walker that explores the tree; ``dfs_extend`` and ``_descend``
-    move it, ``trim`` only reads kinds and run starts through it, and kinds
-    are not copied but read through it (``Walker.kind_of``), as it revealed
-    every explored id. A stub is a node proven not to hold the target in
+    tree's own, built at the root with ``on_fork``; kinds and run starts
+    are read through it (``Walker.kind_of``), and only ``dfs_extend`` and
+    ``_descend`` move it. A stub is a node proven not to hold the target in
     its subtree; stubs stay in place as markers but their explored subtrees
-    are deleted. ``node_count`` and ``leaf_count`` (non-stub nodes with no
-    explored children) exclude stubs and are kept current as the tree
-    changes.
+    are deleted. So the walker has revealed the explored ids and the
+    subtrees under stubs, which ``dfs_extend`` never enters: there an id
+    is new to the walker exactly when it is new to the tree.
+    ``node_count`` and ``leaf_count`` (non-stub nodes with no explored
+    children) exclude stubs and are kept current as the tree changes.
 
     A node's value is its inorder rank (``Walker.values``). An int32 slot
     index by value holds exactly the explored ids, stubs included, each at
@@ -75,8 +76,9 @@ class ExploredTree:
                  "leaf_count", "walker", "_slots", "_log")
     root = TreeInstance.root
 
-    def __init__(self, walker: Walker):
-        size = walker.tree.size
+    def __init__(self, tree: TreeInstance, on_fork=None):
+        self.walker = Walker(tree, on_fork)  # before the links: a lower peak
+        size = tree.size
         none = array("i", [-1])
         self.parent = none * size
         self.left = none * size
@@ -84,7 +86,6 @@ class ExploredTree:
         self.stub = bytearray(size + 1)
         self.node_count = 1
         self.leaf_count = 1
-        self.walker = walker
         self._slots = None
         self._log = array("i", (self.root, self.root))  # runs of new ids
 
@@ -102,8 +103,8 @@ class ExploredTree:
 
     def add_chain(self, first: int, last: int, left, right):
         """Add ids first..last below the leaf first - 1, each the only child
-        of the id before it; all but the last are unary, and ``left`` and
-        ``right`` are the links of first - 1..last - 1."""
+        of the id before it: the chain ``Walker.follow`` newly revealed, with
+        the links of first - 1..last - 1 it returned."""
         np.frombuffer(self.parent, np.intc)[first:last + 1] = np.arange(
             first - 1, last, dtype=np.intc)
         self.left[first - 1:last] = left
@@ -296,13 +297,13 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
     Going down to an only child, the walk asks ``Walker.follow`` for the
     depth left, cut short of the next stub id; a node whose child is not id
     + 1 makes ``follow`` raise before anything moves, and one
-    ``Walker.move`` takes that edge instead. The chain's new nodes are
-    written with slices: an explored chain is ancestor-closed, so they
-    start at the first unexplored id. Going up, ``Walker.climb`` takes the
-    walk to the top of its chain, and one move over the edge above it. So
-    the moves, and every counter, are those of one move per edge. Depths
-    are ``Walker.depth``; kinds are read through ``Walker.kind_of``, once
-    for each node entered, where ``fresh`` marks a newly explored one.
+    ``Walker.move`` takes that edge instead; ``follow`` returns the links
+    above the chain's newly revealed tail, its unexplored ids. Going up,
+    ``Walker.climb`` takes the walk to the top of its chain, and one move
+    over the edge above it. So the moves, and every counter, are those of
+    one move per edge. Depths are ``Walker.depth``; kinds are read through
+    ``Walker.kind_of``, once for each node entered, where ``fresh`` marks a
+    newly explored one.
     """
     walker = explored.walker
     anchor = walker.current
@@ -355,11 +356,9 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
             except WalkerError:  # node ends its run: one move takes the edge
                 pass
             else:
-                fresh = parents[end] < 0
+                fresh = len(ls) > 0
                 if fresh:
-                    new = parents.index(-1, node + 1, end + 1)
-                    explored.add_chain(new, end, ls[new - 1 - node:],
-                                       rs[new - 1 - node:])
+                    explored.add_chain(end + 1 - len(ls), end, ls, rs)
                 node = end
                 continue
         cid, cside = move(direction)
@@ -470,8 +469,8 @@ def bifurcation_search(tree, oracle, psi=None) -> SearchResult:
     budgets are ``SearchParams.for_instance(tree, psi)``.
     """
     params = SearchParams.for_instance(tree, psi)
-    walker = Walker(tree, oracle.on_fork)
-    explored = ExploredTree(walker)
+    explored = ExploredTree(tree, oracle.on_fork)
+    walker = explored.walker
     node_cap = params.node_cap
     leaf_cap = params.leaf_budget
     base_calls = oracle.calls
@@ -513,8 +512,8 @@ def baseline_full(tree, oracle) -> SearchResult:
 
     Steps come to exactly twice the edge count.
     """
-    walker = Walker(tree, oracle.on_fork)
-    explored = ExploredTree(walker)
+    explored = ExploredTree(tree, oracle.on_fork)
+    walker = explored.walker
     base_calls = oracle.calls
     dfs_extend(explored, tree.n)
     target = final_binary_search(explored, oracle)
@@ -529,8 +528,8 @@ def baseline_rounds(tree, oracle) -> SearchResult:
     isolate the inorder gap holding the target, and descends to the frontier
     node guarding that gap for the next round.
     """
-    walker = Walker(tree, oracle.on_fork)
-    explored = ExploredTree(walker)
+    explored = ExploredTree(tree, oracle.on_fork)
+    walker = explored.walker
     base_calls = oracle.calls
     chunk = _ceil_div(tree.n, max(1, _ceil_sqrt(tree.t)))
     rounds = []

@@ -364,8 +364,8 @@ class Walker:
         moves for k < 1 or when the current node is the last of its run.
         Fires ``on_fork`` once, for ``end``, if it newly reveals a fork.
         Returns ``(node id, left, right)``: the node it ends on and the
-        ``left``/``right`` entries of the nodes it left, the side labels k
-        single moves would report.
+        ``left``/``right`` entries of the parents of the nodes it newly
+        reveals, a tail of the chain, both empty when it reveals none.
         """
         cur = self.current
         run = self._run
@@ -378,12 +378,13 @@ class Walker:
         self.current = end
         self.depth += end - cur
         self.steps += end - cur
-        # a revealed node's ancestors are revealed, so end is new iff any is
-        if not self.revealed[end]:
-            self.revealed[cur + 1:end + 1] = b"\x01" * (end - cur)
-            if self.on_fork is not None and self.tree.kind(end) == FORK:
-                self.on_fork(end)
-        return end, self.tree.left[cur:end], self.tree.right[cur:end]
+        new = self.revealed.find(0, cur + 1, end + 1)
+        if new < 0:
+            return end, self.tree.left[:0], self.tree.right[:0]
+        self.revealed[new:end + 1] = b"\x01" * (end + 1 - new)
+        if self.on_fork is not None and self.tree.kind(end) == FORK:
+            self.on_fork(end)
+        return end, self.tree.left[new - 1:end], self.tree.right[new - 1:end]
 
     def run_start(self, v: int, lo: int) -> int:
         """First node of the run that ends at v, cut off at lo <= v: the

@@ -15,7 +15,7 @@ from bifurcation.generators import (FamilySpec, build_instance, gen_random,
 from bifurcation.harness import ExperimentRecord, fit_scaling
 from bifurcation.lowerbound import (adaptive_fork_adversary, minimax_price,
                                     play_game)
-from bifurcation.model import FOUND, InstrumentedOracle, Walker
+from bifurcation.model import FOUND, InstrumentedOracle
 
 from helpers import brute_minimax, child_side, target_inside_stub
 
@@ -197,8 +197,8 @@ def test_criterion_05_halving_size_bound():
             continue
         tree.target = place_target(tree, "random_node", seed=seed)
         ids = preorder_prefix(tree, 4 * n)
-        walker = Walker(tree)
-        explored = ExploredTree(walker)
+        explored = ExploredTree(tree)
+        walker = explored.walker
         for v in ids[1:]:  # revealed, so trim can ask the walker for kinds
             walker.revealed[v] = 1
             explored.add_child(tree.parent[v], child_side(tree, v), v)

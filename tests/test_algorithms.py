@@ -14,8 +14,8 @@ from bifurcation.generators import (FamilySpec, build_instance, gen_comb,
                                     gen_complete_path, gen_random,
                                     place_target)
 from bifurcation.lowerbound import AdaptiveOracle, adaptive_fork_adversary
-from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
-                               FORK, FOUND, TARGET_LARGER, TARGET_SMALLER,
+from bifurcation.model import (DIR_ONLY, DIR_PARENT, FORK, FOUND,
+                               TARGET_LARGER, TARGET_SMALLER,
                                InconsistentOracleError, InstrumentedOracle,
                                NodeIdError, TreeError, Walker)
 
@@ -25,19 +25,18 @@ from helpers import (child_side, explored_ids, forks_within_depth, grid_trees,
                      target_inside_stub)
 
 
-def explore_fully(tree, walker=None):
-    walker = walker or Walker(tree)
-    explored = ExploredTree(walker)
+def explore_fully(tree, on_fork=None):
+    explored = ExploredTree(tree, on_fork)
     dfs_extend(explored, tree.n)
-    return explored, walker
+    return explored, explored.walker
 
 
 def explored_from_prefix(tree, count):
     """Explored tree over the first `count` preorder ids, bypassing a walker's
     moves; the ids are marked revealed, so the walker reports their kinds."""
     ids = preorder_prefix(tree, count)
-    walker = Walker(tree)
-    explored = ExploredTree(walker)
+    explored = ExploredTree(tree)
+    walker = explored.walker
     for v in ids[1:]:
         walker.revealed[v] = 1
         explored.add_child(tree.parent[v], child_side(tree, v), v)
@@ -59,7 +58,7 @@ def test_maintained_counts_match_rescan():
         tree = gen_random(4 + rng.randrange(60), rng.randrange(12), seed=i)
         tree.target = place_target(tree, "random_node", seed=i)
         # children added in any order, right before left included
-        grown = ExploredTree(Walker(tree))
+        grown = ExploredTree(tree)
         _assert_counts_match_rescan(grown)
         for _ in range(40):
             kids = [c for v in explored_ids(grown)
@@ -71,8 +70,8 @@ def test_maintained_counts_match_rescan():
             grown.add_child(tree.parent[c], child_side(tree, c), c)
             _assert_counts_match_rescan(grown)
         # staged exploration, trims and direct stubs
-        walker = Walker(tree)
-        explored = ExploredTree(walker)
+        explored = ExploredTree(tree)
+        walker = explored.walker
         oracle = InstrumentedOracle(tree)
         step = 1 + rng.randrange(tree.n)
         for limit in range(step, tree.n + step, step):
@@ -130,7 +129,7 @@ def test_trim_removes_stub_children_from_view():
 
 def test_inorder_below_refuses_ids_the_tree_does_not_hold():
     tree = gen_complete_path(3, 2)
-    explored = ExploredTree(Walker(tree))
+    explored = ExploredTree(tree)
     dfs_extend(explored, 4)
     stubs = trim(explored, tree.left[tree.root], TARGET_LARGER)
     assert stubs
@@ -177,7 +176,7 @@ def test_trim_never_stubs_the_target_region():
 
 def test_median_single_node():
     tree = make_path("")
-    explored = ExploredTree(Walker(tree))
+    explored = ExploredTree(tree)
     assert median_node(explored) == tree.root
 
 
@@ -216,7 +215,7 @@ def test_median_tie_breaks_inorder_smaller():
 
 def test_median_refuses_a_tree_of_stubs_alone():
     # a one-node tree whose root a larger answer stubs has no candidate
-    explored = ExploredTree(Walker(make_path("")))
+    explored = ExploredTree(make_path(""))
     assert trim(explored, 0, TARGET_LARGER) == [0]
     with pytest.raises(TreeError, match="empty explored tree"):
         median_node(explored)
@@ -292,8 +291,8 @@ def test_halve_leaf_mode_halves_leaves():
 
 def test_dfs_extend_full_depth_covers_instance():
     tree = gen_random(20, 5, seed=3)
-    walker = Walker(tree)
-    explored = ExploredTree(walker)
+    explored = ExploredTree(tree)
+    walker = explored.walker
     dfs_extend(explored, tree.n)
     assert explored.node_count == tree.size
     assert walker.steps == 2 * (tree.size - 1)
@@ -302,8 +301,8 @@ def test_dfs_extend_full_depth_covers_instance():
 
 def test_dfs_extend_never_enters_stubs():
     tree = gen_complete_path(2, 3)
-    walker = Walker(tree)
-    explored = ExploredTree(walker)
+    explored = ExploredTree(tree)
+    walker = explored.walker
     dfs_extend(explored, 3)  # just past the first fork
     root_fork = tree.root
     left = explored.left[root_fork]
@@ -326,8 +325,8 @@ def _under(tree, v, top):
 
 def test_dfs_extend_stage_counts_match_instance():
     tree = gen_complete_path(3, 4)
-    walker = Walker(tree)
-    explored = ExploredTree(walker)
+    explored = ExploredTree(tree)
+    walker = explored.walker
     prev_nodes = 1
     prev_forks = 1  # the root fork is revealed on arrival
     for i in (1, 2, 3):
@@ -381,19 +380,10 @@ def test_dfs_extend_walks_twice_the_reachable_region():
     rng = random.Random(8)
     trees = list(grid_trees(seed=3)) + [gen_complete_path(3, 2)]
     seen = set()
-    for i, tree in enumerate(trees * 4):
+    for tree in trees * 4:
         depth = tree.depths()
-        walker = Walker(tree)
-        if i % 2:
-            # reveal a few nodes the explored tree will not know about
-            for _ in range(rng.randrange(1, tree.n + 1)):
-                if is_leaf(tree, walker.current):
-                    break
-                walker.move(DIR_ONLY if tree.kind(walker.current) != FORK
-                            else rng.choice((DIR_LEFT, DIR_RIGHT)))
-            while walker.current != tree.root:
-                walker.move(DIR_PARENT)
-        explored = ExploredTree(walker)
+        explored = ExploredTree(tree)
+        walker = explored.walker
         step = 1 + rng.randrange(max(1, tree.n // 2))
         limits = [step, 2 * step, step // 2, tree.n, tree.n]
         for limit in limits:
@@ -428,7 +418,7 @@ def test_dfs_extend_walks_twice_the_reachable_region():
 def test_final_search_single_candidate():
     tree = make_path("")
     tree.target = 0
-    explored = ExploredTree(Walker(tree))
+    explored = ExploredTree(tree)
     oracle = InstrumentedOracle(tree)
     assert final_binary_search(explored, oracle) == 0
     assert oracle.calls == 1
@@ -524,8 +514,8 @@ def test_bifurcation_round_budgets_hold():
         params = result.params
         node_cap = params.node_cap
         # drive the round machinery in slow motion and check the budgets
-        walker = Walker(tree)
-        explored = ExploredTree(walker)
+        explored = ExploredTree(tree)
+        walker = explored.walker
         oracle2 = InstrumentedOracle(tree)
         found_early = False
         for rs in result.rounds:
@@ -645,8 +635,8 @@ def test_pick_frontier_returns_the_deeper_neighbour():
     for tree in trees:
         depth = tree.depths()
         for depth_limit in (tree.n // 3, tree.n):
-            walker = Walker(tree)
-            explored = ExploredTree(walker)
+            explored = ExploredTree(tree)
+            walker = explored.walker
             dfs_extend(explored, depth_limit)
             for v in explored_ids(explored)[::5]:
                 cand = explored.inorder_below(v)
@@ -681,8 +671,8 @@ def test_dfs_extend_rejects_a_misplaced_walker():
     # the roots of these instances are unary, so the walker steps to node 1
     for tree in (build_instance(FamilySpec("random", 64, 4, 3)),
                  gen_random(64, 4, seed=1)):
-        walker = Walker(tree)
-        explored = ExploredTree(walker)
+        explored = ExploredTree(tree)
+        walker = explored.walker
         walker.move(DIR_ONLY)
         with pytest.raises(TreeError, match="node 1 is not explored"):
             dfs_extend(explored, tree.n)
@@ -711,8 +701,8 @@ def test_walks_to_an_unexplored_id_are_refused():
     not hold before any step; the run flags alone once let ``_descend``
     walk the walker down to it."""
     tree = gen_random(64, 4, seed=1)
-    walker = Walker(tree)
-    explored = ExploredTree(walker)
+    explored = ExploredTree(tree)
+    walker = explored.walker
     assert explored.parent[5] < 0
     with pytest.raises(TreeError, match="node 5 is not explored"):
         explored.path_runs(5)
@@ -885,8 +875,8 @@ def test_kinds_reach_the_searches_through_one_channel(monkeypatch, make):
         if oracle is not None:
             oracle.on_fork(v)
 
-    walker = Walker(tree, hear)
-    explored = ExploredTree(walker)
+    explored = ExploredTree(tree, hear)
+    walker = explored.walker
     dfs_extend(explored, tree.n)
     assert len(log) == len(set(log))
     ids = [v for v in range(tree.size) if walker.revealed[v]]
@@ -936,7 +926,7 @@ def test_path_runs_after_a_freeze():
         forks = [f for f in range(tree.size)
                  if tree.left[f] >= 0 and tree.right[f] >= 0]
         oracle = AdaptiveOracle(tree, budget)
-        explored, walker = explore_fully(tree, Walker(tree, oracle.on_fork))
+        explored, walker = explore_fully(tree, oracle.on_fork)
         assert oracle.froze
         kept = [f for f in forks if explored.parent[f + 1] == f
                 and tree.right[f] < 0 and walker.revealed[f]]

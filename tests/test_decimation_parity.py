@@ -73,8 +73,8 @@ def _ints(ids):
 
 class _Side:
     def __init__(self, tree):
-        self.walker = Walker(tree)
-        self.explored = ExploredTree(self.walker)
+        self.explored = ExploredTree(tree)
+        self.walker = self.explored.walker
         self.oracle = InstrumentedOracle(tree)
 
     def go_to(self, anchor):
@@ -292,14 +292,17 @@ class _PoisonedWalker(Walker):
 
 
 @pytest.mark.parametrize("mode", ["minus_one", "shuffle"])
-def test_values_are_read_only_at_held_ids(mode):
+def test_values_are_read_only_at_held_ids(monkeypatch, mode):
     rng = np.random.default_rng(3)
     checked = 0
     for tree in _instances():
         tree.target = place_target(tree, "random_node", 5)
-        clean = Walker(tree)
-        dirty = _PoisonedWalker(tree)
-        sides = [(clean, ExploredTree(clean)), (dirty, ExploredTree(dirty))]
+        clean = ExploredTree(tree)
+        with monkeypatch.context() as patched:
+            patched.setattr(algorithms, "Walker", _PoisonedWalker)
+            poisoned = ExploredTree(tree)
+        dirty = poisoned.walker
+        sides = [(clean.walker, clean), (dirty, poisoned)]
         oracles = [InstrumentedOracle(tree), InstrumentedOracle(tree)]
         step = max(1, tree.n // 3)
         done = False

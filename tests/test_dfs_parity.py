@@ -31,8 +31,8 @@ from helpers import (explored_ids, explored_kinds, path_to_root,
 class _Side:
     def __init__(self, tree):
         self.log = []
-        self.walker = Walker(tree, self.log.append)
-        self.explored = ExploredTree(self.walker)
+        self.explored = ExploredTree(tree, self.log.append)
+        self.walker = self.explored.walker
 
     def state(self):
         w = self.walker

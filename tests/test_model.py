@@ -269,6 +269,12 @@ def _logged(tree):
     return Walker(tree, log.append), log
 
 
+def _logged_explored(tree):
+    log = []
+    explored = ExploredTree(tree, log.append)
+    return explored, explored.walker, log
+
+
 def _seen(walker, log):
     return (walker.current, walker.steps, bytes(walker.revealed), list(log),
             walker.depth)
@@ -299,6 +305,36 @@ def test_follow_equals_single_moves():
     assert log == [2]
     assert a.climb(2) == 0
     assert a.follow(2)[0] == 2
+    assert log == [2]
+
+
+def test_follow_returns_the_sides_of_what_it_newly_reveals():
+    """``follow`` reports the links of the parents of the nodes it newly
+    reveals: none over a revealed chain, and past a partly revealed one
+    only those above its new tail."""
+    tree = make_path("LRRLLRLR")
+    w, log = _logged(tree)
+    end, lefts, rights = w.follow(3)
+    assert end == 3
+    assert list(lefts) == list(tree.left[0:3])
+    assert list(rights) == list(tree.right[0:3])
+    assert w.climb(3) == 0
+    end, lefts, rights = w.follow(2)
+    assert (end, len(lefts), len(rights)) == (2, 0, 0)
+    end, lefts, rights = w.follow(4)  # 3 was revealed, 4..6 are new
+    assert end == 6
+    assert list(lefts) == list(tree.left[3:6])
+    assert list(rights) == list(tree.right[3:6])
+    assert w.revealed == b"\x01" * 7 + b"\x00" * 2
+    assert w.steps == 3 + 3 + 2 + 4
+    assert log == []
+    # a second pass over a chain that ends on a fork fires no hook
+    w, log = _logged(_tree(**FORKED))
+    assert w.follow(2)[0] == 2
+    assert log == [2]
+    assert w.climb(2) == 0
+    end, lefts, rights = w.follow(2)
+    assert (end, len(lefts), len(rights)) == (2, 0, 0)
     assert log == [2]
 
 
@@ -408,8 +444,7 @@ def test_dfs_extend_matches_reference_where_children_skip_ids():
     for limit in range(7):
         sides = []
         for dfs in (dfs_extend, reference_dfs_extend):
-            w, log = _logged(tree)
-            explored = ExploredTree(w)
+            explored, w, log = _logged_explored(tree)
             forks = dfs(explored, limit)
             again = dfs(explored, limit + 1)
             sides.append((forks, again, _seen(w, log),
@@ -433,7 +468,7 @@ def test_fork_hook_hears_each_revealed_fork_once_in_reveal_order(
     reveals one node, or a chain in id order whose last node alone may be a
     fork."""
     tree = make()
-    w, log = _logged(tree)
+    explored, w, log = _logged_explored(tree)
     seen = bytearray(w.revealed)
     order = [v for v in range(tree.size) if seen[v] and tree.kind(v) == FORK]
 
@@ -451,7 +486,7 @@ def test_fork_hook_hears_each_revealed_fork_once_in_reveal_order(
 
     watched("move")
     watched("follow")
-    dfs_extend(ExploredTree(w), tree.n)
+    dfs_extend(explored, tree.n)
     forks = [v for v in range(tree.size) if tree.kind(v) == FORK]
     assert len(forks) == tree.t
     assert all(w.revealed)
@@ -467,8 +502,7 @@ def test_exploring_ranks_nothing_until_the_first_rescan(monkeypatch):
 
     monkeypatch.setattr(TreeInstance, "subtree_sizes", refuse)
     tree = _tree(**SHUFFLED)
-    w, _ = _logged(tree)
-    explored = ExploredTree(w)
+    explored = ExploredTree(tree)
     dfs_extend(explored, tree.n)
     assert explored.node_count == tree.size
     with pytest.raises(AssertionError, match="ranked"):
@@ -508,8 +542,8 @@ def test_node_sized_state_stays_lean(make):
     assert _held_bytes_per_node(tree, tree.inorder_ranks) <= 5
 
     def explore():
-        w = Walker(tree)
-        explored = ExploredTree(w)
+        explored = ExploredTree(tree)
+        w = explored.walker
         dfs_extend(explored, tree.n)
         assert explored.node_count == tree.size
         return w, explored
@@ -556,8 +590,8 @@ def test_value_index_stays_lean(make):
     tree.inorder_ranks()
 
     def decimate():
-        w = Walker(tree)
-        explored = ExploredTree(w)
+        explored = ExploredTree(tree)
+        w = explored.walker
         dfs_extend(explored, tree.n)
         trim(explored, median_node(explored), TARGET_LARGER)
         assert explored.node_count < tree.size
