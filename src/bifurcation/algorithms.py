@@ -55,8 +55,14 @@ class ExploredTree:
     are deleted. So the walker has revealed the explored ids and the
     subtrees under stubs, which ``dfs_extend`` never enters: there an id
     is new to the walker exactly when it is new to the tree.
-    ``node_count`` and ``leaf_count`` (non-stub nodes with no explored
-    children) exclude stubs and are kept current as the tree changes.
+    ``node_count`` excludes stubs and is kept current as the tree changes.
+
+    The leaves (non-stub nodes with no explored children) are read off the
+    tip list: every id ``add_child`` or ``add_chain`` made a leaf, appended
+    as it is made. A leaf that gains a child, becomes a stub or is deleted
+    stays out for good, since ``dfs_extend`` never enters a stub's subtree;
+    so ``leaves()`` filters the list in one numpy mask and keeps the result,
+    and the list holds the leaves plus the ids added since the last read.
 
     A node's value is its inorder rank (``Walker.values``). An int32 slot
     index by value holds exactly the explored ids, stubs included, each at
@@ -73,7 +79,7 @@ class ExploredTree:
     """
 
     __slots__ = ("parent", "left", "right", "stub", "node_count",
-                 "leaf_count", "walker", "_slots", "_log")
+                 "walker", "_slots", "_log", "_tips")
     root = TreeInstance.root
 
     def __init__(self, tree: TreeInstance, on_fork=None):
@@ -85,14 +91,11 @@ class ExploredTree:
         self.right = none * size
         self.stub = bytearray(size + 1)
         self.node_count = 1
-        self.leaf_count = 1
         self._slots = None
         self._log = array("i", (self.root, self.root))  # runs of new ids
+        self._tips = array("i", (self.root,))
 
     def add_child(self, parent: int, side: str, child: int):
-        # the child is a new leaf; a childless parent stops being one
-        if self.left[parent] >= 0 or self.right[parent] >= 0:
-            self.leaf_count += 1
         self.node_count += 1
         self.parent[child] = parent
         if side == LEFT:
@@ -100,6 +103,7 @@ class ExploredTree:
         else:
             self.right[parent] = child
         self._log.extend((child, child))
+        self._tips.append(child)
 
     def add_chain(self, first: int, last: int, left, right):
         """Add ids first..last below the leaf first - 1, each the only child
@@ -109,8 +113,26 @@ class ExploredTree:
             first - 1, last, dtype=np.intc)
         self.left[first - 1:last] = left
         self.right[first - 1:last] = right
-        self.node_count += last + 1 - first  # last takes the leaf's place
+        self.node_count += last + 1 - first
         self._log.extend((first, last))
+        self._tips.append(last)  # last takes the leaf's place
+
+    @property
+    def leaf_count(self) -> int:
+        return len(self.leaves())
+
+    def leaves(self):
+        """The non-stub explored ids with no explored child (np.intc), in
+        no set order; the tip list is cut down to them."""
+        tips = np.frombuffer(self._tips, np.intc)
+        keep = np.frombuffer(self.parent, np.intc)[tips] >= 0
+        keep |= tips == self.root
+        keep &= (np.frombuffer(self.left, np.intc)[tips]
+                 & np.frombuffer(self.right, np.intc)[tips]) < 0
+        keep &= ~np.frombuffer(self.stub, bool)[tips]
+        tips = tips[keep]
+        self._tips = array("i", tips.tobytes())
+        return tips
 
     def path_runs(self, u: int, top: int = root):
         """The explored path from u up to its ancestor top (the root by
@@ -170,7 +192,10 @@ class ExploredTree:
         return self._inorder(top)
 
     def inorder_nodes_and_leaves(self):
-        """Non-stub ids in inorder, plus the subset with no explored children."""
+        """Non-stub ids in inorder, plus the subset with no explored
+        children, by a rescan. No search calls it: it is the reference the
+        tests hold ``leaves()`` to, and a rescan the benchmark's tracer
+        counts."""
         nodes = self._inorder(self.root)
         left = np.frombuffer(self.left, np.intc)
         right = np.frombuffer(self.right, np.intc)
@@ -193,12 +218,8 @@ class ExploredTree:
         stub = np.frombuffer(self.stub, bool)
         live = gone[~stub[gone]]
         stubs = np.array(stubs, np.intc)
-        # stubs from now, non-stub nodes until now; a leaf has no child, so
-        # both its links are negative
+        # stubs from now, non-stub nodes until now
         self.node_count -= len(live) + len(stubs)
-        self.leaf_count -= (np.count_nonzero((left[live] & right[live]) < 0)
-                            + np.count_nonzero((left[stubs] & right[stubs])
-                                               < 0))
         parent[gone] = left[gone] = right[gone] = -1
         left[stubs] = right[stubs] = -1
         stub[gone] = False
@@ -256,11 +277,16 @@ def median_node(explored: ExploredTree) -> int:
 
 
 def median_leaf(explored: ExploredTree) -> int:
-    """Median over non-stub explored leaves, same tie rule as median_node."""
-    leaves = explored.inorder_nodes_and_leaves()[1]
+    """Median over non-stub explored leaves, same tie rule as median_node.
+
+    The leaves come off the tip list, at most t + 1 of them, and are put
+    in inorder by their values (``Walker.values``): no rescan.
+    """
+    leaves = explored.leaves()
     if not len(leaves):
         raise TreeError("no non-stub leaves to bisect")
-    return int(leaves[(len(leaves) - 1) // 2])
+    values = np.frombuffer(explored.walker.values(), np.intc)
+    return int(leaves[np.argsort(values[leaves])[(len(leaves) - 1) // 2]])
 
 
 def halve(explored: ExploredTree, oracle, median=median_node):

@@ -725,18 +725,32 @@ def reference_nodes_and_leaves(explored):
     return nodes, [v for v in nodes if left[v] < 0 and right[v] < 0]
 
 
+def assert_counts_match_rescan(explored):
+    """The explored tree's node count and ``leaves()`` equal a rescan's,
+    and it has at most one leaf more than its explored non-stub forks."""
+    nodes, leaves = explored.inorder_nodes_and_leaves()
+    tips = explored.leaves()
+    assert explored.node_count == len(nodes)
+    assert sorted(tips.tolist()) == sorted(leaves.tolist())
+    kind = explored.walker.tree.kind
+    forks = sum(kind(v) == FORK for v in explored_ids(explored)
+                if not explored.stub[v])
+    assert len(tips) <= forks + 1
+
+
 def reference_mark_stub(explored, v):
     """The per-node deletion ``ExploredTree.mark_stub`` made before trims
     were one masked pass. Stub v and delete its explored subtree; a stub
     stays as it is. Tests stub nodes directly through it. The tree's slot
     index holds exactly its explored ids, so it is written in first and
-    the deleted ids' slots are cleared."""
+    the deleted ids' slots are cleared. Only ``node_count`` is kept by
+    hand: the leaves are read off the links (``ExploredTree.leaves``)."""
     values, slots = explored._index()
     parent = explored.parent
     left = explored.left
     right = explored.right
     stub = explored.stub
-    nodes = leaves = 0  # non-stub nodes and leaves taken out of view
+    nodes = 0  # non-stub nodes taken out of view
     stack = [v]
     while stack:
         w = stack.pop()
@@ -750,15 +764,12 @@ def reference_mark_stub(explored, v):
             right[w] = -1
         if not stub[w]:
             nodes += 1
-            if l < 0 and r < 0:
-                leaves += 1
         if w != v:
             parent[w] = -1
             stub[w] = 0
             slots[values[w]] = -1
     stub[v] = 1
     explored.node_count -= nodes
-    explored.leaf_count -= leaves
 
 
 def reference_trim(explored, u, answer):

@@ -19,10 +19,10 @@ from bifurcation.model import (DIR_ONLY, DIR_PARENT, FORK, FOUND,
                                InconsistentOracleError, InstrumentedOracle,
                                NodeIdError, TreeError, Walker)
 
-from helpers import (child_side, explored_ids, forks_within_depth, grid_trees,
-                     is_leaf, make_path, nodes_within_depth, path_to_root,
-                     preorder_prefix, reference_mark_stub, slow_inorder,
-                     target_inside_stub)
+from helpers import (assert_counts_match_rescan, child_side, explored_ids,
+                     forks_within_depth, grid_trees, is_leaf, make_path,
+                     nodes_within_depth, path_to_root, preorder_prefix,
+                     reference_mark_stub, slow_inorder, target_inside_stub)
 
 
 def explore_fully(tree, on_fork=None):
@@ -46,12 +46,6 @@ def explored_from_prefix(tree, count):
 # ------------------------------------------------------- maintained counts
 
 
-def _assert_counts_match_rescan(explored):
-    nodes, leaves = explored.inorder_nodes_and_leaves()
-    assert explored.node_count == len(nodes)
-    assert explored.leaf_count == len(leaves)
-
-
 def test_maintained_counts_match_rescan():
     rng = random.Random(21)
     for i in range(150):
@@ -59,7 +53,7 @@ def test_maintained_counts_match_rescan():
         tree.target = place_target(tree, "random_node", seed=i)
         # children added in any order, right before left included
         grown = ExploredTree(tree)
-        _assert_counts_match_rescan(grown)
+        assert_counts_match_rescan(grown)
         for _ in range(40):
             kids = [c for v in explored_ids(grown)
                     for c in (tree.left[v], tree.right[v])
@@ -68,7 +62,7 @@ def test_maintained_counts_match_rescan():
                 break
             c = rng.choice(kids)
             grown.add_child(tree.parent[c], child_side(tree, c), c)
-            _assert_counts_match_rescan(grown)
+            assert_counts_match_rescan(grown)
         # staged exploration, trims and direct stubs
         explored = ExploredTree(tree)
         walker = explored.walker
@@ -76,22 +70,22 @@ def test_maintained_counts_match_rescan():
         step = 1 + rng.randrange(tree.n)
         for limit in range(step, tree.n + step, step):
             dfs_extend(explored, limit)
-            _assert_counts_match_rescan(explored)
+            assert_counts_match_rescan(explored)
             u = rng.choice(explored.inorder_below(explored.root))
             answer = oracle.query(u)
             if answer != FOUND:
                 trim(explored, u, answer)
-                _assert_counts_match_rescan(explored)
+                assert_counts_match_rescan(explored)
             # a direct stub, possibly over stubs, then the same stub again
             v = rng.choice(explored_ids(explored))
             if v == explored.root:
                 continue
             reference_mark_stub(explored, v)
-            _assert_counts_match_rescan(explored)
+            assert_counts_match_rescan(explored)
             counts = (explored.node_count, explored.leaf_count)
             reference_mark_stub(explored, v)
             assert (explored.node_count, explored.leaf_count) == counts
-            _assert_counts_match_rescan(explored)
+            assert_counts_match_rescan(explored)
 
 
 # ---------------------------------------------------------------- trim
@@ -219,6 +213,35 @@ def test_median_refuses_a_tree_of_stubs_alone():
     assert trim(explored, 0, TARGET_LARGER) == [0]
     with pytest.raises(TreeError, match="empty explored tree"):
         median_node(explored)
+
+
+@pytest.mark.parametrize("make", [lambda: gen_random(300, 60, seed=7),
+                                  lambda: gen_comb(200, 40, seed=3)],
+                         ids=["random", "comb"])
+def test_median_leaf_picks_the_rescan_median_without_a_rescan(
+        monkeypatch, make):
+    """``median_leaf`` rescans nothing, yet picks the rescan's median leaf,
+    through staged exploration with trims between the picks."""
+    def refuse(self, top):
+        raise AssertionError("rescanned")
+
+    tree = make()
+    tree.target = place_target(tree, "random_leaf", seed=5)
+    explored = ExploredTree(tree)
+    oracle = InstrumentedOracle(tree)
+    stubs = 0
+    for limit in range(tree.n // 4, tree.n + 1, tree.n // 4):
+        dfs_extend(explored, limit)
+        for _ in range(3):
+            leaves = explored.inorder_nodes_and_leaves()[1]
+            with monkeypatch.context() as patch:
+                patch.setattr(ExploredTree, "_inorder", refuse)
+                u = median_leaf(explored)
+            assert u == leaves[(len(leaves) - 1) // 2]
+            answer = oracle.query(u)
+            if answer != FOUND:
+                stubs += len(trim(explored, u, answer))
+    assert stubs > 5  # the picks saw trimmed trees
 
 
 # ---------------------------------------------------------------- halve
@@ -401,7 +424,7 @@ def test_dfs_extend_walks_twice_the_reachable_region():
             assert new_forks == sum(1 for v in reach if v not in before
                                     and tree.kind(v) == FORK)
             assert walker.current == anchor
-            _assert_counts_match_rescan(explored)
+            assert_counts_match_rescan(explored)
             while walker.current != tree.root:
                 walker.move(DIR_PARENT)
             for _ in range(rng.randrange(3)):

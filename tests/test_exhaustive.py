@@ -15,8 +15,11 @@ ceil(log2(candidates)) + 1 calls; and ``full`` walks every edge twice.
 No search on trees this small explores again after a trim, so a second
 sweep does: on every shape, every node is trimmed with either answer,
 and the tree is explored again to every depth limit under the same
-checks. A run that breaks any check is counted, so a seeded fault
-reports how many runs it breaks.
+checks. A third sweep plays every search on every shape against the
+adaptive oracle at fork budgets t, t - 1 and t - 2, under the same
+checks, so they also hold through a freeze that cuts the instance while
+``dfs_extend`` walks it. A run that breaks any check is counted, so a
+seeded fault reports how many runs it breaks.
 """
 
 import math
@@ -27,10 +30,12 @@ import pytest
 from bifurcation import algorithms
 from bifurcation.algorithms import ALGORITHMS, ExploredTree
 from bifurcation.generators import validate_instance
+from bifurcation.lowerbound import AdaptiveOracle
 from bifurcation.model import (FORK, TARGET_LARGER, TARGET_SMALLER,
                                InstrumentedOracle, TreeInstance)
 
-from helpers import explored_ids, target_inside_stub
+from helpers import (assert_counts_match_rescan, explored_ids,
+                     target_inside_stub)
 
 SIZES = range(1, 8)
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429)
@@ -70,9 +75,7 @@ def _instance(shape):
 
 
 def _check_explored(explored):
-    nodes, leaves = explored.inorder_nodes_and_leaves()
-    assert (explored.node_count, explored.leaf_count) == (len(nodes),
-                                                          len(leaves))
+    assert_counts_match_rescan(explored)
     assert not target_inside_stub(explored.walker.tree, explored)
 
 
@@ -98,10 +101,12 @@ def _checked_dfs(fn):
         walker = explored.walker
         anchor, steps = walker.current, walker.steps
         before = set(explored_ids(explored))
-        reach = _reach(explored, limit)
         new_forks = fn(explored, limit)
-        assert walker.steps - steps == 2 * len(reach)
         assert walker.current == anchor
+        # read after the walk: a freeze during it cuts only subtrees of
+        # forks the walk has not reached, which it then never enters
+        reach = _reach(explored, limit)
+        assert walker.steps - steps == 2 * len(reach)
         assert set(explored_ids(explored)) == before | set(reach)
         assert new_forks == sum(walker.tree.kind(v) == FORK
                                 for v in reach if v not in before)
@@ -194,3 +199,34 @@ def test_every_shape_explored_again_after_every_trim(checked, m):
                 except Exception as exc:  # counted, and the first shown
                     bad.append((shape, u, answer, exc))
     _assert_none_failed(bad, runs, CATALAN[m] * m * 2)
+
+
+def _play_adaptive(shape, budget, name):
+    tree = _instance(shape)  # fresh links: a freeze cuts them
+    tree.target = -1  # the oracle commits to one only at the end
+    oracle = AdaptiveOracle(tree, budget)
+    result = ALGORITHMS[name](tree, oracle)
+    assert result.found == oracle.committed
+    tree.target = oracle.committed
+    honest = InstrumentedOracle(tree)
+    assert [(q, honest.query(q)) for q, _ in oracle.transcript] \
+        == oracle.transcript
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_every_shape_against_the_adaptive_oracle(checked, m):
+    runs = 0
+    want = 0
+    bad = []
+    for shape in every_shape(m):
+        t = sum(has_l and has_r for has_l, has_r in shape)
+        budgets = sorted({t, max(t - 1, 0), max(t - 2, 0)})
+        want += len(budgets) * len(ALGORITHMS)
+        for budget in budgets:
+            for name in ALGORITHMS:
+                runs += 1
+                try:
+                    _play_adaptive(shape, budget, name)
+                except Exception as exc:  # counted, and the first shown
+                    bad.append((shape, budget, name, exc))
+    _assert_none_failed(bad, runs, want)
