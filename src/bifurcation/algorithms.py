@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT, FORK, FOUND,
-                    LEAF, LEFT, TARGET_LARGER, TARGET_SMALLER,
+                    LEAF, LEFT, RIGHT, TARGET_LARGER, TARGET_SMALLER,
                     InconsistentOracleError, TreeError, TreeInstance, Walker,
                     WalkerError, check_node_id)
 
@@ -43,11 +43,15 @@ def _run_ids(first, last):
 class ExploredTree:
     """The algorithm's partial copy of the instance the walker explores.
 
-    Arrays indexed by instance id, one slot per id: ``parent``, ``left``
-    and ``right`` are ``array("i")`` of ids, ``-1`` for none; ``stub`` flags
-    stubs and has one trailing 0 byte, so ``stub[-1]`` reads no stub for a
-    missing child. Membership is ``parent``: an id other than the root is
-    explored exactly when its ``parent`` is not ``-1``. ``walker`` is the
+    Arrays indexed by instance id, one slot per id: ``parent`` is an
+    ``array("i")`` of ids, ``-1`` for none; ``stub`` flags stubs and has
+    one trailing 0 byte, so ``stub[-1]`` reads no stub for a missing child.
+    Membership, and so the shape, is ``parent``: an id other than the root
+    is explored exactly when its ``parent`` is not ``-1``, and a held id's
+    explored child on a side is the instance's child there if held
+    (``child``). Instance links are read only at held ids, which are
+    revealed, and ``AdaptiveOracle._freeze`` rewrites only unrevealed
+    forks, so they never change while a search runs. ``walker`` is the
     tree's own, built at the root with ``on_fork``; kinds and run starts
     are read through it (``Walker.kind_of``), and only ``dfs_extend`` and
     ``_descend`` move it. A stub is a node proven not to hold the target in
@@ -73,49 +77,46 @@ class ExploredTree:
     log into the index. Only ``trim`` deletes ids, through ``_cut``, which
     writes the log in first. A rescan compacts the index, or the value
     slice under ``top``, and drops the stubs. A cut takes the value slice
-    on u's cut side, reads and clears the ids there by position, and writes
-    ``-1`` into the links of the deleted ids only. Root paths are walked as
-    id runs (``path_runs``).
+    on u's cut side, reads and clears the ids there by position, and clears
+    the ``parent`` of the deleted ids only. Root paths are walked as id runs
+    (``path_runs``).
     """
 
-    __slots__ = ("parent", "left", "right", "stub", "node_count",
-                 "walker", "_slots", "_log", "_tips")
+    __slots__ = ("parent", "stub", "node_count", "walker", "_slots", "_log",
+                 "_tips")
     root = TreeInstance.root
 
     def __init__(self, tree: TreeInstance, on_fork=None):
-        self.walker = Walker(tree, on_fork)  # before the links: a lower peak
+        self.walker = Walker(tree, on_fork)  # before parent: a lower peak
         size = tree.size
-        none = array("i", [-1])
-        self.parent = none * size
-        self.left = none * size
-        self.right = none * size
+        self.parent = array("i", [-1]) * size
         self.stub = bytearray(size + 1)
         self.node_count = 1
         self._slots = None
         self._log = array("i", (self.root, self.root))  # runs of new ids
         self._tips = array("i", (self.root,))
 
-    def add_child(self, parent: int, side: str, child: int):
+    def add_child(self, parent: int, child: int):
         self.node_count += 1
         self.parent[child] = parent
-        if side == LEFT:
-            self.left[parent] = child
-        else:
-            self.right[parent] = child
         self._log.extend((child, child))
         self._tips.append(child)
 
-    def add_chain(self, first: int, last: int, left, right):
+    def add_chain(self, first: int, last: int):
         """Add ids first..last below the leaf first - 1, each the only child
-        of the id before it: the chain ``Walker.follow`` newly revealed, with
-        the links of first - 1..last - 1 it returned."""
+        of the id before it: the chain ``Walker.follow`` newly revealed."""
         np.frombuffer(self.parent, np.intc)[first:last + 1] = np.arange(
             first - 1, last, dtype=np.intc)
-        self.left[first - 1:last] = left
-        self.right[first - 1:last] = right
         self.node_count += last + 1 - first
         self._log.extend((first, last))
         self._tips.append(last)  # last takes the leaf's place
+
+    def child(self, v: int, side: str) -> int:
+        """The explored child of the held id v on ``side`` (LEFT or RIGHT):
+        the instance's child there if the tree holds it, else -1."""
+        tree = self.walker.tree
+        c = (tree.left if side == LEFT else tree.right)[v]
+        return c if c >= 0 and self.parent[c] >= 0 else -1
 
     @property
     def leaf_count(self) -> int:
@@ -125,11 +126,13 @@ class ExploredTree:
         """The non-stub explored ids with no explored child (np.intc), in
         no set order; the tip list is cut down to them."""
         tips = np.frombuffer(self._tips, np.intc)
-        keep = np.frombuffer(self.parent, np.intc)[tips] >= 0
+        parent = np.frombuffer(self.parent, np.intc)
+        keep = parent[tips] >= 0
         keep |= tips == self.root
-        keep &= (np.frombuffer(self.left, np.intc)[tips]
-                 & np.frombuffer(self.right, np.intc)[tips]) < 0
         keep &= ~np.frombuffer(self.stub, bool)[tips]
+        for links in self.walker.tree.left, self.walker.tree.right:
+            kids = np.frombuffer(links, np.intc)[tips]  # ``child``'s rule
+            keep &= (kids < 0) | (parent[kids] < 0)
         tips = tips[keep]
         self._tips = array("i", tips.tobytes())
         return tips
@@ -177,10 +180,10 @@ class ExploredTree:
         values, slots = self._index()
         if top != self.root:  # slice between the values of top's lowest
             lo = hi = top     # and highest explored descendants
-            while self.left[lo] >= 0:
-                lo = self.left[lo]
-            while self.right[hi] >= 0:
-                hi = self.right[hi]
+            while (c := self.child(lo, LEFT)) >= 0:
+                lo = c
+            while (c := self.child(hi, RIGHT)) >= 0:
+                hi = c
             slots = slots[values[lo]:values[hi] + 1]
         ids = slots[slots >= 0]
         return ids[~np.frombuffer(self.stub, bool)[ids]]
@@ -197,9 +200,7 @@ class ExploredTree:
         tests hold ``leaves()`` to, and a rescan the benchmark's tracer
         counts."""
         nodes = self._inorder(self.root)
-        left = np.frombuffer(self.left, np.intc)
-        right = np.frombuffer(self.right, np.intc)
-        return nodes, nodes[(left[nodes] & right[nodes]) < 0]
+        return nodes, nodes[~np.isin(nodes, self.parent)]  # no one's parent
 
     def _cut(self, u: int, larger: bool, keep, stubs):
         """Stub ``stubs`` and delete their explored subtrees: every explored
@@ -212,16 +213,13 @@ class ExploredTree:
         gone = side[side >= 0]
         side.fill(-1)
         slots[kept] = keep
-        parent = np.frombuffer(self.parent, np.intc)
-        left = np.frombuffer(self.left, np.intc)
-        right = np.frombuffer(self.right, np.intc)
         stub = np.frombuffer(self.stub, bool)
         live = gone[~stub[gone]]
         stubs = np.array(stubs, np.intc)
         # stubs from now, non-stub nodes until now
         self.node_count -= len(live) + len(stubs)
-        parent[gone] = left[gone] = right[gone] = -1
-        left[stubs] = right[stubs] = -1
+        # a stub's children are gone too, so it has none left
+        np.frombuffer(self.parent, np.intc)[gone] = -1
         stub[gone] = False
         stub[stubs] = True
 
@@ -244,10 +242,10 @@ def trim(explored: ExploredTree, u: int, answer: str):
     """
     if answer not in (TARGET_LARGER, TARGET_SMALLER):
         raise TreeError("trim needs a direction, got %r" % (answer,))
-    take = explored.left if answer == TARGET_LARGER else explored.right
+    side = LEFT if answer == TARGET_LARGER else RIGHT
     stub = explored.stub
     runs = explored.path_runs(u)
-    kids = [take[b] for _, b in runs]
+    kids = [explored.child(b, side) for _, b in runs]
     # the path's child of a run's last node: u has none, any other has the
     # first node of the run below it
     below = [-1] + [a for a, _ in runs[:-1]]
@@ -323,10 +321,10 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
     Going down to an only child, the walk asks ``Walker.follow`` for the
     depth left, cut short of the next stub id; a node whose child is not id
     + 1 makes ``follow`` raise before anything moves, and one
-    ``Walker.move`` takes that edge instead; ``follow`` returns the links
-    above the chain's newly revealed tail, its unexplored ids. Going up,
-    ``Walker.climb`` takes the walk to the top of its chain, and one move
-    over the edge above it. So the moves, and every counter, are those of
+    ``Walker.move`` takes that edge instead; ``follow`` counts the chain's
+    newly revealed tail, its unexplored ids. Going up, ``Walker.climb``
+    takes the walk to the top of its chain, and one move over the edge
+    above it. So the moves, and every counter, are those of
     one move per edge. Depths are ``Walker.depth``; kinds are read through
     ``Walker.kind_of``, once for each node entered, where ``fresh`` marks a
     newly explored one.
@@ -338,8 +336,8 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
     stub = explored.stub
     if stub[anchor]:
         raise TreeError("node %d is a stub" % anchor)
-    lefts = explored.left
-    rights = explored.right
+    lefts = walker.tree.left  # read at held ids only, where they hold still
+    rights = walker.tree.right
     kind_of = walker.kind_of
     move = walker.move
     follow = walker.follow
@@ -378,19 +376,19 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
             if s >= 0:
                 room = s - node - 1
             try:
-                end, ls, rs = follow(room)
+                end, new = follow(room)
             except WalkerError:  # node ends its run: one move takes the edge
                 pass
             else:
-                fresh = len(ls) > 0
+                fresh = new > 0
                 if fresh:
-                    explored.add_chain(end + 1 - len(ls), end, ls, rs)
+                    explored.add_chain(end + 1 - new, end)
                 node = end
                 continue
-        cid, cside = move(direction)
+        cid, _ = move(direction)
         fresh = parents[cid] < 0
         if fresh:
-            explored.add_child(node, cside, cid)
+            explored.add_child(node, cid)
         node = cid
 
 
@@ -590,7 +588,7 @@ def _pick_frontier(explored, before, after):
         return after
     if after is None:
         return before
-    return after if explored.right[before] >= 0 else before
+    return after if explored.child(before, RIGHT) >= 0 else before
 
 
 def _descend(explored, dst):
@@ -599,7 +597,7 @@ def _descend(explored, dst):
     (``ExploredTree.path_runs``) and one ``Walker.follow`` down it. A dst
     not below the walker raises TreeError before any step."""
     walker = explored.walker
-    lefts = explored.left
+    lefts = walker.tree.left
     for a, b in reversed(explored.path_runs(dst, walker.current)):
         p = walker.current
         if a != p:

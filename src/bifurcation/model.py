@@ -363,9 +363,9 @@ class Walker:
         node whose child is not id + 1. Raises WalkerError before anything
         moves for k < 1 or when the current node is the last of its run.
         Fires ``on_fork`` once, for ``end``, if it newly reveals a fork.
-        Returns ``(node id, left, right)``: the node it ends on and the
-        ``left``/``right`` entries of the parents of the nodes it newly
-        reveals, a tail of the chain, both empty when it reveals none.
+        Returns ``(node id, count)``: the node it ends on and the number of
+        nodes it newly reveals, a tail of the chain ending there, 0 when it
+        reveals none.
         """
         cur = self.current
         run = self._run
@@ -380,11 +380,11 @@ class Walker:
         self.steps += end - cur
         new = self.revealed.find(0, cur + 1, end + 1)
         if new < 0:
-            return end, self.tree.left[:0], self.tree.right[:0]
+            return end, 0
         self.revealed[new:end + 1] = b"\x01" * (end + 1 - new)
         if self.on_fork is not None and self.tree.kind(end) == FORK:
             self.on_fork(end)
-        return end, self.tree.left[new - 1:end], self.tree.right[new - 1:end]
+        return end, end + 1 - new
 
     def run_start(self, v: int, lo: int) -> int:
         """First node of the run that ends at v, cut off at lo <= v: the

@@ -29,14 +29,6 @@ def is_leaf(tree, v):
     return tree.left[v] < 0 and tree.right[v] < 0
 
 
-def child_side(tree, v):
-    """Side of v under its parent, or None for the root."""
-    p = tree.parent[v]
-    if p < 0:
-        return None
-    return LEFT if tree.left[p] == v else RIGHT
-
-
 def inorder_compare(tree, a, b):
     """Order of a versus b in the inorder traversal: smaller, equal, larger."""
     ranks = tree.inorder_ranks()
@@ -603,8 +595,7 @@ def reference_dfs_extend(explored, depth_limit):
     if anchor != explored.root and explored.parent[anchor] < 0:
         raise TreeError("node %d is not explored" % anchor)
     stub = explored.stub
-    lefts = explored.left
-    rights = explored.right
+    child = explored.child
     parents = explored.parent
     kind_of = walker.kind_of
     move = walker.move
@@ -615,17 +606,17 @@ def reference_dfs_extend(explored, depth_limit):
         direction = None
         k = kind_of(node)
         if depth < depth_limit and k != LEAF:
-            c = lefts[node]
+            c = child(node, LEFT)
             if k == FORK:
                 if c < 0 or not stub[c]:
                     direction = DIR_LEFT
                 else:
-                    c = rights[node]
+                    c = child(node, RIGHT)
                     if c < 0 or not stub[c]:
                         direction = DIR_RIGHT
             else:
                 if c < 0:
-                    c = rights[node]
+                    c = child(node, RIGHT)
                 if c < 0 or not stub[c]:
                     direction = DIR_ONLY
         while direction is None:
@@ -635,13 +626,13 @@ def reference_dfs_extend(explored, depth_limit):
             back = node
             node = parents[node]
             depth -= 1
-            if lefts[node] == back and kind_of(node) == FORK:
-                c = rights[node]
+            if child(node, LEFT) == back and kind_of(node) == FORK:
+                c = child(node, RIGHT)
                 if c < 0 or not stub[c]:
                     direction = DIR_RIGHT
-        cid, cside = move(direction)
+        cid, _ = move(direction)
         if parents[cid] < 0:
-            explored.add_child(node, cside, cid)
+            explored.add_child(node, cid)
             if kind_of(cid) == FORK:
                 new_forks += 1
         node = cid
@@ -700,41 +691,50 @@ def reference_explored_inorder(explored, top):
     were rescanned by value: non-stub ids of top's explored subtree, in
     inorder, as a list."""
     nodes = []
-    left = explored.left
-    right = explored.right
+    child = explored.child
     stub = explored.stub
     stack = []
     cur = top
     while True:
         while cur >= 0:
             stack.append(cur)
-            cur = left[cur]
+            cur = child(cur, LEFT)
         if not stack:
             return nodes
         cur = stack.pop()
         if not stub[cur]:
             nodes.append(cur)
-        cur = right[cur]
+        cur = child(cur, RIGHT)
 
 
 def reference_nodes_and_leaves(explored):
     """Non-stub ids in inorder, plus the subset with no explored children."""
     nodes = reference_explored_inorder(explored, explored.root)
-    left = explored.left
-    right = explored.right
-    return nodes, [v for v in nodes if left[v] < 0 and right[v] < 0]
+    child = explored.child
+    return nodes, [v for v in nodes
+                   if child(v, LEFT) < 0 and child(v, RIGHT) < 0]
 
 
 def assert_counts_match_rescan(explored):
     """The explored tree's node count and ``leaves()`` equal a rescan's,
-    and it has at most one leaf more than its explored non-stub forks."""
+    and it has at most one leaf more than its explored non-stub forks.
+    Every held id but the root hangs below its instance parent, held and
+    no stub: the rule the explored children are derived by."""
+    held = explored_ids(explored)
+    parent = explored.parent
+    tree_parent = explored.walker.tree.parent
+    for v in held:
+        if v != explored.root:
+            p = parent[v]
+            assert p == tree_parent[v]
+            assert p == explored.root or parent[p] >= 0
+            assert not explored.stub[p]
     nodes, leaves = explored.inorder_nodes_and_leaves()
     tips = explored.leaves()
     assert explored.node_count == len(nodes)
     assert sorted(tips.tolist()) == sorted(leaves.tolist())
     kind = explored.walker.tree.kind
-    forks = sum(kind(v) == FORK for v in explored_ids(explored)
-                if not explored.stub[v])
+    forks = sum(kind(v) == FORK for v in held if not explored.stub[v])
     assert len(tips) <= forks + 1
 
 
@@ -744,24 +744,18 @@ def reference_mark_stub(explored, v):
     stays as it is. Tests stub nodes directly through it. The tree's slot
     index holds exactly its explored ids, so it is written in first and
     the deleted ids' slots are cleared. Only ``node_count`` is kept by
-    hand: the leaves are read off the links (``ExploredTree.leaves``)."""
+    hand: the leaves and the children are read off ``parent``
+    (``ExploredTree.leaves`` and ``ExploredTree.child``), so clearing the
+    deleted ids' parents takes them out as children too."""
     values, slots = explored._index()
     parent = explored.parent
-    left = explored.left
-    right = explored.right
+    child = explored.child
     stub = explored.stub
     nodes = 0  # non-stub nodes taken out of view
     stack = [v]
     while stack:
         w = stack.pop()
-        l = left[w]
-        r = right[w]
-        if l >= 0:
-            stack.append(l)
-            left[w] = -1
-        if r >= 0:
-            stack.append(r)
-            right[w] = -1
+        stack.extend(c for c in (child(w, LEFT), child(w, RIGHT)) if c >= 0)
         if not stub[w]:
             nodes += 1
         if w != v:
@@ -783,12 +777,12 @@ def reference_trim(explored, u, answer):
     """
     if answer == FOUND:
         raise TreeError("trim is undefined for a found answer")
-    take = explored.left if answer == TARGET_LARGER else explored.right
+    side = LEFT if answer == TARGET_LARGER else RIGHT
     stub = explored.stub
     new_stubs = []
     below = -1  # the path's child of v, the one child of v on the path
     for v in path_to_root(explored, u):
-        c = take[v]
+        c = explored.child(v, side)
         if c >= 0 and c != below and not stub[c]:
             reference_mark_stub(explored, c)
             new_stubs.append(c)

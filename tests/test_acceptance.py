@@ -17,7 +17,7 @@ from bifurcation.lowerbound import (adaptive_fork_adversary, minimax_price,
                                     play_game)
 from bifurcation.model import FOUND, InstrumentedOracle
 
-from helpers import brute_minimax, child_side, target_inside_stub
+from helpers import brute_minimax, target_inside_stub
 
 GRID_NS = (1 << 10, 1 << 12, 1 << 14)
 GRID_TS = (16, 64, 256)
@@ -201,7 +201,7 @@ def test_criterion_05_halving_size_bound():
         walker = explored.walker
         for v in ids[1:]:  # revealed, so trim can ask the walker for kinds
             walker.revealed[v] = 1
-            explored.add_child(tree.parent[v], child_side(tree, v), v)
+            explored.add_child(tree.parent[v], v)
         oracle = InstrumentedOracle(tree)
         answer, _, _ = halve(explored, oracle)
         if answer == FOUND:

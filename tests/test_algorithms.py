@@ -14,12 +14,12 @@ from bifurcation.generators import (FamilySpec, build_instance, gen_comb,
                                     gen_complete_path, gen_random,
                                     place_target)
 from bifurcation.lowerbound import AdaptiveOracle, adaptive_fork_adversary
-from bifurcation.model import (DIR_ONLY, DIR_PARENT, FORK, FOUND,
-                               TARGET_LARGER, TARGET_SMALLER,
+from bifurcation.model import (DIR_ONLY, DIR_PARENT, FORK, FOUND, LEFT,
+                               RIGHT, TARGET_LARGER, TARGET_SMALLER,
                                InconsistentOracleError, InstrumentedOracle,
                                NodeIdError, TreeError, Walker)
 
-from helpers import (assert_counts_match_rescan, child_side, explored_ids,
+from helpers import (assert_counts_match_rescan, explored_ids,
                      forks_within_depth, grid_trees, is_leaf, make_path,
                      nodes_within_depth, path_to_root, preorder_prefix,
                      reference_mark_stub, slow_inorder, target_inside_stub)
@@ -39,7 +39,7 @@ def explored_from_prefix(tree, count):
     walker = explored.walker
     for v in ids[1:]:
         walker.revealed[v] = 1
-        explored.add_child(tree.parent[v], child_side(tree, v), v)
+        explored.add_child(tree.parent[v], v)
     return explored
 
 
@@ -61,7 +61,7 @@ def test_maintained_counts_match_rescan():
             if not kids:
                 break
             c = rng.choice(kids)
-            grown.add_child(tree.parent[c], child_side(tree, c), c)
+            grown.add_child(tree.parent[c], c)
             assert_counts_match_rescan(grown)
         # staged exploration, trims and direct stubs
         explored = ExploredTree(tree)
@@ -118,7 +118,7 @@ def test_trim_removes_stub_children_from_view():
     assert explored.node_count < before
     for s in new:
         assert explored.parent[s] >= 0  # the marker itself stays
-        assert explored.left[s] < 0 and explored.right[s] < 0
+        assert explored.child(s, LEFT) < 0 and explored.child(s, RIGHT) < 0
 
 
 def test_inorder_below_refuses_ids_the_tree_does_not_hold():
@@ -328,7 +328,7 @@ def test_dfs_extend_never_enters_stubs():
     walker = explored.walker
     dfs_extend(explored, 3)  # just past the first fork
     root_fork = tree.root
-    left = explored.left[root_fork]
+    left = explored.child(root_fork, LEFT)
     reference_mark_stub(explored, left)
     steps_before = walker.steps
     dfs_extend(explored, tree.n)
@@ -687,6 +687,30 @@ def test_all_algorithms_find_random_targets():
             assert result.found == tree.target, (name, n, t, strategy, i)
 
 
+@pytest.mark.parametrize("make", [lambda: gen_random(512, 64, seed=5),
+                                  lambda: gen_comb(400, 36, seed=3),
+                                  lambda: gen_complete_path(4, 24)],
+                         ids=["random", "comb", "complete_path"])
+def test_searches_leave_the_instance_unchanged(monkeypatch, make):
+    """An explored tree reads its children off the instance's links, so no
+    search may write them: every search, over several targets and with
+    trims, leaves the instance's ``parent``, ``left`` and ``right`` bytes
+    as they were. The adversary's arena, which a freeze cuts on purpose,
+    is not an instance a search is handed."""
+    trees = []
+    monkeypatch.setattr(algorithms, "ExploredTree",
+                        _keeping(ExploredTree, trees))
+    tree = make()
+    links = (tree.parent.tobytes(), tree.left.tobytes(), tree.right.tobytes())
+    for seed in range(4):
+        tree.target = place_target(tree, "random_node", seed=seed)
+        for name, fn in ALGORITHMS.items():
+            assert fn(tree, InstrumentedOracle(tree)).found == tree.target
+            assert (tree.parent.tobytes(), tree.left.tobytes(),
+                    tree.right.tobytes()) == links, (name, seed)
+    assert any(any(e.stub) for e in trees)  # trims ran
+
+
 def test_dfs_extend_rejects_a_misplaced_walker():
     """A walker off the explored tree is refused before any step. On the
     second instance such a walk once grew a subtree detached from the
@@ -716,7 +740,7 @@ def test_dfs_extend_refuses_to_start_at_a_stub():
         dfs_extend(explored, tree.n)
     assert (walker.current, walker.steps) == (1, steps)
     assert explored.node_count == 7
-    assert (explored.left[1], explored.right[1]) == (-1, -1)
+    assert (explored.child(1, LEFT), explored.child(1, RIGHT)) == (-1, -1)
 
 
 def test_walks_to_an_unexplored_id_are_refused():
@@ -885,11 +909,11 @@ def _arena():
 def test_kinds_reach_the_searches_through_one_channel(monkeypatch, make):
     """A full-depth ``dfs_extend`` hears each revealed fork once through
     ``on_fork``, and ``Walker.kind_of`` reads a fork at exactly those ids;
-    ``move`` returns a node and a side, and ``follow`` a node and the side
-    labels, no kind."""
+    ``move`` returns a node and a side, and ``follow`` a node and the count
+    of nodes it newly reveals, no kind."""
     calls = {"move": 0, "follow": 0}
     _shape_checked(monkeypatch, "move", 2, calls)
-    _shape_checked(monkeypatch, "follow", 3, calls)
+    _shape_checked(monkeypatch, "follow", 2, calls)
     tree, oracle = make()
     log = []
 

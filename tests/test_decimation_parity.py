@@ -45,7 +45,6 @@ from helpers import (explored_ids, explored_kinds, path_to_root,
 
 def _state(explored):
     return (explored_kinds(explored), explored.parent.tobytes(),
-            explored.left.tobytes(), explored.right.tobytes(),
             bytes(explored.stub), explored.node_count, explored.leaf_count)
 
 

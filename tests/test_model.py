@@ -289,13 +289,12 @@ def test_follow_equals_single_moves():
             for w in (a, b):
                 for _ in range(start):
                     w.move(DIR_ONLY)
-            end, lefts, rights = a.follow(k)
+            end, new = a.follow(k)
             for _ in range(k):
                 node, _ = b.move(DIR_ONLY)
             assert end == node == start + k
             assert _seen(a, log_a) == _seen(b, log_b)
-            assert list(lefts) == list(tree.left[start:end])
-            assert list(rights) == list(tree.right[start:end])
+            assert new == k
     # a second pass over revealed nodes fires no hook
     a, log = _logged(_tree(**FORKED))
     assert a.follow(1)[0] == 1
@@ -308,33 +307,24 @@ def test_follow_equals_single_moves():
     assert log == [2]
 
 
-def test_follow_returns_the_sides_of_what_it_newly_reveals():
-    """``follow`` reports the links of the parents of the nodes it newly
-    reveals: none over a revealed chain, and past a partly revealed one
-    only those above its new tail."""
+def test_follow_counts_what_it_newly_reveals():
+    """``follow`` reports how many nodes it newly reveals: none over a
+    revealed chain, and past a partly revealed one only its new tail."""
     tree = make_path("LRRLLRLR")
     w, log = _logged(tree)
-    end, lefts, rights = w.follow(3)
-    assert end == 3
-    assert list(lefts) == list(tree.left[0:3])
-    assert list(rights) == list(tree.right[0:3])
+    assert w.follow(3) == (3, 3)
     assert w.climb(3) == 0
-    end, lefts, rights = w.follow(2)
-    assert (end, len(lefts), len(rights)) == (2, 0, 0)
-    end, lefts, rights = w.follow(4)  # 3 was revealed, 4..6 are new
-    assert end == 6
-    assert list(lefts) == list(tree.left[3:6])
-    assert list(rights) == list(tree.right[3:6])
+    assert w.follow(2) == (2, 0)
+    assert w.follow(4) == (6, 3)  # 3 was revealed, 4..6 are new
     assert w.revealed == b"\x01" * 7 + b"\x00" * 2
     assert w.steps == 3 + 3 + 2 + 4
     assert log == []
     # a second pass over a chain that ends on a fork fires no hook
     w, log = _logged(_tree(**FORKED))
-    assert w.follow(2)[0] == 2
+    assert w.follow(2) == (2, 2)
     assert log == [2]
     assert w.climb(2) == 0
-    end, lefts, rights = w.follow(2)
-    assert (end, len(lefts), len(rights)) == (2, 0, 0)
+    assert w.follow(2) == (2, 0)
     assert log == [2]
 
 
@@ -449,8 +439,8 @@ def test_dfs_extend_matches_reference_where_children_skip_ids():
             again = dfs(explored, limit + 1)
             sides.append((forks, again, _seen(w, log),
                           explored_kinds(explored), list(explored.parent),
-                          list(explored.left), list(explored.right),
-                          explored.node_count, explored.leaf_count))
+                          bytes(explored.stub), explored.node_count,
+                          explored.leaf_count))
         assert sides[0] == sides[1]
     assert sides[0][2][1] == 4 * (tree.size - 1)  # two full walks
 
@@ -536,8 +526,9 @@ def test_built_instance_stays_lean(make):
                          ids=["random", "complete_path"])
 def test_node_sized_state_stays_lean(make):
     """Ranks are one int32 a node, with no inverse order kept beside them;
-    a walker (two byte flags) and an explored tree (three int32 links and
-    a stub byte) explored to full depth hold no copy of the kinds."""
+    a walker (two byte flags) and an explored tree (one int32 link and a
+    stub byte) explored to full depth hold no copy of the kinds or of the
+    instance's child links."""
     tree = make()
     assert _held_bytes_per_node(tree, tree.inorder_ranks) <= 5
 
@@ -549,7 +540,7 @@ def test_node_sized_state_stays_lean(make):
         return w, explored
 
     tree = make()
-    assert _held_bytes_per_node(tree, explore) <= 16
+    assert _held_bytes_per_node(tree, explore) <= 8
 
 
 @pytest.mark.parametrize("make", [lambda: gen_random(2048, 64, 3),
