@@ -43,17 +43,17 @@ def _run_ids(first, last):
 class ExploredTree:
     """The algorithm's partial copy of the instance the walker explores.
 
-    Arrays indexed by instance id, one slot per id: ``parent`` is an
-    ``array("i")`` of ids, ``-1`` for none; ``stub`` flags stubs and has
-    one trailing 0 byte, so ``stub[-1]`` reads no stub for a missing child.
-    Membership, and so the shape, is ``parent``: an id other than the root
-    is explored exactly when its ``parent`` is not ``-1``, and a held id's
-    explored child on a side is the instance's child there if held
-    (``child``). Instance links are read only at held ids, which are
-    revealed, and ``AdaptiveOracle._freeze`` rewrites only unrevealed
-    forks, so they never change while a search runs. ``walker`` is the
-    tree's own, built at the root with ``on_fork``; kinds and run starts
-    are read through it (``Walker.kind_of``), and only ``dfs_extend`` and
+    Two byte arrays indexed by instance id, one slot per id and one
+    trailing 0: ``held`` marks the ids the tree holds, root included, and
+    ``stub`` flags stubs; so ``held[-1]`` reads not held and ``stub[-1]``
+    no stub for a missing child. The tree holds membership only: every
+    link it reads, a held id's explored child on a side (``child``, the
+    instance's child there if held) or the parent a path climbs to, is the
+    instance's link at a held id. Held ids are revealed, and
+    ``AdaptiveOracle._freeze`` rewrites only unrevealed forks, so those
+    links never change while a search runs. ``walker`` is the tree's own,
+    built at the root with ``on_fork``; kinds and run starts are read
+    through it (``Walker.kind_of``), and only ``dfs_extend`` and
     ``_descend`` move it. A stub is a node proven not to hold the target in
     its subtree; stubs stay in place as markers but their explored subtrees
     are deleted. So the walker has revealed the explored ids and the
@@ -62,77 +62,65 @@ class ExploredTree:
     ``node_count`` excludes stubs and is kept current as the tree changes.
 
     The leaves (non-stub nodes with no explored children) are read off the
-    tip list: every id ``add_child`` or ``add_chain`` made a leaf, appended
-    as it is made. A leaf that gains a child, becomes a stub or is deleted
-    stays out for good, since ``dfs_extend`` never enters a stub's subtree;
-    so ``leaves()`` filters the list in one numpy mask and keeps the result,
+    tip list: every id ``add_chain`` made a leaf, appended as it is made. A
+    leaf that gains a child, becomes a stub or is deleted stays out for
+    good, since ``dfs_extend`` never enters a stub's subtree; so
+    ``leaves()`` filters the list in one numpy mask and keeps the result,
     and the list holds the leaves plus the ids added since the last read.
 
     A node's value is its inorder rank (``Walker.values``). An int32 slot
     index by value holds exactly the explored ids, stubs included, each at
     its own value; the index is allocated on the first rescan or cut, and
     only then are the values read, so exploring alone ranks nothing. The
-    constructor logs the root, and ``add_child`` and ``add_chain`` their
-    new ids, as ``(first, last)`` runs; the next rescan or cut writes the
-    log into the index. Only ``trim`` deletes ids, through ``_cut``, which
-    writes the log in first. A rescan compacts the index, or the value
-    slice under ``top``, and drops the stubs. A cut takes the value slice
-    on u's cut side, reads and clears the ids there by position, and clears
-    the ``parent`` of the deleted ids only. Root paths are walked as id runs
+    constructor logs the root, and ``add_chain`` its new ids, as
+    ``(first, last)`` runs; the next rescan or cut writes the log into the
+    index. Only ``trim`` deletes ids, through ``_cut``, which writes the
+    log in first. A rescan compacts the index, or the value slice under
+    ``top``, and drops the stubs. A cut takes the value slice on u's cut
+    side, reads and clears the ids there by position, and clears ``held``
+    at the deleted ids only. Root paths are walked as id runs
     (``path_runs``).
     """
 
-    __slots__ = ("parent", "stub", "node_count", "walker", "_slots", "_log",
+    __slots__ = ("held", "stub", "node_count", "walker", "_slots", "_log",
                  "_tips")
     root = TreeInstance.root
 
     def __init__(self, tree: TreeInstance, on_fork=None):
-        self.walker = Walker(tree, on_fork)  # before parent: a lower peak
-        size = tree.size
-        self.parent = array("i", [-1]) * size
-        self.stub = bytearray(size + 1)
+        self.walker = Walker(tree, on_fork)  # before held: a lower peak
+        self.held = bytearray(tree.size + 1)
+        self.held[self.root] = 1
+        self.stub = bytearray(tree.size + 1)
         self.node_count = 1
         self._slots = None
         self._log = array("i", (self.root, self.root))  # runs of new ids
         self._tips = array("i", (self.root,))
 
-    def add_child(self, parent: int, child: int):
-        self.node_count += 1
-        self.parent[child] = parent
-        self._log.extend((child, child))
-        self._tips.append(child)
-
     def add_chain(self, first: int, last: int):
-        """Add ids first..last below the leaf first - 1, each the only child
-        of the id before it: the chain ``Walker.follow`` newly revealed."""
-        np.frombuffer(self.parent, np.intc)[first:last + 1] = np.arange(
-            first - 1, last, dtype=np.intc)
+        """Add ids first..last, each the only child of the id before it, and
+        first a child of a held id: a chain ``Walker.follow`` newly
+        revealed, or the one id a move entered."""
+        self.held[first:last + 1] = b"\1" * (last + 1 - first)
         self.node_count += last + 1 - first
         self._log.extend((first, last))
-        self._tips.append(last)  # last takes the leaf's place
+        self._tips.append(last)  # a leaf now
 
     def child(self, v: int, side: str) -> int:
         """The explored child of the held id v on ``side`` (LEFT or RIGHT):
         the instance's child there if the tree holds it, else -1."""
         tree = self.walker.tree
         c = (tree.left if side == LEFT else tree.right)[v]
-        return c if c >= 0 and self.parent[c] >= 0 else -1
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self.leaves())
+        return c if self.held[c] else -1
 
     def leaves(self):
         """The non-stub explored ids with no explored child (np.intc), in
         no set order; the tip list is cut down to them."""
         tips = np.frombuffer(self._tips, np.intc)
-        parent = np.frombuffer(self.parent, np.intc)
-        keep = parent[tips] >= 0
-        keep |= tips == self.root
-        keep &= ~np.frombuffer(self.stub, bool)[tips]
+        held = np.frombuffer(self.held, bool)
+        keep = held[tips] & ~np.frombuffer(self.stub, bool)[tips]
         for links in self.walker.tree.left, self.walker.tree.right:
             kids = np.frombuffer(links, np.intc)[tips]  # ``child``'s rule
-            keep &= (kids < 0) | (parent[kids] < 0)
+            keep &= ~held[kids]
         tips = tips[keep]
         self._tips = array("i", tips.tobytes())
         return tips
@@ -144,7 +132,7 @@ class ExploredTree:
         run's b. Raises TreeError for a u the tree does not hold."""
         self._check_held(u)
         run_start = self.walker.run_start
-        parent = self.parent
+        parent = self.walker.tree.parent
         runs = []
         v = u
         while v >= top:  # ids fall going up, so the path passes top by
@@ -157,8 +145,8 @@ class ExploredTree:
 
     def _check_held(self, v: int):
         """Refuse an id the tree does not hold, or one past the instance."""
-        check_node_id(v, len(self.parent))
-        if v != self.root and self.parent[v] < 0:
+        check_node_id(v, self.walker.tree.size)
+        if not self.held[v]:
             raise TreeError("node %d is not explored" % v)
 
     def _index(self):
@@ -200,7 +188,9 @@ class ExploredTree:
         tests hold ``leaves()`` to, and a rescan the benchmark's tracer
         counts."""
         nodes = self._inorder(self.root)
-        return nodes, nodes[~np.isin(nodes, self.parent)]  # no one's parent
+        held = np.flatnonzero(np.frombuffer(self.held, bool))
+        parents = np.frombuffer(self.walker.tree.parent, np.intc)[held]
+        return nodes, nodes[~np.isin(nodes, parents)]  # no held id's parent
 
     def _cut(self, u: int, larger: bool, keep, stubs):
         """Stub ``stubs`` and delete their explored subtrees: every explored
@@ -219,7 +209,7 @@ class ExploredTree:
         # stubs from now, non-stub nodes until now
         self.node_count -= len(live) + len(stubs)
         # a stub's children are gone too, so it has none left
-        np.frombuffer(self.parent, np.intc)[gone] = -1
+        np.frombuffer(self.held, bool)[gone] = False
         stub[gone] = False
         stub[stubs] = True
 
@@ -332,7 +322,7 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
     walker = explored.walker
     anchor = walker.current
     explored._check_held(anchor)
-    parents = explored.parent
+    held = explored.held
     stub = explored.stub
     if stub[anchor]:
         raise TreeError("node %d is a stub" % anchor)
@@ -386,9 +376,9 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
                 node = end
                 continue
         cid, _ = move(direction)
-        fresh = parents[cid] < 0
+        fresh = not held[cid]
         if fresh:
-            explored.add_child(node, cid)
+            explored.add_chain(cid, cid)
         node = cid
 
 
@@ -508,7 +498,7 @@ def bifurcation_search(tree, oracle, psi=None) -> SearchResult:
         calls_before = oracle.calls
         new_forks = dfs_extend(explored, depth_limit)
         while True:
-            if explored.leaf_count > leaf_cap:
+            if len(explored.leaves()) > leaf_cap:
                 median = median_leaf
             elif explored.node_count > node_cap:
                 median = median_node

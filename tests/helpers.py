@@ -543,9 +543,8 @@ def reference_place_target(tree, strategy, seed=0):
 
 def explored_ids(explored):
     """Ids of an ExploredTree's explored nodes, stubs included, in id order:
-    the root and every id with a parent link."""
-    return [v for v, p in enumerate(explored.parent)
-            if p >= 0 or v == explored.root]
+    the ids ``held`` marks."""
+    return [v for v, h in enumerate(explored.held) if h]
 
 
 def explored_kinds(explored):
@@ -560,9 +559,9 @@ def explored_kinds(explored):
 
 def path_to_root(explored, u):
     """Ids from u up to the root of an ExploredTree, inclusive, walked node
-    by node through the parent links."""
+    by node through the instance's parent links."""
     path = [u]
-    parent = explored.parent
+    parent = explored.walker.tree.parent
     p = parent[u]
     while p >= 0:
         path.append(p)
@@ -592,11 +591,11 @@ def reference_dfs_extend(explored, depth_limit):
     """
     walker = explored.walker
     anchor = walker.current
-    if anchor != explored.root and explored.parent[anchor] < 0:
+    if not explored.held[anchor]:
         raise TreeError("node %d is not explored" % anchor)
     stub = explored.stub
     child = explored.child
-    parents = explored.parent
+    parents = walker.tree.parent
     kind_of = walker.kind_of
     move = walker.move
     new_forks = 0
@@ -631,8 +630,8 @@ def reference_dfs_extend(explored, depth_limit):
                 if c < 0 or not stub[c]:
                     direction = DIR_RIGHT
         cid, _ = move(direction)
-        if parents[cid] < 0:
-            explored.add_child(node, cid)
+        if not explored.held[cid]:
+            explored.add_chain(cid, cid)
             if kind_of(cid) == FORK:
                 new_forks += 1
         node = cid
@@ -718,16 +717,14 @@ def reference_nodes_and_leaves(explored):
 def assert_counts_match_rescan(explored):
     """The explored tree's node count and ``leaves()`` equal a rescan's,
     and it has at most one leaf more than its explored non-stub forks.
-    Every held id but the root hangs below its instance parent, held and
-    no stub: the rule the explored children are derived by."""
+    Every held id but the root has its instance parent held and no stub:
+    the rule the explored children are derived by."""
     held = explored_ids(explored)
-    parent = explored.parent
     tree_parent = explored.walker.tree.parent
     for v in held:
         if v != explored.root:
-            p = parent[v]
-            assert p == tree_parent[v]
-            assert p == explored.root or parent[p] >= 0
+            p = tree_parent[v]
+            assert explored.held[p]
             assert not explored.stub[p]
     nodes, leaves = explored.inorder_nodes_and_leaves()
     tips = explored.leaves()
@@ -744,11 +741,11 @@ def reference_mark_stub(explored, v):
     stays as it is. Tests stub nodes directly through it. The tree's slot
     index holds exactly its explored ids, so it is written in first and
     the deleted ids' slots are cleared. Only ``node_count`` is kept by
-    hand: the leaves and the children are read off ``parent``
+    hand: the leaves and the children are read off ``held``
     (``ExploredTree.leaves`` and ``ExploredTree.child``), so clearing the
-    deleted ids' parents takes them out as children too."""
+    deleted ids' marks takes them out as children too."""
     values, slots = explored._index()
-    parent = explored.parent
+    held = explored.held
     child = explored.child
     stub = explored.stub
     nodes = 0  # non-stub nodes taken out of view
@@ -759,7 +756,7 @@ def reference_mark_stub(explored, v):
         if not stub[w]:
             nodes += 1
         if w != v:
-            parent[w] = -1
+            held[w] = 0
             stub[w] = 0
             slots[values[w]] = -1
     stub[v] = 1

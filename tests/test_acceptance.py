@@ -201,7 +201,7 @@ def test_criterion_05_halving_size_bound():
         walker = explored.walker
         for v in ids[1:]:  # revealed, so trim can ask the walker for kinds
             walker.revealed[v] = 1
-            explored.add_child(tree.parent[v], v)
+            explored.add_chain(v, v)
         oracle = InstrumentedOracle(tree)
         answer, _, _ = halve(explored, oracle)
         if answer == FOUND:

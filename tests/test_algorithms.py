@@ -39,7 +39,7 @@ def explored_from_prefix(tree, count):
     walker = explored.walker
     for v in ids[1:]:
         walker.revealed[v] = 1
-        explored.add_child(tree.parent[v], v)
+        explored.add_chain(v, v)
     return explored
 
 
@@ -57,11 +57,11 @@ def test_maintained_counts_match_rescan():
         for _ in range(40):
             kids = [c for v in explored_ids(grown)
                     for c in (tree.left[v], tree.right[v])
-                    if c >= 0 and grown.parent[c] < 0]
+                    if c >= 0 and not grown.held[c]]
             if not kids:
                 break
             c = rng.choice(kids)
-            grown.add_child(tree.parent[c], c)
+            grown.add_chain(c, c)
             assert_counts_match_rescan(grown)
         # staged exploration, trims and direct stubs
         explored = ExploredTree(tree)
@@ -82,9 +82,9 @@ def test_maintained_counts_match_rescan():
                 continue
             reference_mark_stub(explored, v)
             assert_counts_match_rescan(explored)
-            counts = (explored.node_count, explored.leaf_count)
+            counts = (explored.node_count, len(explored.leaves()))
             reference_mark_stub(explored, v)
-            assert (explored.node_count, explored.leaf_count) == counts
+            assert (explored.node_count, len(explored.leaves())) == counts
             assert_counts_match_rescan(explored)
 
 
@@ -117,7 +117,7 @@ def test_trim_removes_stub_children_from_view():
     new = trim(explored, tree.right[tree.root], TARGET_LARGER)
     assert explored.node_count < before
     for s in new:
-        assert explored.parent[s] >= 0  # the marker itself stays
+        assert explored.held[s]  # the marker itself stays
         assert explored.child(s, LEFT) < 0 and explored.child(s, RIGHT) < 0
 
 
@@ -750,7 +750,7 @@ def test_walks_to_an_unexplored_id_are_refused():
     tree = gen_random(64, 4, seed=1)
     explored = ExploredTree(tree)
     walker = explored.walker
-    assert explored.parent[5] < 0
+    assert not explored.held[5]
     with pytest.raises(TreeError, match="node 5 is not explored"):
         explored.path_runs(5)
     with pytest.raises(TreeError, match="node 5 is not explored"):
@@ -975,7 +975,8 @@ def test_path_runs_after_a_freeze():
         oracle = AdaptiveOracle(tree, budget)
         explored, walker = explore_fully(tree, oracle.on_fork)
         assert oracle.froze
-        kept = [f for f in forks if explored.parent[f + 1] == f
-                and tree.right[f] < 0 and walker.revealed[f]]
+        kept = [f for f in forks if explored.held[f + 1]
+                and tree.parent[f + 1] == f and tree.right[f] < 0
+                and walker.revealed[f]]
         assert kept  # demoted forks that kept id + 1
         _check_path_runs(explored)

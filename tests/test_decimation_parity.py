@@ -44,8 +44,9 @@ from helpers import (explored_ids, explored_kinds, path_to_root,
 
 
 def _state(explored):
-    return (explored_kinds(explored), explored.parent.tobytes(),
-            bytes(explored.stub), explored.node_count, explored.leaf_count)
+    return (explored_kinds(explored), bytes(explored.held),
+            bytes(explored.stub), explored.node_count,
+            len(explored.leaves()))
 
 
 def _assert_index_exact(explored):

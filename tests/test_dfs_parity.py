@@ -38,8 +38,8 @@ class _Side:
         w = self.walker
         e = self.explored
         return (w.current, w.steps, bytes(w.revealed), list(self.log),
-                explored_kinds(e), e.parent.tobytes(), bytes(e.stub),
-                e.node_count, e.leaf_count)
+                explored_kinds(e), bytes(e.held), bytes(e.stub),
+                e.node_count, len(e.leaves()))
 
     def go_to(self, anchor):
         """Climb to the root, then walk the explored path down to anchor."""

@@ -14,12 +14,14 @@ ceil(log2(candidates)) + 1 calls; and ``full`` walks every edge twice.
 
 No search on trees this small explores again after a trim, so a second
 sweep does: on every shape, every node is trimmed with either answer,
-and the tree is explored again to every depth limit under the same
-checks. A third sweep plays every search on every shape against the
-adaptive oracle at fork budgets t, t - 1 and t - 2, under the same
-checks, so they also hold through a freeze that cuts the instance while
-``dfs_extend`` walks it. A run that breaks any check is counted, so a
-seeded fault reports how many runs it breaks.
+the tree is explored again to every depth limit, and it is trimmed once
+more at the root with the same answer, so that a cut deletes the stubs
+of an earlier one, all under the same checks. A third sweep plays every
+search on every shape against the adaptive oracle at fork budgets t,
+t - 1 and t - 2, under the same checks, so they also hold through a
+freeze that cuts the instance while ``dfs_extend`` walks it. A run that
+breaks any check is counted, so a seeded fault reports how many runs it
+breaks.
 """
 
 import math
@@ -159,6 +161,8 @@ def _re_explore(algo, tree, u, answer):
     if algo.trim(explored, u, answer) and not explored.stub[tree.root]:
         for limit in range(tree.n + 1):
             algo.dfs_extend(explored, limit)
+        # a second cut, whose side may hold the first one's stubs
+        algo.trim(explored, tree.root, answer)
 
 
 def _assert_none_failed(bad, runs, want):

@@ -438,9 +438,9 @@ def test_dfs_extend_matches_reference_where_children_skip_ids():
             forks = dfs(explored, limit)
             again = dfs(explored, limit + 1)
             sides.append((forks, again, _seen(w, log),
-                          explored_kinds(explored), list(explored.parent),
+                          explored_kinds(explored), bytes(explored.held),
                           bytes(explored.stub), explored.node_count,
-                          explored.leaf_count))
+                          len(explored.leaves())))
         assert sides[0] == sides[1]
     assert sides[0][2][1] == 4 * (tree.size - 1)  # two full walks
 
@@ -526,7 +526,7 @@ def test_built_instance_stays_lean(make):
                          ids=["random", "complete_path"])
 def test_node_sized_state_stays_lean(make):
     """Ranks are one int32 a node, with no inverse order kept beside them;
-    a walker (two byte flags) and an explored tree (one int32 link and a
+    a walker (two byte flags) and an explored tree (a held byte and a
     stub byte) explored to full depth hold no copy of the kinds or of the
     instance's child links."""
     tree = make()
@@ -540,7 +540,7 @@ def test_node_sized_state_stays_lean(make):
         return w, explored
 
     tree = make()
-    assert _held_bytes_per_node(tree, explore) <= 8
+    assert _held_bytes_per_node(tree, explore) <= 5
 
 
 @pytest.mark.parametrize("make", [lambda: gen_random(2048, 64, 3),
