@@ -5,11 +5,10 @@ decimation, two baselines, ground-truth instance generators, adversarial
 lower-bound labs, and an experiment harness.
 """
 
-from .model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT, FORK, FOUND,
-                    LEAF, LEFT, RIGHT, TARGET_LARGER, TARGET_SMALLER, UNARY,
-                    InconsistentOracleError, InfeasibleInstanceError,
-                    InstrumentedOracle, NodeIdError, TreeError, TreeInstance,
-                    Walker, WalkerError)
+from .model import (FORK, FOUND, LEAF, LEFT, RIGHT, TARGET_LARGER,
+                    TARGET_SMALLER, UNARY, InconsistentOracleError,
+                    InfeasibleInstanceError, InstrumentedOracle, NodeIdError,
+                    TreeError, TreeInstance, Walker, WalkerError)
 from .algorithms import (ALGORITHMS, ExploredTree, RoundStats, SearchParams,
                          SearchResult, baseline_full, baseline_rounds,
                          bifurcation_search, dfs_extend, final_binary_search,

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT, FORK, FOUND,
-                    LEAF, LEFT, RIGHT, TARGET_LARGER, TARGET_SMALLER,
-                    InconsistentOracleError, TreeError, TreeInstance, Walker,
-                    WalkerError, check_node_id)
+from .model import (FORK, FOUND, LEAF, LEFT, RIGHT, TARGET_LARGER,
+                    TARGET_SMALLER, UNARY, InconsistentOracleError, TreeError,
+                    TreeInstance, Walker, WalkerError, check_node_id)
 
 
 def _ceil_sqrt(x: int) -> int:
@@ -308,13 +307,15 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
     the anchor.
 
     Every edge costs one step, but a unary chain is walked in one call.
-    Going down to an only child, the walk asks ``Walker.follow`` for the
-    depth left, cut short of the next stub id; a node whose child is not id
-    + 1 makes ``follow`` raise before anything moves, and one
-    ``Walker.move`` takes that edge instead; ``follow`` counts the chain's
-    newly revealed tail, its unexplored ids. Going up, ``Walker.climb``
-    takes the walk to the top of its chain, and one move over the edge
-    above it. So the moves, and every counter, are those of
+    ``Walker.move`` names the id it enters, the child chosen (``child``) or
+    the parent. Going down from a unary node to child id + 1, decided
+    before any climb, the walk asks ``Walker.follow`` for the depth left,
+    cut short of the next stub id; a fork that a freeze demoted keeps run
+    flag 0, so ``follow`` raises there before anything moves, and one move
+    takes that edge instead; ``follow`` counts the chain's newly revealed
+    tail, its unexplored ids. Any other edge down is one move. Going up,
+    ``Walker.climb`` takes the walk to the top of its chain, and one move
+    over the edge above it. So the moves, and every counter, are those of
     one move per edge. Depths are ``Walker.depth``; kinds are read through
     ``Walker.kind_of``, once for each node entered, where ``fresh`` marks a
     newly explored one.
@@ -326,7 +327,8 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
     stub = explored.stub
     if stub[anchor]:
         raise TreeError("node %d is a stub" % anchor)
-    lefts = walker.tree.left  # read at held ids only, where they hold still
+    parents = walker.tree.parent  # read at held ids only, where they hold
+    lefts = walker.tree.left
     rights = walker.tree.right
     kind_of = walker.kind_of
     move = walker.move
@@ -337,29 +339,31 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
     fresh = False
     anchor_depth = walker.depth
     while True:
-        direction = None
+        child = -1  # the child to enter next, -1 for none
         k = kind_of(node)
         if fresh and k == FORK:
             new_forks += 1
         if walker.depth < depth_limit and k != LEAF:
             if k == FORK:
                 if not stub[lefts[node]]:
-                    direction = DIR_LEFT
+                    child = lefts[node]
                 elif not stub[rights[node]]:
-                    direction = DIR_RIGHT
-            elif not stub[max(lefts[node], rights[node])]:  # one link is -1
-                direction = DIR_ONLY
-        while direction is None:
+                    child = rights[node]
+            elif not stub[c := max(lefts[node], rights[node])]:  # one is -1
+                child = c
+        run = k == UNARY and child == node + 1  # k is node's, before a climb
+        while child < 0:
             if node != anchor:
                 node = climb(walker.depth - anchor_depth)
             if node == anchor:
                 return new_forks
             back = node
-            node, _ = move(DIR_PARENT)
+            node = parents[node]
+            move(node)
             if (lefts[node] == back and kind_of(node) == FORK
                     and not stub[rights[node]]):
-                direction = DIR_RIGHT
-        if direction == DIR_ONLY:
+                child = rights[node]
+        if run:
             # the child is no stub, so the cut looks past it
             room = depth_limit - walker.depth
             s = stub.find(1, node + 2, node + room + 1)
@@ -367,7 +371,7 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
                 room = s - node - 1
             try:
                 end, new = follow(room)
-            except WalkerError:  # node ends its run: one move takes the edge
+            except WalkerError:  # a demoted fork ends its run: one move
                 pass
             else:
                 fresh = new > 0
@@ -375,11 +379,11 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
                     explored.add_chain(end + 1 - new, end)
                 node = end
                 continue
-        cid, _ = move(direction)
-        fresh = not held[cid]
+        move(child)
+        fresh = not held[child]
         if fresh:
-            explored.add_chain(cid, cid)
-        node = cid
+            explored.add_chain(child, child)
+        node = child
 
 
 # Scales the staged search's node cap against the depth bound.
@@ -583,19 +587,14 @@ def _pick_frontier(explored, before, after):
 
 def _descend(explored, dst):
     """Walk the explored tree's walker down the explored path to dst, a
-    descendant of the node it stands at: one move into each run
-    (``ExploredTree.path_runs``) and one ``Walker.follow`` down it. A dst
-    not below the walker raises TreeError before any step."""
+    descendant of the node it stands at: one move into each run's head
+    (``ExploredTree.path_runs``), named by its id, and one
+    ``Walker.follow`` down the run. A dst not below the walker raises
+    TreeError before any step."""
     walker = explored.walker
-    lefts = walker.tree.left
     for a, b in reversed(explored.path_runs(dst, walker.current)):
-        p = walker.current
-        if a != p:
-            if walker.kind_of(p) == FORK:
-                direction = DIR_LEFT if lefts[p] == a else DIR_RIGHT
-            else:
-                direction = DIR_ONLY
-            walker.move(direction)
+        if a != walker.current:
+            walker.move(a)
         if b > a:
             walker.follow(b - a)
 

@@ -24,11 +24,6 @@ FOUND = "found"
 TARGET_SMALLER = "target_smaller"
 TARGET_LARGER = "target_larger"
 
-DIR_PARENT = "parent"
-DIR_LEFT = "left_child"
-DIR_RIGHT = "right_child"
-DIR_ONLY = "only_child"
-
 
 class TreeError(Exception):
     """Base class for contract violations raised by this package."""
@@ -259,7 +254,8 @@ class Walker:
     ``depth`` of ``current`` beside ``steps``. A node is revealed the first
     time the walker enters it: ``on_fork(node)`` hears each fork once, as
     it is revealed, and ``kind_of`` reads the kind of any revealed node.
-    Downward moves report the side label of the edge just traversed.
+    ``move`` names the neighbour it enters by its id, as the paper's player
+    moves to the parent or a child.
 
     A *run* is a maximal id range ``a..b`` in which every node but ``b`` is
     unary with only child id + 1; every generated family is made of such
@@ -309,52 +305,27 @@ class Walker:
         A tree that a freeze has cut cannot be ranked; rank it before."""
         return self.tree.inorder_ranks()
 
-    def move(self, direction: str):
-        """Step to a neighboring node.
+    def move(self, v: int) -> None:
+        """Step to v, the current node's parent or one of its children.
 
-        Returns ``(node id, side or None)``; the side is reported only on
-        downward moves.
+        Any other id raises before anything moves: NodeIdError outside the
+        instance, so -1 at the root too, else WalkerError.
         """
         cur = self.current
         tree = self.tree
-        if direction == DIR_PARENT:
-            nxt = tree.parent[cur]
-            if nxt < 0:
-                raise WalkerError("the root has no parent")
-            side = None
-        elif direction == DIR_ONLY:
-            l = tree.left[cur]
-            r = tree.right[cur]
-            if l >= 0:
-                if r >= 0:
-                    raise WalkerError("node %d is a fork; pick a side" % cur)
-                nxt = l
-                side = LEFT
-            elif r >= 0:
-                nxt = r
-                side = RIGHT
-            else:
-                raise WalkerError("node %d is a leaf" % cur)
-        elif direction == DIR_LEFT:
-            nxt = tree.left[cur]
-            if nxt < 0 or tree.right[cur] < 0:
-                raise WalkerError("left_child requires a fork, not %d" % cur)
-            side = LEFT
-        elif direction == DIR_RIGHT:
-            nxt = tree.right[cur]
-            if nxt < 0 or tree.left[cur] < 0:
-                raise WalkerError("right_child requires a fork, not %d" % cur)
-            side = RIGHT
+        check_node_id(v, len(self.revealed))
+        if v == tree.parent[cur]:
+            self.depth -= 1
+        elif tree.parent[v] == cur:
+            self.depth += 1
         else:
-            raise WalkerError("unknown direction %r" % (direction,))
-        self.current = nxt
-        self.depth += 1 if side else -1
+            raise WalkerError("node %d is no neighbour of node %d" % (v, cur))
+        self.current = v
         self.steps += 1
-        if not self.revealed[nxt]:
-            self.revealed[nxt] = 1
-            if self.on_fork is not None and tree.kind(nxt) == FORK:
-                self.on_fork(nxt)
-        return nxt, side
+        if not self.revealed[v]:
+            self.revealed[v] = 1
+            if self.on_fork is not None and tree.kind(v) == FORK:
+                self.on_fork(v)
 
     def follow(self, k: int):
         """Walk down the current node's run for at most k edges.

@@ -10,8 +10,7 @@ import numpy as np
 from bifurcation.generators import gen_comb, gen_random, mix_seed
 from bifurcation.lowerbound import (GameRuleError, GameState, GameStep,
                                     Transcript, adversary_answer, query_price)
-from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
-                              FORK, FOUND, LEAF, LEFT, RIGHT, TARGET_LARGER,
+from bifurcation.model import (FORK, FOUND, LEAF, LEFT, RIGHT, TARGET_LARGER,
                               TARGET_SMALLER, InconsistentOracleError,
                               InfeasibleInstanceError, TreeError,
                               TreeInstance)
@@ -596,40 +595,42 @@ def reference_dfs_extend(explored, depth_limit):
     stub = explored.stub
     child = explored.child
     parents = walker.tree.parent
+    lefts = walker.tree.left
+    rights = walker.tree.right
     kind_of = walker.kind_of
     move = walker.move
     new_forks = 0
     node = anchor
     depth = len(path_to_root(explored, anchor)) - 1
     while True:
-        direction = None
+        cid = -1  # the instance child to enter, -1 for none
         k = kind_of(node)
         if depth < depth_limit and k != LEAF:
             c = child(node, LEFT)
             if k == FORK:
                 if c < 0 or not stub[c]:
-                    direction = DIR_LEFT
+                    cid = lefts[node]
                 else:
                     c = child(node, RIGHT)
                     if c < 0 or not stub[c]:
-                        direction = DIR_RIGHT
+                        cid = rights[node]
             else:
                 if c < 0:
                     c = child(node, RIGHT)
                 if c < 0 or not stub[c]:
-                    direction = DIR_ONLY
-        while direction is None:
+                    cid = max(lefts[node], rights[node])  # the other is -1
+        while cid < 0:
             if node == anchor:
                 return new_forks
-            move(DIR_PARENT)
             back = node
             node = parents[node]
+            move(node)
             depth -= 1
             if child(node, LEFT) == back and kind_of(node) == FORK:
                 c = child(node, RIGHT)
                 if c < 0 or not stub[c]:
-                    direction = DIR_RIGHT
-        cid, _ = move(direction)
+                    cid = rights[node]
+        move(cid)
         if not explored.held[cid]:
             explored.add_chain(cid, cid)
             if kind_of(cid) == FORK:

@@ -14,10 +14,10 @@ from bifurcation.generators import (FamilySpec, build_instance, gen_comb,
                                     gen_complete_path, gen_random,
                                     place_target)
 from bifurcation.lowerbound import AdaptiveOracle, adaptive_fork_adversary
-from bifurcation.model import (DIR_ONLY, DIR_PARENT, FORK, FOUND, LEFT,
-                               RIGHT, TARGET_LARGER, TARGET_SMALLER,
-                               InconsistentOracleError, InstrumentedOracle,
-                               NodeIdError, TreeError, Walker)
+from bifurcation.model import (FORK, FOUND, LEFT, RIGHT, TARGET_LARGER,
+                               TARGET_SMALLER, UNARY, InconsistentOracleError,
+                               InstrumentedOracle, NodeIdError, TreeError,
+                               Walker)
 
 from helpers import (assert_counts_match_rescan, explored_ids,
                      forks_within_depth, grid_trees, is_leaf, make_path,
@@ -426,7 +426,7 @@ def test_dfs_extend_walks_twice_the_reachable_region():
             assert walker.current == anchor
             assert_counts_match_rescan(explored)
             while walker.current != tree.root:
-                walker.move(DIR_PARENT)
+                walker.move(tree.parent[walker.current])
             for _ in range(rng.randrange(3)):
                 v = rng.choice(explored_ids(explored))
                 if v != tree.root:
@@ -720,7 +720,7 @@ def test_dfs_extend_rejects_a_misplaced_walker():
                  gen_random(64, 4, seed=1)):
         explored = ExploredTree(tree)
         walker = explored.walker
-        walker.move(DIR_ONLY)
+        walker.move(1)
         with pytest.raises(TreeError, match="node 1 is not explored"):
             dfs_extend(explored, tree.n)
         assert (walker.current, walker.steps) == (1, 1)
@@ -880,15 +880,18 @@ def test_explored_kinds_are_the_kinds_revealed(monkeypatch):
     assert checked > 30000
 
 
-def _shape_checked(monkeypatch, name, size, calls):
-    """Patch ``Walker.<name>`` to count its calls and check how many values
-    each call returns."""
+def _checked(monkeypatch, name, calls, starts_at, returns):
+    """Patch ``Walker.<name>`` to count its calls, to check before each
+    call that it starts at a node of kind ``starts_at`` (None for any), and
+    to check what it returns with ``returns``."""
     original = getattr(Walker, name)
 
     def checked(self, *args):
-        out = original(self, *args)
-        assert len(out) == size, (name, out)
+        kind = self.tree.kind(self.current)
+        assert starts_at in (None, kind), (name, self.current, kind)
         calls[name] += 1
+        out = original(self, *args)
+        assert returns(out), (name, out)
         return out
 
     monkeypatch.setattr(Walker, name, checked)
@@ -907,13 +910,17 @@ def _arena():
     _arena,
 ], ids=["random", "comb", "complete_path", "frozen_arena"])
 def test_kinds_reach_the_searches_through_one_channel(monkeypatch, make):
-    """A full-depth ``dfs_extend`` hears each revealed fork once through
-    ``on_fork``, and ``Walker.kind_of`` reads a fork at exactly those ids;
-    ``move`` returns a node and a side, and ``follow`` a node and the count
-    of nodes it newly reveals, no kind."""
+    """A half-depth then a full-depth ``dfs_extend`` hear each revealed fork
+    once through ``on_fork``, and ``Walker.kind_of`` reads a fork at
+    exactly those ids; ``move`` returns nothing, and ``follow`` a node and
+    the count of nodes it newly reveals, no kind. ``dfs_extend`` calls
+    ``follow`` only at a unary node, past a freeze too: a fork whose right
+    child is id + 1, entered by a climb from a leaf or from a unary node at
+    the depth limit, would make it raise."""
     calls = {"move": 0, "follow": 0}
-    _shape_checked(monkeypatch, "move", 2, calls)
-    _shape_checked(monkeypatch, "follow", 2, calls)
+    _checked(monkeypatch, "move", calls, None, lambda out: out is None)
+    _checked(monkeypatch, "follow", calls, UNARY,
+             lambda out: len(out) == 2)
     tree, oracle = make()
     log = []
 
@@ -924,6 +931,7 @@ def test_kinds_reach_the_searches_through_one_channel(monkeypatch, make):
 
     explored = ExploredTree(tree, hear)
     walker = explored.walker
+    dfs_extend(explored, tree.n // 2)
     dfs_extend(explored, tree.n)
     assert len(log) == len(set(log))
     ids = [v for v in range(tree.size) if walker.revealed[v]]

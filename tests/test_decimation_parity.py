@@ -34,9 +34,8 @@ from bifurcation.generators import (FamilySpec, build_instance, gen_comb,
                                     gen_complete_path, gen_random,
                                     place_target)
 from bifurcation.lowerbound import adaptive_fork_adversary
-from bifurcation.model import (DIR_PARENT, FOUND, TARGET_LARGER,
-                               TARGET_SMALLER, InstrumentedOracle, TreeError,
-                               Walker)
+from bifurcation.model import (FOUND, TARGET_LARGER, TARGET_SMALLER,
+                               InstrumentedOracle, TreeError, Walker)
 
 from helpers import (explored_ids, explored_kinds, path_to_root,
                      reference_explored_inorder, reference_mark_stub,
@@ -81,7 +80,7 @@ class _Side:
         """Climb to the root, then walk the explored path down to anchor."""
         w = self.walker
         while w.current != w.tree.root:
-            w.move(DIR_PARENT)
+            w.move(w.tree.parent[w.current])
         _descend(self.explored, anchor)
 
 

@@ -21,8 +21,7 @@ from bifurcation.algorithms import (ALGORITHMS, ExploredTree, _ceil_div,
 from bifurcation.generators import (gen_comb, gen_complete_path, gen_random,
                                     place_target)
 from bifurcation.lowerbound import AdaptiveOracle, adaptive_fork_adversary
-from bifurcation.model import (DIR_PARENT, FOUND, InstrumentedOracle,
-                               TreeError, Walker)
+from bifurcation.model import FOUND, InstrumentedOracle, TreeError, Walker
 
 from helpers import (explored_ids, explored_kinds, path_to_root,
                      reference_dfs_extend)
@@ -45,7 +44,7 @@ class _Side:
         """Climb to the root, then walk the explored path down to anchor."""
         w = self.walker
         while w.current != w.tree.root:
-            w.move(DIR_PARENT)
+            w.move(w.tree.parent[w.current])
         _descend(self.explored, anchor)
 
 

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bifurcation.model import (DIR_LEFT, DIR_ONLY, DIR_PARENT, DIR_RIGHT,
-                               FORK, FOUND, LEAF, TARGET_LARGER,
-                               TARGET_SMALLER, UNARY, InstrumentedOracle,
+from bifurcation.model import (FORK, FOUND, LEAF, TARGET_LARGER,
+                               TARGET_SMALLER, InstrumentedOracle,
                                NodeIdError, TreeInstance, Walker,
                                WalkerError)
 from bifurcation.algorithms import ExploredTree, dfs_extend, median_node, trim
@@ -25,10 +24,9 @@ from helpers import (explored_kinds, inorder_compare, is_leaf, make_path,
 def test_walker_single_edge():
     tree = make_path("L")
     w = Walker(tree)
-    node, side = w.move(DIR_ONLY)
-    assert node == 1
-    assert w.kind_of(node) == LEAF
-    assert side == "left"
+    assert w.move(1) is None
+    assert (w.current, w.depth) == (1, 1)
+    assert w.kind_of(1) == LEAF
     assert w.steps == 1
 
 
@@ -36,9 +34,9 @@ def test_walker_round_trip():
     tree = make_path("R")
     w, log = _logged(tree)
     assert w.revealed == b"\x01\x00"  # root was revealed at the start
-    w.move(DIR_ONLY)
-    node, _ = w.move(DIR_PARENT)
-    assert node == tree.root
+    w.move(1)
+    w.move(tree.root)
+    assert (w.current, w.depth) == (tree.root, 0)
     assert w.revealed == b"\x01\x01"
     assert log == []  # a path has no fork
     assert w.steps == 2
@@ -50,35 +48,12 @@ def test_walker_full_path_dfs_steps():
     w = Walker(tree)
     down = 0
     while not is_leaf(tree, w.current):
-        w.move(DIR_ONLY)
+        w.move(w.current + 1)
         down += 1
     while w.current != tree.root:
-        w.move(DIR_PARENT)
+        w.move(tree.parent[w.current])
     assert down == 7
     assert w.steps == 14
-
-
-def test_walker_errors():
-    tree = gen_random(4, 1, seed=0)
-    w = Walker(tree)
-    with pytest.raises(WalkerError):
-        w.move(DIR_PARENT)
-    # descend to the fork, then misuse direction kinds
-    while w.tree.kind(w.current) == UNARY:
-        w.move(DIR_ONLY)
-    at_fork = w.current
-    if tree.kind(at_fork) == FORK:
-        with pytest.raises(WalkerError):
-            w.move(DIR_ONLY)
-    path = make_path("LL")
-    w2 = Walker(path)
-    with pytest.raises(WalkerError):
-        w2.move(DIR_LEFT)  # unary node: only only_child is legal
-    w2.move(DIR_ONLY)
-    w2.move(DIR_ONLY)
-    with pytest.raises(WalkerError):
-        w2.move(DIR_RIGHT)  # leaf
-    assert w2.steps == 2
 
 
 def test_kind_of_refuses_an_unrevealed_id():
@@ -88,34 +63,70 @@ def test_kind_of_refuses_an_unrevealed_id():
         w.kind_of(1)
 
 
-def test_move_refuses_an_unknown_direction_before_moving():
-    # Walker.move's WalkerError for a direction that is none of the four
-    w = Walker(make_path("L"))
-    with pytest.raises(WalkerError, match="unknown direction 'sideways'"):
-        w.move("sideways")
-    assert (w.current, w.depth, w.steps) == (0, 0, 0)
+def _refuses(w, v, error):
+    """``w.move(v)`` raises ``error`` and leaves the walker as it was."""
+    before = (w.current, w.depth, w.steps, bytes(w.revealed))
+    with pytest.raises(error):
+        w.move(v)
+    assert (w.current, w.depth, w.steps, bytes(w.revealed)) == before
+
+
+def test_move_refuses_a_non_neighbour_before_moving():
+    """``move`` enters only the current node's parent or a child; an id
+    outside the instance raises NodeIdError, any other WalkerError, and
+    either before anything moves."""
+    tree = _tree(**FORKED)
+    w = Walker(tree)
+    _refuses(w, -1, NodeIdError)  # the root's parent link
+    _refuses(w, tree.size, NodeIdError)
+    _refuses(w, 0, WalkerError)  # the node itself
+    _refuses(w, 2, WalkerError)  # a grandchild
+    w.move(1)
+    w.move(2)
+    _refuses(w, 4, WalkerError)  # a grandchild below the fork
+    w.move(3)
+    _refuses(w, 5, WalkerError)  # the sibling
+    # on the arena, a child that the freeze cut off
+    tree, on_fork = _arena()
+    left, right = array("i", tree.left), array("i", tree.right)  # unfrozen
+    explored = ExploredTree(tree, on_fork)
+    w = explored.walker
+    dfs_extend(explored, tree.n)
+    assert on_fork.__self__.froze
+    cut = [(f, c) for f in range(tree.size) if w.revealed[f]
+           for c in (left[f], right[f])
+           if c >= 0 and c not in (tree.left[f], tree.right[f])]
+    assert cut
+    f, c = cut[0]
+    path = [f]
+    while path[-1] != tree.root:
+        path.append(tree.parent[path[-1]])
+    for v in reversed(path[:-1]):
+        w.move(v)
+    assert w.current == f
+    _refuses(w, c, WalkerError)
 
 
 def test_walker_reveal_once():
     tree = _tree(**FORKED)
     w, log = _logged(tree)
-    w.move(DIR_ONLY)
-    node, _ = w.move(DIR_ONLY)
-    assert log == [node]
-    w.move(DIR_PARENT)
-    node, _ = w.move(DIR_ONLY)
-    assert log == [node]
-    assert w.revealed[node]
-    assert w.kind_of(node) == FORK
+    w.move(1)
+    w.move(2)
+    assert log == [2]
+    w.move(1)
+    w.move(2)
+    assert log == [2]
+    assert w.revealed[2]
+    assert w.kind_of(2) == FORK
 
 
 def test_steps_count_only_successful_moves():
     tree = make_path("L")
     w = Walker(tree)
-    with pytest.raises(WalkerError):
-        w.move(DIR_PARENT)
+    with pytest.raises(NodeIdError):
+        w.move(tree.parent[tree.root])
     assert w.steps == 0
-    w.move(DIR_ONLY)
+    w.move(1)
     assert w.steps == 1
 
 
@@ -230,8 +241,8 @@ def test_oracle_rejects_a_target_outside_the_instance():
 def test_walker_rejects_out_of_range_ids():
     tree = make_path("LR")
     w = Walker(tree)
-    w.move(DIR_ONLY)
-    w.move(DIR_ONLY)  # the last node is revealed, so -1 would read it
+    w.move(1)
+    w.move(2)  # the last node is revealed, so -1 would read it
     for v in (-1, -tree.size, tree.size):
         with pytest.raises(NodeIdError):
             w.kind_of(v)
@@ -288,17 +299,17 @@ def test_follow_equals_single_moves():
             b, log_b = _logged(tree)
             for w in (a, b):
                 for _ in range(start):
-                    w.move(DIR_ONLY)
+                    w.move(w.current + 1)
             end, new = a.follow(k)
             for _ in range(k):
-                node, _ = b.move(DIR_ONLY)
-            assert end == node == start + k
+                b.move(b.current + 1)
+            assert end == b.current == start + k
             assert _seen(a, log_a) == _seen(b, log_b)
             assert new == k
     # a second pass over revealed nodes fires no hook
     a, log = _logged(_tree(**FORKED))
     assert a.follow(1)[0] == 1
-    a.move(DIR_PARENT)
+    a.move(0)
     assert log == []
     assert a.follow(2)[0] == 2  # 1 was revealed, the fork 2 is new
     assert log == [2]
@@ -337,7 +348,7 @@ def test_climb_equals_single_moves():
             w.follow(5)
         assert a.climb(k) == 5 - k
         for _ in range(k):
-            b.move(DIR_PARENT)
+            b.move(tree.parent[b.current])
         assert _seen(a, log_a) == _seen(b, log_b)
 
 
@@ -345,7 +356,7 @@ def test_follow_stops_after_entering_a_fork_or_a_leaf():
     tree = _tree(**FORKED)
     w, log = _logged(tree)
     assert w.follow(10)[0] == 2
-    w.move(DIR_LEFT)
+    w.move(3)
     assert w.follow(10)[0] == 4
     assert w.steps == 4
     assert log == [2]
@@ -365,12 +376,12 @@ def test_follow_and_climb_refuse_before_anything_moves():
         with pytest.raises(WalkerError):
             call(k)
         assert _seen(w, log) == before
-    w.move(DIR_ONLY)
+    w.move(2)
     assert w.follow(5)[0] == 3  # 3's only child is 5
     assert log == []
-    w.move(DIR_ONLY)
+    w.move(5)
     assert log == [5]
-    w.move(DIR_LEFT)
+    w.move(6)
     assert w.follow(1)[0] == 7
     assert log == [5]
     for call, k in ((w.follow, 1),  # a leaf
@@ -380,7 +391,7 @@ def test_follow_and_climb_refuse_before_anything_moves():
             call(k)
         assert _seen(w, log) == before
     w.climb(1)
-    w.move(DIR_PARENT)
+    w.move(5)
     before = _seen(w, log)
     with pytest.raises(WalkerError):
         w.follow(1)  # a fork
@@ -402,7 +413,9 @@ def _arena():
 def test_walker_depth_is_the_instance_depth(make):
     """After every ``move``, ``follow`` and ``climb`` of random walks, the
     walker's own depth count equals the instance's depth of the node it
-    stands at, past a freeze too; a refused call leaves it as it was."""
+    stands at, past a freeze too; a refused call leaves it as it was. A
+    move down names a child link, which may be -1, or id + 1 or + 2, which
+    may be no child."""
     tree, on_fork = make()
     depth = tree.depths()  # a freeze changes no reachable node's depth
     rng = random.Random(7)
@@ -410,17 +423,20 @@ def test_walker_depth_is_the_instance_depth(make):
     for _ in range(20):
         w = Walker(tree, on_fork)
         for _ in range(300):
-            before = (w.current, w.depth)
+            cur = w.current
+            before = (cur, w.depth)
             op = rng.choice(("follow", "climb", "down", "down", "up"))
             try:
                 if op == "follow":
                     w.follow(rng.randint(-1, 12))
                 elif op == "climb":
                     w.climb(rng.randint(-1, w.depth + 2))
+                elif op == "up":
+                    w.move(tree.parent[cur])
                 else:
-                    w.move(DIR_PARENT if op == "up" else rng.choice(
-                        (DIR_ONLY, DIR_LEFT, DIR_RIGHT)))
-            except WalkerError:
+                    w.move(rng.choice((tree.left[cur], tree.right[cur],
+                                       cur + 1, cur + 2)))
+            except (WalkerError, NodeIdError):
                 assert (w.current, w.depth) == before
                 refused.add(op)
             assert w.depth == depth[w.current]
