@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifurcation.model import (FORK, FOUND, LEAF, TARGET_LARGER,
-                               TARGET_SMALLER, InstrumentedOracle,
+                               TARGET_SMALLER, UNARY, InstrumentedOracle,
                                NodeIdError, TreeInstance, Walker,
                                WalkerError)
 from bifurcation.algorithms import ExploredTree, dfs_extend, median_node, trim
@@ -54,6 +54,32 @@ def test_walker_full_path_dfs_steps():
         w.move(tree.parent[w.current])
     assert down == 7
     assert w.steps == 14
+
+
+def test_walker_errors():
+    """The root has no parent to enter, a fork enters only its parent and
+    its two children, a unary node only its parent and its child, and a
+    leaf only its parent."""
+    tree = gen_random(4, 1, seed=0)
+    w = Walker(tree)
+    _refuses(w, tree.parent[tree.root], NodeIdError)
+    # descend to the fork, then try every id that is no neighbour of it
+    while w.tree.kind(w.current) == UNARY:
+        w.move(max(tree.left[w.current], tree.right[w.current]))
+    at_fork = w.current
+    assert tree.kind(at_fork) == FORK
+    near = (tree.parent[at_fork], tree.left[at_fork], tree.right[at_fork])
+    for v in range(tree.size):
+        if v not in near:
+            _refuses(w, v, WalkerError)
+    path = make_path("LL")
+    w2 = Walker(path)
+    _refuses(w2, 2, WalkerError)  # unary node: only its child 1 is below
+    w2.move(1)
+    w2.move(2)
+    _refuses(w2, 0, WalkerError)  # leaf: only its parent 1
+    _refuses(w2, path.size, NodeIdError)  # id + 1 is past the last node
+    assert w2.steps == 2
 
 
 def test_kind_of_refuses_an_unrevealed_id():
