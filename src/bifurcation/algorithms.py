@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (FORK, FOUND, LEAF, LEFT, RIGHT, TARGET_LARGER,
-                    TARGET_SMALLER, UNARY, InconsistentOracleError, TreeError,
-                    TreeInstance, Walker, WalkerError, check_node_id)
+from .model import (FOUND, LEFT, RIGHT, TARGET_LARGER, TARGET_SMALLER,
+                    InconsistentOracleError, TreeError, TreeInstance, Walker,
+                    check_node_id)
 
 
 def _ceil_sqrt(x: int) -> int:
@@ -51,11 +51,11 @@ class ExploredTree:
     instance's link at a held id. Held ids are revealed, and
     ``AdaptiveOracle._freeze`` rewrites only unrevealed forks, so those
     links never change while a search runs. ``walker`` is the tree's own,
-    built at the root with ``on_fork``; kinds and run starts are read
-    through it (``Walker.kind_of``), and only ``dfs_extend`` and
-    ``_descend`` move it. A stub is a node proven not to hold the target in
-    its subtree; stubs stay in place as markers but their explored subtrees
-    are deleted. So the walker has revealed the explored ids and the
+    built at the root with ``on_fork``; run starts are read through it
+    (``Walker.run_start``), and only ``dfs_extend`` and ``_descend`` move
+    it. A stub is a node proven not to hold the target in its subtree;
+    stubs stay in place as markers but their explored subtrees are
+    deleted. So the walker has revealed the explored ids and the
     subtrees under stubs, which ``dfs_extend`` never enters: there an id
     is new to the walker exactly when it is new to the tree.
     ``node_count`` excludes stubs and is kept current as the tree changes.
@@ -240,7 +240,8 @@ def trim(explored: ExploredTree, u: int, answer: str):
     below = [-1] + [a for a, _ in runs[:-1]]
     new_stubs = [c for c, d in zip(kids, below)
                  if c >= 0 and c != d and not stub[c]]
-    if not stub[u] and explored.walker.kind_of(u) == LEAF:
+    tree = explored.walker.tree
+    if not stub[u] and tree.left[u] < 0 and tree.right[u] < 0:
         new_stubs.append(u)
     if new_stubs:
         ends = np.array(runs, np.intc)
@@ -300,25 +301,26 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
     walker ends where it started. Returns the count of newly explored
     forks.
 
-    No stack is kept. The walk goes down, into the left child first, until
-    it reaches the limit or a node with no child it may enter; then it
-    climbs, holding the child it came up from (``back``), to the first fork
-    it left by its left child and whose right child is no stub, or ends at
-    the anchor.
+    No stack is kept. The walk goes down until it reaches the limit or a
+    node with no child it may enter: the left child if there is one and it
+    is no stub, else the right child if it is no stub. Then it climbs,
+    holding the child it came up from (``back``), to the first node it left
+    by its left child whose right child is there and no stub, or ends at
+    the anchor. Every decision reads the instance's links at the walker's
+    node, which is held, so a freeze has settled them: a node is a fork
+    when both links are set, and a missing link is -1, for which
+    ``stub[-1]`` reads no stub.
 
     Every edge costs one step, but a unary chain is walked in one call.
     ``Walker.move`` names the id it enters, the child chosen (``child``) or
     the parent. Going down from a unary node to child id + 1, decided
     before any climb, the walk asks ``Walker.follow`` for the depth left,
-    cut short of the next stub id; a fork that a freeze demoted keeps run
-    flag 0, so ``follow`` raises there before anything moves, and one move
-    takes that edge instead; ``follow`` counts the chain's newly revealed
-    tail, its unexplored ids. Any other edge down is one move. Going up,
-    ``Walker.climb`` takes the walk to the top of its chain, and one move
-    over the edge above it. So the moves, and every counter, are those of
-    one move per edge. Depths are ``Walker.depth``; kinds are read through
-    ``Walker.kind_of``, once for each node entered, where ``fresh`` marks a
-    newly explored one.
+    cut short of the next stub id; ``follow`` counts the chain's newly
+    revealed tail, its unexplored ids. Any other edge down is one move.
+    Going up, ``Walker.climb`` takes the walk to the top of its chain, and
+    one move over the edge above it. So the moves, and every counter, are
+    those of one move per edge. Depths are ``Walker.depth``; ``fresh``
+    marks a newly explored node.
     """
     walker = explored.walker
     anchor = walker.current
@@ -330,7 +332,6 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
     parents = walker.tree.parent  # read at held ids only, where they hold
     lefts = walker.tree.left
     rights = walker.tree.right
-    kind_of = walker.kind_of
     move = walker.move
     follow = walker.follow
     climb = walker.climb
@@ -339,19 +340,17 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
     fresh = False
     anchor_depth = walker.depth
     while True:
-        child = -1  # the child to enter next, -1 for none
-        k = kind_of(node)
-        if fresh and k == FORK:
+        left = lefts[node]
+        right = rights[node]
+        if fresh and left >= 0 and right >= 0:
             new_forks += 1
-        if walker.depth < depth_limit and k != LEAF:
-            if k == FORK:
-                if not stub[lefts[node]]:
-                    child = lefts[node]
-                elif not stub[rights[node]]:
-                    child = rights[node]
-            elif not stub[c := max(lefts[node], rights[node])]:  # one is -1
-                child = c
-        run = k == UNARY and child == node + 1  # k is node's, before a climb
+        child = -1  # the child to enter next, -1 for none
+        if walker.depth < depth_limit:
+            if left >= 0 and not stub[left]:
+                child = left
+            elif not stub[right]:
+                child = right
+        run = child == node + 1 and (left < 0 or right < 0)  # before a climb
         while child < 0:
             if node != anchor:
                 node = climb(walker.depth - anchor_depth)
@@ -360,25 +359,20 @@ def dfs_extend(explored: ExploredTree, depth_limit: int) -> int:
             back = node
             node = parents[node]
             move(node)
-            if (lefts[node] == back and kind_of(node) == FORK
-                    and not stub[rights[node]]):
-                child = rights[node]
+            if lefts[node] == back and not stub[rights[node]]:
+                child = rights[node]  # -1 at a unary node
         if run:
             # the child is no stub, so the cut looks past it
             room = depth_limit - walker.depth
             s = stub.find(1, node + 2, node + room + 1)
             if s >= 0:
                 room = s - node - 1
-            try:
-                end, new = follow(room)
-            except WalkerError:  # a demoted fork ends its run: one move
-                pass
-            else:
-                fresh = new > 0
-                if fresh:
-                    explored.add_chain(end + 1 - new, end)
-                node = end
-                continue
+            end, new = follow(room)
+            fresh = new > 0
+            if fresh:
+                explored.add_chain(end + 1 - new, end)
+            node = end
+            continue
         move(child)
         fresh = not held[child]
         if fresh:

@@ -251,9 +251,8 @@ def gen_complete_path(h: int, delta: int) -> TreeInstance:
     and its left one at c + 2 * delta * 2**(h - k - 1)."""
     if h < 1 or delta < 1:
         raise InfeasibleInstanceError("need h >= 1 and delta >= 1")
-    check_cell("complete_path", h * delta, h * h)
+    size = check_cell("complete_path", h * delta, h * h)
     pairs = 2 ** h - 1  # one per fork
-    size = 1 + 2 * delta * pairs
     is_left = np.frombuffer(bytes(1) + (b"\x01" * delta + bytes(delta))
                             * pairs, bool)
     hosts = np.empty(2 * pairs, np.intc)  # path k starts at 1 + k * delta

@@ -264,12 +264,14 @@ class Walker:
     moves would; ``run_start`` finds where a run begins, for ``climb`` and
     for the root paths of an explored tree, and moves nothing. The run
     flags behind them, 1 for every node of a run but its last, are built
-    once, here, before the root is reported. They stay
-    conservative when ``AdaptiveOracle._freeze`` rewrites the child arrays
-    of a live walker: a freeze only touches forks, whose flag is 0; a
-    demoted fork that keeps child id + 1 keeps its 0 too, so it only ends
-    a run early, and ``move`` takes its edge; and the subtrees a freeze
-    drops can no longer be reached.
+    once, here, before the root is reported. ``follow`` decides whether
+    it may start by the current node's live links, so it walks on from a
+    fork that ``AdaptiveOracle._freeze`` demoted onto child id + 1; the
+    flags only bound its scan past that node. There they stay conservative
+    when a freeze rewrites the child arrays of a live walker: a freeze only
+    touches forks, whose flag is 0; a demoted fork keeps its 0, so it only
+    ends a run early; and the subtrees a freeze drops can no longer be
+    reached.
     """
 
     __slots__ = ("tree", "current", "depth", "steps", "revealed", "on_fork",
@@ -332,18 +334,20 @@ class Walker:
 
         Stops after entering the run's last node, so at a fork, a leaf or a
         node whose child is not id + 1. Raises WalkerError before anything
-        moves for k < 1 or when the current node is the last of its run.
-        Fires ``on_fork`` once, for ``end``, if it newly reveals a fork.
-        Returns ``(node id, count)``: the node it ends on and the number of
-        nodes it newly reveals, a tail of the chain ending there, 0 when it
-        reveals none.
+        moves for k < 1 or when the current node's live links do not make
+        it unary with only child id + 1. Fires ``on_fork`` once, for
+        ``end``, if it newly reveals a fork. Returns ``(node id, count)``:
+        the node it ends on and the number of nodes it newly reveals, a
+        tail of the chain ending there, 0 when it reveals none.
         """
         cur = self.current
-        run = self._run
-        if k < 1 or not run[cur]:
+        left = self.tree.left[cur]
+        right = self.tree.right[cur]
+        # unary, and the one child id (the other link is -1) is id + 1
+        if k < 1 or (left < 0) == (right < 0) or left + right != cur:
             raise WalkerError("no run to follow for %r edges below node %d"
                               % (k, cur))
-        end = run.find(0, cur + 1, cur + k)
+        end = self._run.find(0, cur + 1, cur + k)
         if end < 0:
             end = cur + k
         self.current = end

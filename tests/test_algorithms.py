@@ -762,26 +762,22 @@ def test_walks_to_an_unexplored_id_are_refused():
     assert explored.node_count == 1
 
 
-def test_dfs_extend_reads_each_entered_node_kind_once(monkeypatch):
-    """A full-depth walk reads no node's kind twice without a move in
-    between: a newly explored node is read once, where the walk enters
-    it."""
-    reads = []
-    original = Walker.kind_of
+def test_searches_read_no_kind_through_the_walker(monkeypatch):
+    """The searches read a node's shape off the instance's links at held
+    ids, never through ``Walker.kind_of``, past a freeze too."""
+    def refuse(self, v):
+        raise AssertionError("kind_of(%d) was called" % v)
 
-    def kind_of(self, v):
-        reads.append((v, self.steps))
-        return original(self, v)
-
-    monkeypatch.setattr(Walker, "kind_of", kind_of)
+    monkeypatch.setattr(Walker, "kind_of", refuse)
     for tree in (gen_random(128, 16, seed=4), gen_comb(160, 9, seed=2),
                  gen_complete_path(3, 5)):
-        del reads[:]
-        explored, walker = explore_fully(tree)
-        assert explored.node_count == tree.size
-        assert len(reads) == len(set(reads))
-        assert {v for v, _ in reads} >= {
-            v for v in range(tree.size) if tree.kind(v) == FORK}
+        for seed in range(3):
+            tree.target = place_target(tree, "random_node", seed=seed)
+            for fn in ALGORITHMS.values():
+                assert fn(tree, InstrumentedOracle(tree)).found == tree.target
+    for player in ALGORITHMS:
+        report = adaptive_fork_adversary(40, 5, player)
+        assert report.froze and report.replay_consistent()
 
 
 def test_descend_refuses_a_dst_not_below_the_walker():

@@ -4,8 +4,10 @@ The shapes are every tree of 1-7 nodes with preorder ids, in which each
 node is a leaf, unary-left, unary-right or a fork: the Catalan numbers
 1, 2, 5, 14, 42, 132 and 429 of them, each declared at its height.
 
-Every node is the target of all three searches. Besides the answer, each
-run checks the invariants the searches keep on the way: every
+Every node is the target of all three searches, and of the staged search
+at psi 1, 2 and t + 1 as well, the ends of its call budget; a psi above t
+is lowered to t, so each shape plays only the distinct ones. Besides the
+answer, each run checks the invariants the searches keep on the way: every
 ``dfs_extend`` walks each edge of the region it may reach twice, adds
 exactly that region and brings the walker back; after every
 ``dfs_extend`` and ``trim`` the maintained counts equal a rescan and no
@@ -30,7 +32,7 @@ from array import array
 import pytest
 
 from bifurcation import algorithms
-from bifurcation.algorithms import ALGORITHMS, ExploredTree
+from bifurcation.algorithms import ALGORITHMS, ExploredTree, SearchParams
 from bifurcation.generators import validate_instance
 from bifurcation.lowerbound import AdaptiveOracle
 from bifurcation.model import (FORK, TARGET_LARGER, TARGET_SMALLER,
@@ -186,6 +188,30 @@ def test_every_shape_every_target_every_search(checked, m):
                 except Exception as exc:  # counted, and the first shown
                     bad.append((shape, target, name, exc))
     _assert_none_failed(bad, runs, CATALAN[m] * m * len(ALGORITHMS))
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_every_shape_every_target_staged_at_every_psi(checked, m):
+    runs = 0
+    want = 0
+    bad = []
+    for shape in every_shape(m):
+        tree = _instance(shape)
+        # psi values that the search lowers to the same one play alike
+        psis = sorted({SearchParams.for_instance(tree, psi).psi
+                       for psi in (1, 2, tree.t + 1)})
+        want += len(psis) * m
+        for target in range(m):
+            tree.target = target
+            for psi in psis:
+                runs += 1
+                try:
+                    result = checked.bifurcation_search(
+                        tree, InstrumentedOracle(tree), psi)
+                    assert result.found == target
+                except Exception as exc:  # counted, and the first shown
+                    bad.append((shape, target, psi, exc))
+    _assert_none_failed(bad, runs, want)
 
 
 @pytest.mark.parametrize("m", SIZES)

@@ -424,6 +424,83 @@ def test_follow_and_climb_refuse_before_anything_moves():
     assert _seen(w, log) == before
 
 
+DELTA = 4  # the edges of each path in the frozen arena
+
+
+def _frozen_arena():
+    """A walker on the adversary arena ``gen_complete_path(3, DELTA)``,
+    frozen as the root is revealed (fork budget 1), logging each fork it
+    reports: every fork but the root is then demoted or cut off."""
+    tree = gen_complete_path(3, DELTA)
+    oracle = AdaptiveOracle(tree, 1)
+    log = []
+
+    def hear(v):
+        log.append(v)
+        oracle.on_fork(v)
+
+    w = Walker(tree, hear)
+    assert oracle.froze
+    return w, log
+
+
+def _root_path(tree, v):
+    """The ids from below the root down to v, or None for a v the freeze
+    cut off."""
+    path = []
+    while v != tree.root:
+        if v < 0:
+            return None
+        path.append(v)
+        v = tree.parent[v]
+    return path[::-1]
+
+
+def _walked_to(v):
+    """A fresh frozen arena whose walker has moved down to v."""
+    w, log = _frozen_arena()
+    for u in _root_path(w.tree, v):
+        w.move(u)
+    return w, log
+
+
+def test_follow_walks_on_from_a_fork_demoted_onto_child_id_plus_one():
+    """``follow`` decides by the current node's live links: from a fork a
+    freeze demoted onto child id + 1 it walks on with the steps and reveals
+    of single moves, to the next fork at most, whose run flag of 0 stops
+    it. Before anything moves it still refuses a live fork, a leaf, a
+    demoted fork that kept the child other than id + 1, and k < 1."""
+    tree = _frozen_arena()[0].tree
+    forks = [f for f in range(tree.size)
+             if gen_complete_path(3, DELTA).kind(f) == FORK]
+    attached = [v for v in range(tree.size)
+                if _root_path(tree, v) is not None]
+    demoted = [f for f in forks[1:] if f in attached]
+    near = [f for f in demoted if f + 1 in (tree.left[f], tree.right[f])]
+    far = [f for f in demoted if f not in near]
+    assert near and far
+    assert all(tree.kind(f) == UNARY for f in demoted)
+    for f in near:
+        for k in range(1, DELTA + 3):
+            a, log_a = _walked_to(f)
+            b, log_b = _walked_to(f)
+            end = min(f + k, f + DELTA)
+            assert a.follow(k) == (end, end - f)
+            for v in range(f + 1, end + 1):
+                b.move(v)
+            assert _seen(a, log_a) == _seen(b, log_b)
+    leaf = next(v for v in attached if tree.kind(v) == LEAF)
+    refusals = [(tree.root, 1), (leaf, 1)]
+    refusals += [(f, 1) for f in far]
+    refusals += [(f, k) for f in near for k in (0, -1)]
+    for v, k in refusals:
+        w, log = _walked_to(v)
+        before = _seen(w, log)
+        with pytest.raises(WalkerError):
+            w.follow(k)
+        assert _seen(w, log) == before
+
+
 def _arena():
     """The adversary arena with an oracle that freezes after 4 forks."""
     tree = gen_complete_path(3, 16)
